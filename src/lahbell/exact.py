@@ -273,8 +273,9 @@ def _term_sort_key(item: tuple[tuple[int, int, int, int], Fraction]):
 
 
 def _from_canonical(terms: dict[tuple[int, int, int, int], Fraction]) -> MultiPoly:
+    # Callers pass only nonzero coefficients; outside input goes through __init__.
     poly = MultiPoly.__new__(MultiPoly)
-    poly._terms = {e: c for e, c in terms.items() if c != 0}
+    poly._terms = terms
     return poly
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .exact import MultiPoly, falling_factorial, generalized_falling, rising_factorial
+from .exact import MultiPoly, PolyLike, falling_factorial, generalized_falling, rising_factorial
 from .triangles import lah, stirling2
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "lah_bell_recurrence_step",
     "lah_bell_derivative",
     "poly_family",
+    "triangle_sum",
     "FAMILIES",
 ]
 
@@ -41,58 +42,53 @@ def _require_index(n: int) -> None:
         raise ValueError(f"family index must be a nonnegative integer, got {n!r}")
 
 
+def triangle_sum(
+    n: int,
+    entry: Callable[[int, int], int],
+    basis: Callable[[int], PolyLike],
+    sign: int = 1,
+) -> MultiPoly:
+    """sum_{k=0..n} sign^(n-k) entry(n,k) basis(k); a sign of -1 alternates the terms."""
+    acc = MultiPoly.zero()
+    for k in range(n + 1):
+        acc = acc + sign ** (n - k) * entry(n, k) * basis(k)
+    return acc
+
+
 def bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) x^k; at x=1 this is the n-th set-partition count."""
     _require_index(n)
-    acc = MultiPoly.zero()
-    for k in range(n + 1):
-        acc = acc + stirling2(n, k) * _X**k
-    return acc
+    return triangle_sum(n, stirling2, lambda k: _X**k)
 
 
 def lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) x^k; at x=1 this is the n-th ordered-list-partition count."""
     _require_index(n)
-    acc = MultiPoly.zero()
-    for k in range(n + 1):
-        acc = acc + lah(n, k) * _X**k
-    return acc
+    return triangle_sum(n, lah, lambda k: _X**k)
 
 
 def bivariate_bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) (x)_k y^k, with (x)_k the falling factorial."""
     _require_index(n)
-    acc = MultiPoly.zero()
-    for k in range(n + 1):
-        acc = acc + stirling2(n, k) * falling_factorial(_X, k) * _Y**k
-    return acc
+    return triangle_sum(n, stirling2, lambda k: falling_factorial(_X, k) * _Y**k)
 
 
 def bivariate_lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) (x)_k y^k."""
     _require_index(n)
-    acc = MultiPoly.zero()
-    for k in range(n + 1):
-        acc = acc + lah(n, k) * falling_factorial(_X, k) * _Y**k
-    return acc
+    return triangle_sum(n, lah, lambda k: falling_factorial(_X, k) * _Y**k)
 
 
 def degenerate_bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) x(x-lam)...(x-(k-1)lam); lam=0 recovers bell_poly."""
     _require_index(n)
-    acc = MultiPoly.zero()
-    for k in range(n + 1):
-        acc = acc + stirling2(n, k) * generalized_falling(_X, k, _LAM)
-    return acc
+    return triangle_sum(n, stirling2, lambda k: generalized_falling(_X, k, _LAM))
 
 
 def degenerate_lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) x(x-lam)...(x-(k-1)lam); lam=0 recovers lah_bell_poly."""
     _require_index(n)
-    acc = MultiPoly.zero()
-    for k in range(n + 1):
-        acc = acc + lah(n, k) * generalized_falling(_X, k, _LAM)
-    return acc
+    return triangle_sum(n, lah, lambda k: generalized_falling(_X, k, _LAM))
 
 
 def laguerre_poly(n: int) -> MultiPoly:
@@ -137,16 +133,6 @@ def lah_bell_derivative(n: int) -> MultiPoly:
     return acc
 
 
-FAMILIES = (
-    "bell",
-    "lah_bell",
-    "bivariate_bell",
-    "bivariate_lah_bell",
-    "degenerate_bell",
-    "degenerate_lah_bell",
-    "laguerre",
-)
-
 _FAMILY_BUILDERS: dict[str, Callable[[int], MultiPoly]] = {
     "bell": bell_poly,
     "lah_bell": lah_bell_poly,
@@ -156,6 +142,8 @@ _FAMILY_BUILDERS: dict[str, Callable[[int], MultiPoly]] = {
     "degenerate_lah_bell": degenerate_lah_bell_poly,
     "laguerre": laguerre_poly,
 }
+
+FAMILIES = tuple(_FAMILY_BUILDERS)
 
 
 def poly_family(family: str, n: int) -> MultiPoly:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dobinski import lah_bell_dobinski
 from .enumeration import (
@@ -28,7 +28,7 @@ from .enumeration import (
     count_permutations_by_cycles,
     count_set_partitions,
 )
-from .exact import MultiPoly, falling_factorial, rising_factorial
+from .exact import MultiPoly, PolyLike, falling_factorial, rising_factorial
 from .families import (
     bell_poly,
     bivariate_bell_poly,
@@ -39,8 +39,10 @@ from .families import (
     lah_bell_poly,
     lah_bell_recurrence_step,
     laguerre_poly,
+    triangle_sum,
 )
 from .series import (
+    TruncatedSeries,
     exp_t_minus_one,
     gf_catalog,
     identity_t,
@@ -71,6 +73,8 @@ _ALPHA_SPOTS = (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(-1, 3))
 _DOBINSKI_ARGS = (Fraction(1, 2), Fraction(1), Fraction(3))
 
 Counterexample = Optional[dict[str, str]]
+Check = Callable[[int], Counterexample]
+Cases = Iterable[tuple[dict, object, object]]
 
 
 @dataclass(frozen=True)
@@ -96,55 +100,88 @@ class IdentityRecord:
         return payload
 
 
+def _record(key: str, anchor: str, span: str, counterexample: Counterexample) -> IdentityRecord:
+    status = "pass" if counterexample is None else "fail"
+    return IdentityRecord(key, anchor, span, status, counterexample)
+
+
 def _fail(**kwargs: object) -> dict[str, str]:
     return {key: str(value) for key, value in kwargs.items()}
 
 
-# -- checkers; each returns None on pass or the first counterexample ------
+def _first_mismatch(cases: Cases) -> Counterexample:
+    """The first (labels, lhs, rhs) case with lhs != rhs, as a counterexample.
 
-
-def _check_eq3(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        lhs = _X**n
-        rhs = MultiPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + stirling2(n, k) * falling_factorial(_X, k)
+    Checkers yield their cases lazily in increasing n, so nothing past the first
+    mismatch is computed and the counterexample carries the smallest failing n.
+    """
+    for labels, lhs, rhs in cases:
         if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
+            return _fail(**labels, lhs=lhs, rhs=rhs)
     return None
 
 
-def _check_eq4(cap: int) -> Counterexample:
-    for k in range(cap + 1):
-        ser = (exp_t_minus_one(cap) ** k).scale(Fraction(1, factorial(k)))
-        for n in range(k, cap + 1):
-            lhs = ser.egf_coefficient(n)
-            rhs = stirling2(n, k)
-            if lhs != rhs:
-                return _fail(n=n, k=k, lhs=lhs, rhs=rhs)
-    return None
+# -- checker factories ------------------------------------------------------
+# Rows reach families, row sums, counters and gf_catalog through lambdas or
+# function bodies, so every call goes through the module-level name at check
+# time and anything that rebinds those names (a test double, a tracer) sees it.
 
 
-def _check_eq8(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        lhs = falling_factorial(_X, n)
-        rhs = MultiPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + stirling1_signed(n, k) * _X**k
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
+class _Sum(NamedTuple):
+    """One route: lhs(n) = sum_k sign^(n-k) triangle(n,k) basis(k)."""
+
+    lhs: Callable[[int], PolyLike]
+    triangle: Callable[[int, int], int]
+    basis: Callable[[int], PolyLike]
+    sign: int = 1
+    label: Optional[dict[str, str]] = None
 
 
-def _check_eq9(cap: int) -> Counterexample:
-    for k in range(cap + 1):
-        ser = (identity_t(cap).log1p() ** k).scale(Fraction(1, factorial(k)))
-        for n in range(k, cap + 1):
-            lhs = ser.egf_coefficient(n)
-            rhs = stirling1_signed(n, k)
-            if lhs != rhs:
-                return _fail(n=n, k=k, lhs=lhs, rhs=rhs)
-    return None
+def _sums(*routes: _Sum) -> Check:
+    """Each basis is built once per k; every route is checked at n before n+1."""
+
+    def cases(cap: int) -> Cases:
+        bases: list[list[PolyLike]] = [[] for _ in routes]
+        for n in range(cap + 1):
+            for route, built in zip(routes, bases):
+                built.append(route.basis(n))
+                rhs = triangle_sum(n, route.triangle, built.__getitem__, route.sign)
+                yield {"n": n, **(route.label or {})}, route.lhs(n), rhs
+
+    return lambda cap: _first_mismatch(cases(cap))
+
+
+def _gf(name: str, family: Callable[[int], PolyLike]) -> Check:
+    """The egf coefficients of gf_catalog(name) equal family(n)."""
+
+    def cases(cap: int) -> Cases:
+        gf = gf_catalog(name, cap)
+        return (({"n": n}, gf.egf_coefficient(n), family(n)) for n in range(cap + 1))
+
+    return lambda cap: _first_mismatch(cases(cap))
+
+
+def _powers(base: Callable[[int], TruncatedSeries], triangle: Callable[[int, int], int]) -> Check:
+    """The egf coefficient n of base^k / k! equals triangle(n,k), for k <= n."""
+
+    def cases(cap: int) -> Cases:
+        series = base(cap)
+        for k in range(cap + 1):
+            power = (series**k).scale(Fraction(1, factorial(k)))
+            for n in range(k, cap + 1):
+                yield {"n": n, "k": k}, power.egf_coefficient(n), triangle(n, k)
+
+    return lambda cap: _first_mismatch(cases(cap))
+
+
+def _entrywise(left: Callable[[int, int], int], right: Callable[[int, int], int]) -> Check:
+    """left(n,k) equals right(n,k), for k <= n."""
+    return lambda cap: _first_mismatch(
+        ({"n": n, "k": k}, left(n, k), right(n, k)) for n in range(cap + 1) for k in range(n + 1)
+    )
+
+
+# -- bespoke checkers, for identities of their own shape -------------------
 
 
 def _check_eq11_eq16(cap: int) -> Counterexample:
@@ -163,56 +200,11 @@ def _check_eq11_eq16(cap: int) -> Counterexample:
 
 
 def _check_eq17(cap: int) -> Counterexample:
-    for n in range(2, cap + 1):
-        for k in range(1, n):
-            lhs = lah(n, k + 1) * k * (k + 1)
-            rhs = (n - k) * lah(n, k)
-            if lhs != rhs:
-                return _fail(n=n, k=k, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_eq13(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        lhs = rising_factorial(_X, n)
-        rhs = MultiPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + lah(n, k) * falling_factorial(_X, k)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_eq14(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        lhs = falling_factorial(_X, n)
-        rhs = MultiPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (-1) ** (n - k) * lah(n, k) * rising_factorial(_X, k)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_lemma1(cap: int) -> Counterexample:
-    gf = gf_catalog("lah_bell", cap)
-    for n in range(cap + 1):
-        lhs = gf.egf_coefficient(n)
-        rhs = lah_bell_number(n)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_thm2(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        lhs = bell_number(n)
-        rhs = sum(
-            (-1) ** (n - k) * lah_bell_number(k) * stirling2(n, k) for k in range(n + 1)
-        )
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
+    return _first_mismatch(
+        ({"n": n, "k": k}, lah(n, k + 1) * k * (k + 1), (n - k) * lah(n, k))
+        for n in range(2, cap + 1)
+        for k in range(1, n)
+    )
 
 
 def _check_thm3(cap: int) -> Counterexample:
@@ -221,27 +213,6 @@ def _check_thm3(cap: int) -> Counterexample:
         exact = lah_bell_number(n)
         if not enclosure.contains(exact):
             return _fail(n=n, enclosure=enclosure, exact=exact)
-    return None
-
-
-def _check_lemma4(cap: int) -> Counterexample:
-    gf = gf_catalog("lah_bell_poly", cap)
-    for n in range(cap + 1):
-        lhs = gf.egf_coefficient(n)
-        rhs = lah_bell_poly(n)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_thm5(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        lhs = bell_poly(n)
-        rhs = MultiPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (-1) ** (n - k) * stirling2(n, k) * lah_bell_poly(k)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
     return None
 
 
@@ -255,156 +226,49 @@ def _check_thm6(cap: int) -> Counterexample:
     return None
 
 
-def _check_thm7(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        lhs = lah_bell_poly(n)
-        rhs = MultiPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (-1) ** (n - k) * stirling1_signed(n, k) * bell_poly(k)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_thm8(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        for k in range(n + 1):
-            lhs = stirling2_via_lah(n, k)
-            rhs = stirling2(n, k)
-            if lhs != rhs:
-                return _fail(n=n, k=k, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_eq30(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        for k in range(n + 1):
-            lhs = lah_via_stirling(n, k)
-            rhs = lah(n, k)
-            if lhs != rhs:
-                return _fail(n=n, k=k, lhs=lhs, rhs=rhs)
-    return None
-
-
 def _check_thm9(cap: int) -> Counterexample:
     values = [lah_bell_poly(m) for m in range(cap + 2)]
-    for n in range(cap + 1):
-        lhs = lah_bell_recurrence_step(n, values[: n + 1])
-        rhs = values[n + 1]
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
+    return _first_mismatch(
+        ({"n": n}, lah_bell_recurrence_step(n, values[: n + 1]), values[n + 1])
+        for n in range(cap + 1)
+    )
 
 
 def _check_thm10(cap: int) -> Counterexample:
-    for n in range(1, cap + 1):
-        lhs = lah_bell_poly(n).derivative("x")
-        rhs = lah_bell_derivative(n)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
+    return _first_mismatch(
+        ({"n": n}, lah_bell_poly(n).derivative("x"), lah_bell_derivative(n))
+        for n in range(1, cap + 1)
+    )
 
 
-def _check_eq37(cap: int) -> Counterexample:
-    gf = gf_catalog("bivariate_bell", cap)
-    for n in range(cap + 1):
-        lhs = gf.egf_coefficient(n)
-        rhs = bivariate_bell_poly(n)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_lemma11(cap: int) -> Counterexample:
-    gf = gf_catalog("bivariate_lah_bell", cap)
-    for n in range(cap + 1):
-        lhs = gf.egf_coefficient(n)
-        rhs = bivariate_lah_bell_poly(n)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_thm12(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        via_s1 = MultiPoly.zero()
-        via_s2 = MultiPoly.zero()
-        for k in range(n + 1):
-            via_s1 = via_s1 + (-1) ** (n - k) * stirling1_signed(n, k) * bivariate_bell_poly(k)
-            via_s2 = via_s2 + (-1) ** (n - k) * stirling2(n, k) * bivariate_lah_bell_poly(k)
-        if bivariate_lah_bell_poly(n) != via_s1:
-            return _fail(n=n, direction="S1 route", lhs=bivariate_lah_bell_poly(n), rhs=via_s1)
-        if bivariate_bell_poly(n) != via_s2:
-            return _fail(n=n, direction="S2 route", lhs=bivariate_bell_poly(n), rhs=via_s2)
-    return None
-
-
-def _check_eq44(cap: int) -> Counterexample:
-    gf = gf_catalog("degenerate_lah_bell", cap)
-    for n in range(cap + 1):
-        lhs = gf.egf_coefficient(n)
-        rhs = degenerate_lah_bell_poly(n)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_eq45(cap: int) -> Counterexample:
-    gf = gf_catalog("degenerate_bell", cap)
-    for n in range(cap + 1):
-        lhs = gf.egf_coefficient(n)
-        rhs = degenerate_bell_poly(n)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
-
-
-def _check_eq47(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        lhs = degenerate_bell_poly(n)
-        rhs = MultiPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (-1) ** (n - k) * stirling2(n, k) * degenerate_lah_bell_poly(k)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-    return None
+_check_eq48_sum = _sums(
+    _Sum(lambda n: degenerate_lah_bell_poly(n), stirling1_signed,
+         lambda k: degenerate_bell_poly(k), -1, {"part": "coefficient sum"})
+)
 
 
 def _check_eq48(cap: int) -> Counterexample:
     order = min(cap, 12)
     composed = gf_catalog("degenerate_bell", order).compose(neg_log_one_minus_t(order))
     direct = gf_catalog("degenerate_lah_bell", order)
-    for n in range(order + 1):
-        if composed.coefficient(n) != direct.coefficient(n):
-            return _fail(
-                n=n,
-                part="series composition",
-                lhs=composed.coefficient(n),
-                rhs=direct.coefficient(n),
-            )
-    for n in range(cap + 1):
-        lhs = degenerate_lah_bell_poly(n)
-        rhs = MultiPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (-1) ** (n - k) * stirling1_signed(n, k) * degenerate_bell_poly(k)
-        if lhs != rhs:
-            return _fail(n=n, part="coefficient sum", lhs=lhs, rhs=rhs)
-    return None
+    return _first_mismatch(
+        ({"n": n, "part": "series composition"}, composed.coefficient(n), direct.coefficient(n))
+        for n in range(order + 1)
+    ) or _check_eq48_sum(cap)
 
 
 def _check_eq49(cap: int) -> Counterexample:
-    gf = gf_catalog("laguerre_weighted", cap)
-    for n in range(cap + 1):
-        lhs = gf.egf_coefficient(n)
-        rhs = laguerre_poly(n)
-        if lhs != rhs:
-            return _fail(n=n, lhs=lhs, rhs=rhs)
-        for a in _ALPHA_SPOTS:
-            lhs_at = MultiPoly._coerce(lhs).substitute({"alpha": a})
-            rhs_at = rhs.substitute({"alpha": a})
-            if lhs_at != rhs_at:
-                return _fail(n=n, alpha=a, lhs=lhs_at, rhs=rhs_at)
-    return None
+    def cases() -> Cases:
+        gf = gf_catalog("laguerre_weighted", cap)
+        for n in range(cap + 1):
+            lhs = gf.egf_coefficient(n)
+            rhs = laguerre_poly(n)
+            yield {"n": n}, lhs, rhs
+            for a in _ALPHA_SPOTS:
+                lhs_at = MultiPoly._coerce(lhs).substitute({"alpha": a})
+                yield {"n": n, "alpha": a}, lhs_at, rhs.substitute({"alpha": a})
+
+    return _first_mismatch(cases())
 
 
 def _check_laguerre_conv(cap: int) -> Counterexample:
@@ -429,7 +293,7 @@ class _Entry:
     id: str
     anchor: str
     default_max: int
-    check: Callable[[int], Counterexample]
+    check: Check
     range_template: str = "n <= {cap}"
 
     def range_text(self, cap: int) -> str:
@@ -437,167 +301,119 @@ class _Entry:
 
 
 _CATALOG: tuple[_Entry, ...] = (
-    _Entry("eq3", "x^n = sum_{k=0..n} S2(n,k) (x)_k", 20, _check_eq3),
     _Entry(
-        "eq4",
-        "(e^t - 1)^k / k! = sum_{n>=k} S2(n,k) t^n/n!",
-        15,
-        _check_eq4,
-        "k <= n <= {cap}",
+        "eq3", "x^n = sum_{k=0..n} S2(n,k) (x)_k", 20,
+        _sums(_Sum(lambda n: _X**n, stirling2, lambda k: falling_factorial(_X, k))),
     ),
-    _Entry("eq8", "(x)_n = sum_{k=0..n} S1(n,k) x^k", 20, _check_eq8),
     _Entry(
-        "eq9",
-        "(log(1+t))^k / k! = sum_{n>=k} S1(n,k) t^n/n!",
-        15,
-        _check_eq9,
-        "k <= n <= {cap}",
+        "eq4", "(e^t - 1)^k / k! = sum_{n>=k} S2(n,k) t^n/n!", 15,
+        _powers(exp_t_minus_one, stirling2), "k <= n <= {cap}",
+    ),
+    _Entry(
+        "eq8", "(x)_n = sum_{k=0..n} S1(n,k) x^k", 20,
+        _sums(_Sum(lambda n: falling_factorial(_X, n), stirling1_signed, lambda k: _X**k)),
+    ),
+    _Entry(
+        "eq9", "(log(1+t))^k / k! = sum_{n>=k} S1(n,k) t^n/n!", 15,
+        _powers(lambda order: identity_t(order).log1p(), stirling1_signed), "k <= n <= {cap}",
     ),
     _Entry(
         "eq11-eq16",
         "L(n,k) = C(n-1,k-1) n!/k! = C(n,k) C(n-1,k-1) (n-k)! = (n!/k!)^2 k/(n (n-k)!)",
-        30,
-        _check_eq11_eq16,
-        "1 <= k <= n <= {cap}",
+        30, _check_eq11_eq16, "1 <= k <= n <= {cap}",
+    ),
+    _Entry("eq17", "L(n,k+1) k(k+1) = (n-k) L(n,k)", 30, _check_eq17, "1 <= k < n <= {cap}"),
+    _Entry(
+        "eq13", "<x>_n = sum_{k=0..n} L(n,k) (x)_k", 15,
+        _sums(_Sum(lambda n: rising_factorial(_X, n), lah, lambda k: falling_factorial(_X, k))),
     ),
     _Entry(
-        "eq17",
-        "L(n,k+1) k(k+1) = (n-k) L(n,k)",
-        30,
-        _check_eq17,
-        "1 <= k < n <= {cap}",
-    ),
-    _Entry("eq13", "<x>_n = sum_{k=0..n} L(n,k) (x)_k", 15, _check_eq13),
-    _Entry("eq14", "(x)_n = sum_{k=0..n} (-1)^(n-k) L(n,k) <x>_k", 15, _check_eq14),
-    _Entry(
-        "lemma1",
-        "exp(1/(1-t) - 1) = sum_n BL_n t^n/n!",
-        20,
-        _check_lemma1,
+        "eq14", "(x)_n = sum_{k=0..n} (-1)^(n-k) L(n,k) <x>_k", 15,
+        _sums(_Sum(lambda n: falling_factorial(_X, n), lah, lambda k: rising_factorial(_X, k), -1)),
     ),
     _Entry(
-        "thm2",
-        "B_n = sum_{k=0..n} (-1)^(n-k) BL_k S2(n,k)",
-        25,
-        _check_thm2,
+        "lemma1", "exp(1/(1-t) - 1) = sum_n BL_n t^n/n!", 20,
+        _gf("lah_bell", lambda n: lah_bell_number(n)),
     ),
     _Entry(
-        "thm3",
-        "BL_n = e^(-1) sum_{k>=0} <k>_n / k!  (certified enclosure)",
-        12,
-        _check_thm3,
+        "thm2", "B_n = sum_{k=0..n} (-1)^(n-k) BL_k S2(n,k)", 25,
+        _sums(_Sum(lambda n: bell_number(n), stirling2, lambda k: lah_bell_number(k), -1)),
+    ),
+    _Entry("thm3", "BL_n = e^(-1) sum_{k>=0} <k>_n / k!  (certified enclosure)", 12, _check_thm3),
+    _Entry(
+        "lemma4", "exp(x (1/(1-t) - 1)) = sum_n BL_n(x) t^n/n!", 15,
+        _gf("lah_bell_poly", lambda n: lah_bell_poly(n)),
     ),
     _Entry(
-        "lemma4",
-        "exp(x (1/(1-t) - 1)) = sum_n BL_n(x) t^n/n!",
-        15,
-        _check_lemma4,
+        "thm5", "B_n(x) = sum_{k=0..n} (-1)^(n-k) S2(n,k) BL_k(x)", 20,
+        _sums(_Sum(lambda n: bell_poly(n), stirling2, lambda k: lah_bell_poly(k), -1)),
     ),
     _Entry(
-        "thm5",
-        "B_n(x) = sum_{k=0..n} (-1)^(n-k) S2(n,k) BL_k(x)",
-        20,
-        _check_thm5,
+        "thm6", "BL_n(x) = e^(-x) sum_{k>=0} <k>_n x^k / k!  (certified enclosure)", 12,
+        _check_thm6, "n <= {cap}, x in {{1/2, 1, 3}}",
     ),
     _Entry(
-        "thm6",
-        "BL_n(x) = e^(-x) sum_{k>=0} <k>_n x^k / k!  (certified enclosure)",
-        12,
-        _check_thm6,
-        "n <= {cap}, x in {{1/2, 1, 3}}",
+        "thm7", "BL_n(x) = sum_{k=0..n} (-1)^(n-k) S1(n,k) B_k(x)", 20,
+        _sums(_Sum(lambda n: lah_bell_poly(n), stirling1_signed, lambda k: bell_poly(k), -1)),
     ),
     _Entry(
-        "thm7",
-        "BL_n(x) = sum_{k=0..n} (-1)^(n-k) S1(n,k) B_k(x)",
-        20,
-        _check_thm7,
+        "thm8", "S2(n,k) = sum_{l=k..n} (-1)^(n-l) S2(n,l) L(l,k)", 25,
+        _entrywise(stirling2_via_lah, stirling2), "k <= n <= {cap}",
     ),
     _Entry(
-        "thm8",
-        "S2(n,k) = sum_{l=k..n} (-1)^(n-l) S2(n,l) L(l,k)",
-        25,
-        _check_thm8,
-        "k <= n <= {cap}",
+        "eq30", "L(n,k) = sum_{l=k..n} (-1)^(n-l) S1(n,l) S2(l,k)", 25,
+        _entrywise(lah_via_stirling, lah), "k <= n <= {cap}",
+    ),
+    _Entry("thm9", "BL_{n+1}(x) = x sum_{m=0..n} C(n,m) (n-m+1)! BL_m(x)", 20, _check_thm9),
+    _Entry(
+        "thm10", "d/dx BL_n(x) = sum_{m=0..n-1} C(n,m) (n-m)! BL_m(x)", 20,
+        _check_thm10, "1 <= n <= {cap}",
     ),
     _Entry(
-        "eq30",
-        "L(n,k) = sum_{l=k..n} (-1)^(n-l) S1(n,l) S2(l,k)",
-        25,
-        _check_eq30,
-        "k <= n <= {cap}",
+        "eq37", "(1 + y(e^t - 1))^x = sum_n B_n(x,y) t^n/n!", 12,
+        _gf("bivariate_bell", lambda n: bivariate_bell_poly(n)),
     ),
     _Entry(
-        "thm9",
-        "BL_{n+1}(x) = x sum_{m=0..n} C(n,m) (n-m+1)! BL_m(x)",
-        20,
-        _check_thm9,
-    ),
-    _Entry(
-        "thm10",
-        "d/dx BL_n(x) = sum_{m=0..n-1} C(n,m) (n-m)! BL_m(x)",
-        20,
-        _check_thm10,
-        "1 <= n <= {cap}",
-    ),
-    _Entry(
-        "eq37",
-        "(1 + y(e^t - 1))^x = sum_n B_n(x,y) t^n/n!",
-        12,
-        _check_eq37,
-    ),
-    _Entry(
-        "lemma11",
-        "(1 + y(1/(1-t) - 1))^x = sum_n BL_n(x,y) t^n/n!",
-        12,
-        _check_lemma11,
+        "lemma11", "(1 + y(1/(1-t) - 1))^x = sum_n BL_n(x,y) t^n/n!", 12,
+        _gf("bivariate_lah_bell", lambda n: bivariate_lah_bell_poly(n)),
     ),
     _Entry(
         "thm12",
         "BL_n(x,y) = sum_k (-1)^(n-k) S1(n,k) B_k(x,y) and B_n(x,y) = sum_k (-1)^(n-k) S2(n,k) BL_k(x,y)",
         12,
-        _check_thm12,
+        _sums(
+            _Sum(lambda n: bivariate_lah_bell_poly(n), stirling1_signed,
+                 lambda k: bivariate_bell_poly(k), -1, {"direction": "S1 route"}),
+            _Sum(lambda n: bivariate_bell_poly(n), stirling2,
+                 lambda k: bivariate_lah_bell_poly(k), -1, {"direction": "S2 route"}),
+        ),
     ),
     _Entry(
-        "eq44",
-        "BL_{n,lam}(x) = sum_{k=0..n} L(n,k) (x)_{k,lam}",
-        12,
-        _check_eq44,
+        "eq44", "BL_{n,lam}(x) = sum_{k=0..n} L(n,k) (x)_{k,lam}", 12,
+        _gf("degenerate_lah_bell", lambda n: degenerate_lah_bell_poly(n)),
     ),
     _Entry(
-        "eq45-catalog",
-        "e_lam^x(e^t - 1) = sum_n B_{n,lam}(x) t^n/n!",
-        12,
-        _check_eq45,
+        "eq45-catalog", "e_lam^x(e^t - 1) = sum_n B_{n,lam}(x) t^n/n!", 12,
+        _gf("degenerate_bell", lambda n: degenerate_bell_poly(n)),
     ),
     _Entry(
-        "eq47",
-        "B_{n,lam}(x) = sum_{k=0..n} (-1)^(n-k) S2(n,k) BL_{k,lam}(x)",
-        15,
-        _check_eq47,
+        "eq47", "B_{n,lam}(x) = sum_{k=0..n} (-1)^(n-k) S2(n,k) BL_{k,lam}(x)", 15,
+        _sums(_Sum(lambda n: degenerate_bell_poly(n), stirling2,
+                   lambda k: degenerate_lah_bell_poly(k), -1)),
     ),
     _Entry(
         "eq48-corrected",
         "e_lam^x(t/(1-t)) expands through -log(1-t); BL_{n,lam}(x) = sum_k (-1)^(n-k) S1(n,k) B_{k,lam}(x)",
-        15,
-        _check_eq48,
-        "n <= {cap}; composition order min({cap}, 12)",
+        15, _check_eq48, "n <= {cap}; composition order min({cap}, 12)",
     ),
+    _Entry("eq49", "(1-t)^(-alpha-1) exp(x t/(t-1)) = sum_n Lag_n(x) t^n/n!", 10, _check_eq49),
     _Entry(
-        "eq49",
-        "(1-t)^(-alpha-1) exp(x t/(t-1)) = sum_n Lag_n(x) t^n/n!",
-        10,
-        _check_eq49,
-    ),
-    _Entry(
-        "laguerre-conv",
-        "<alpha+1>_n = sum_{m=0..n} C(n,m) BL_m(x) Lag_{n-m}(x)  (x cancels)",
-        10,
+        "laguerre-conv", "<alpha+1>_n = sum_{m=0..n} C(n,m) BL_m(x) Lag_{n-m}(x)  (x cancels)", 10,
         _check_laguerre_conv,
     ),
 )
 
 CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry in _CATALOG)
-_BY_ID = {entry.id: entry for entry in _CATALOG}
 
 
 def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
@@ -610,107 +426,74 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
         raise ValueError("max_n must be at least 1")
     if isinstance(selection, str):
         selection = [selection]
-    if "all" in selection:
-        chosen = list(_CATALOG)
-    else:
-        unknown = [item for item in selection if item not in _BY_ID]
-        if unknown:
-            raise ValueError(
-                f"unknown identity ids {unknown}; valid ids: {', '.join(CATALOG_IDS)}"
-            )
-        wanted = set(selection)
-        chosen = [entry for entry in _CATALOG if entry.id in wanted]
+    unknown = [] if "all" in selection else [i for i in selection if i not in CATALOG_IDS]
+    if unknown:
+        raise ValueError(f"unknown identity ids {unknown}; valid ids: {', '.join(CATALOG_IDS)}")
     records = []
-    for entry in chosen:
-        cap = min(entry.default_max, max_n)
-        counterexample = entry.check(cap)
-        records.append(
-            IdentityRecord(
-                id=entry.id,
-                anchor=entry.anchor,
-                range=entry.range_text(cap),
-                status="pass" if counterexample is None else "fail",
-                counterexample=counterexample,
-            )
-        )
+    for entry in _CATALOG:
+        if "all" in selection or entry.id in selection:
+            cap = min(entry.default_max, max_n)
+            records.append(_record(entry.id, entry.anchor, entry.range_text(cap), entry.check(cap)))
     return records
 
 
 # -- enumeration cross-checks (the `verify --oracle` extras) ---------------
 
-ORACLE_IDS = (
-    "oracle-ordered-partitions",
-    "oracle-set-partitions",
-    "oracle-permutation-cycles",
+
+# id, anchor, default cap, enumerator, triangle entry, row total (None: not checked).
+# Defaults keep a full oracle pass in the seconds range, within the enumeration bounds.
+_ORACLES = (
+    (
+        "oracle-ordered-partitions",
+        "every ordered-list partition counted once: totals by block count match L(n,k), overall total BL_n",
+        min(8, ENUMERATION_BOUNDS["ordered_partitions"]),
+        lambda n: count_ordered_partitions(n),
+        lah,
+        lambda n: lah_bell_number(n),
+    ),
+    (
+        "oracle-set-partitions",
+        "every set partition counted once: totals by block count match S2(n,k), overall total B_n",
+        min(10, ENUMERATION_BOUNDS["set_partitions"]),
+        lambda n: count_set_partitions(n),
+        stirling2,
+        lambda n: bell_number(n),
+    ),
+    (
+        "oracle-permutation-cycles",
+        "every permutation counted once by cycle count: totals match |S1(n,k)|",
+        min(9, ENUMERATION_BOUNDS["permutation_cycles"]),
+        lambda n: count_permutations_by_cycles(n),
+        lambda n, k: abs(stirling1_signed(n, k)),
+        None,
+    ),
 )
 
-# Defaults keep a full oracle pass in the seconds range; the hard caps are
-# the enumeration bounds themselves.
-_ORACLE_DEFAULTS = {
-    "oracle-ordered-partitions": 8,
-    "oracle-set-partitions": 10,
-    "oracle-permutation-cycles": 9,
-}
+ORACLE_IDS = tuple(oracle[0] for oracle in _ORACLES)
 
 
-def _expected_row(value_fn: Callable[[int, int], int], n: int) -> dict[int, int]:
-    if n == 0:
-        return {0: 1}
-    return {k: value_fn(n, k) for k in range(n + 1) if value_fn(n, k) != 0}
+def _check_oracle(
+    cap: int,
+    count: Callable[[int], dict[int, int]],
+    entry: Callable[[int, int], int],
+    total: Optional[Callable[[int], int]],
+) -> Counterexample:
+    for n in range(cap + 1):
+        counts = count(n)
+        expected = {k: value for k in range(n + 1) if (value := entry(n, k)) != 0}
+        if counts != expected:
+            return _fail(n=n, lhs=counts, rhs=expected)
+        if total is not None and sum(counts.values()) != total(n):
+            return _fail(n=n, total=sum(counts.values()), expected_total=total(n))
+    return None
 
 
 def oracle_records(max_n: int) -> list[IdentityRecord]:
     """Compare the brute-force enumerators against triangles and row sums."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    jobs = (
-        (
-            "oracle-ordered-partitions",
-            "every ordered-list partition counted once: totals by block count match L(n,k), overall total BL_n",
-            ENUMERATION_BOUNDS["ordered_partitions"],
-            count_ordered_partitions,
-            lah,
-            lah_bell_number,
-        ),
-        (
-            "oracle-set-partitions",
-            "every set partition counted once: totals by block count match S2(n,k), overall total B_n",
-            ENUMERATION_BOUNDS["set_partitions"],
-            count_set_partitions,
-            stirling2,
-            bell_number,
-        ),
-        (
-            "oracle-permutation-cycles",
-            "every permutation counted once by cycle count: totals match |S1(n,k)|",
-            ENUMERATION_BOUNDS["permutation_cycles"],
-            count_permutations_by_cycles,
-            lambda n, k: abs(stirling1_signed(n, k)),
-            None,
-        ),
-    )
     records = []
-    for oracle_id, anchor, hard_cap, counter, value_fn, total_fn in jobs:
-        cap = min(_ORACLE_DEFAULTS[oracle_id], hard_cap, max_n)
-        counterexample = None
-        for n in range(cap + 1):
-            counts = counter(n)
-            expected = _expected_row(value_fn, n)
-            if counts != expected:
-                counterexample = _fail(n=n, lhs=counts, rhs=expected)
-                break
-            if total_fn is not None and sum(counts.values()) != total_fn(n):
-                counterexample = _fail(
-                    n=n, total=sum(counts.values()), expected_total=total_fn(n)
-                )
-                break
-        records.append(
-            IdentityRecord(
-                id=oracle_id,
-                anchor=anchor,
-                range=f"n <= {cap}",
-                status="pass" if counterexample is None else "fail",
-                counterexample=counterexample,
-            )
-        )
+    for oracle_id, anchor, default_max, *sources in _ORACLES:
+        cap = min(default_max, max_n)
+        records.append(_record(oracle_id, anchor, f"n <= {cap}", _check_oracle(cap, *sources)))
     return records

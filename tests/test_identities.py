@@ -1,8 +1,13 @@
-"""Identity suite: catalog integrity, full small-range pass, record shape."""
+"""Identity suite: catalog integrity, full small-range pass, record shape,
+failure payloads under a corrupted triangle, and the README catalog table."""
+
+from pathlib import Path
 
 import pytest
 
+from lahbell import triangles
 from lahbell.identities import (
+    _CATALOG,
     CATALOG_IDS,
     ORACLE_IDS,
     IdentityRecord,
@@ -98,6 +103,25 @@ def test_range_respects_cap():
     assert records["eq3"].range == "n <= 3"
 
 
+def _readme_catalog_rows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Identity catalog", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            rows.append(tuple(" ".join(cell.replace("`", "").split()) for cell in cells))
+    return rows
+
+
+def test_readme_catalog_table_matches_the_catalog():
+    expected = [
+        (entry.id, " ".join(entry.anchor.split()), entry.range_text(entry.default_max))
+        for entry in _CATALOG
+    ]
+    assert _readme_catalog_rows() == expected
+
+
 def test_oracle_records_pass():
     records = oracle_records(5)
     assert [r.id for r in records] == list(ORACLE_IDS)
@@ -105,15 +129,99 @@ def test_oracle_records_pass():
         assert record.passed()
 
 
-def test_failure_records_carry_counterexamples():
-    # force a fail through a deliberately broken checker clone
-    record = IdentityRecord(
-        id="demo",
-        anchor="a = b",
-        range="n <= 2",
-        status="fail",
-        counterexample={"n": "2", "lhs": "1", "rhs": "2"},
-    )
-    assert not record.passed()
-    payload = record.to_json()
-    assert payload["counterexample"] == {"n": "2", "lhs": "1", "rhs": "2"}
+_SIDES = {"lhs", "rhs"}
+_ENCLOSURE = {"enclosure", "exact"}
+
+
+def _pin(n, sides=_SIDES, **labels):
+    """Expected failure: smallest n, the other plain-valued keys, the key set."""
+    pinned = {"n": str(n), **{key: str(value) for key, value in labels.items()}}
+    return pinned, set(pinned) | sides
+
+
+_FAULT_FAILURES = {
+    "_LAH": {
+        "eq11-eq16": _pin(4, k=2, form="product form"),
+        "eq17": _pin(4, k=1),
+        "eq13": _pin(4),
+        "eq14": _pin(4),
+        "lemma1": _pin(4),
+        "thm2": _pin(4),
+        "thm3": _pin(4, _ENCLOSURE),
+        "lemma4": _pin(4),
+        "thm5": _pin(4),
+        "thm6": _pin(4, _ENCLOSURE, x="1/2"),
+        "thm7": _pin(4),
+        "thm8": _pin(4, k=2),
+        "eq30": _pin(4, k=2),
+        "thm9": _pin(3),
+        "thm10": _pin(4),
+        "lemma11": _pin(4),
+        "thm12": _pin(4, direction="S1 route"),
+        "eq44": _pin(4),
+        "eq47": _pin(4),
+        "eq48-corrected": _pin(4, part="coefficient sum"),
+        "laguerre-conv": _pin(4, issue="x does not cancel"),
+        "oracle-ordered-partitions": _pin(4),
+    },
+    "_S1": {
+        "eq8": _pin(4),
+        "eq9": _pin(4, k=2),
+        "thm7": _pin(4),
+        "eq30": _pin(4, k=1),
+        "thm12": _pin(4, direction="S1 route"),
+        "eq48-corrected": _pin(4, part="coefficient sum"),
+        "oracle-permutation-cycles": _pin(4),
+    },
+    "_S2": {
+        "eq3": _pin(4),
+        "eq4": _pin(4, k=2),
+        "thm2": _pin(4),
+        "thm5": _pin(4),
+        "thm7": _pin(4),
+        "thm8": _pin(4, k=1),
+        "eq30": _pin(4, k=2),
+        "eq37": _pin(4),
+        "thm12": _pin(4, direction="S1 route"),
+        "eq45-catalog": _pin(4),
+        "eq47": _pin(4),
+        "eq48-corrected": _pin(4, part="coefficient sum"),
+        "oracle-set-partitions": _pin(4),
+    },
+}
+
+
+def _failures_with_row_4_corrupted(monkeypatch, memo):
+    # Rows past 4 are built first, so only the one corrupted entry is wrong.
+    triangle = getattr(triangles, memo)
+    triangle.row(20)
+    rows = list(triangle._rows)
+    bad = list(rows[4])
+    bad[2] += 1
+    rows[4] = tuple(bad)
+    with monkeypatch.context() as patch:
+        patch.setattr(triangle, "_rows", rows)
+        records = run_suite("all", 8) + oracle_records(8)
+    failures = {}
+    for record in records:
+        if record.passed():
+            assert record.counterexample is None
+            continue
+        example = record.counterexample
+        payload = record.to_json()
+        assert payload["status"] == "fail"
+        assert payload["counterexample"] == example
+        if _SIDES <= set(example):
+            assert example["lhs"] != example["rhs"]
+        labels = {
+            key: value for key, value in example.items() if key not in _SIDES | _ENCLOSURE
+        }
+        failures[record.id] = (labels, set(example))
+    return failures
+
+
+def test_failure_records_carry_counterexamples(monkeypatch):
+    # One wrong entry in a built triangle memo (L, S1, S2 in turn): each check
+    # that depends on it fails at the smallest n, with its usual payload keys.
+    for memo, expected in _FAULT_FAILURES.items():
+        assert _failures_with_row_4_corrupted(monkeypatch, memo) == expected, memo
