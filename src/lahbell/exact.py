@@ -1,14 +1,15 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), always in
-lowest terms with a positive denominator.  Polynomials are sparse multivariate
-polynomials over those rationals in the fixed, ordered indeterminate set
-``("x", "y", "lam", "alpha")``.
+Scalars are arbitrary-precision integers, or rationals (``fractions.Fraction``,
+always in lowest terms with a positive denominator) where a real denominator
+appears.  Polynomials are sparse multivariate polynomials over those scalars in
+the fixed, ordered indeterminate set ``("x", "y", "lam", "alpha")``.
 
-A :class:`MultiPoly` stores a map from exponent vectors to nonzero rational
-coefficients::
+A :class:`MultiPoly` stores a map from exponent vectors to nonzero exact
+coefficients.  Integer input stays integer, so integer polynomials never pay
+for a gcd; an input ``Fraction`` with denominator 1 is stored as its ``int``::
 
-    x^2*y + 3  ->  {(2, 1, 0, 0): Fraction(1), (0, 0, 0, 0): Fraction(3)}
+    x^2*y + 3  ->  {(2, 1, 0, 0): 1, (0, 0, 0, 0): 3}
 
 The zero polynomial is the empty map.  Two polynomials are equal iff their
 term maps are equal, so canonical-form equality is decidable and cheap.
@@ -44,21 +45,21 @@ Scalar = Union[int, Fraction]
 PolyLike = Union["MultiPoly", int, Fraction]
 
 
-def _as_coeff(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _as_coeff(value: Scalar) -> Scalar:
     if isinstance(value, int):
-        return Fraction(value)
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in x, y, lam, alpha with rational coefficients."""
+    """Immutable sparse polynomial in x, y, lam, alpha with exact coefficients."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        canonical: dict[tuple[int, int, int, int], Fraction] = {}
+        canonical: dict[tuple[int, int, int, int], Scalar] = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -100,12 +101,12 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[tuple[int, int, int, int], Fraction]]:
+    def terms(self) -> Iterator[tuple[tuple[int, int, int, int], Scalar]]:
         """Iterate terms in the deterministic rendering order."""
         return iter(sorted(self._terms.items(), key=_term_sort_key))
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: tuple[int, ...]) -> Scalar:
+        return self._terms.get(tuple(exps), 0)
 
     def degree(self, name: str) -> int:
         """Degree in one indeterminate; zero polynomial has degree 0 by convention."""
@@ -118,14 +119,14 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(exps == _ZERO_EXP for exps in self._terms)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_ZERO_EXP, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self._terms.get(_ZERO_EXP, 0)
 
     def as_rational(self) -> Fraction:
         """The value of a constant polynomial; error if any indeterminate survives."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.constant_term()
+        return Fraction(self.constant_term())
 
     # -- ring operations ---------------------------------------------------
 
@@ -156,19 +157,20 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other: PolyLike) -> MultiPoly:
-        if not isinstance(other, (MultiPoly, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
+            c = _as_coeff(other)
+            if c == 0:
+                return MultiPoly.zero()
+            return _from_canonical({exps: coeff * c for exps, coeff in self._terms.items()})
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        other = MultiPoly._coerce(other)
-        out: dict[tuple[int, int, int, int], Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                new = out.get(exps, 0) + ca * cb
-                if new == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = new
-        return _from_canonical(out)
+        out: dict[tuple[int, int, int, int], Scalar] = {}
+        get = out.get
+        for (a0, a1, a2, a3), ca in self._terms.items():
+            for (b0, b1, b2, b3), cb in other._terms.items():
+                exps = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                out[exps] = get(exps, 0) + ca * cb
+        return _from_canonical({exps: c for exps, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -217,7 +219,7 @@ class MultiPoly:
                     factor = factor * bound[i] ** e
                 else:
                     residual[i] = e
-            acc = acc + factor * _from_canonical({tuple(residual): Fraction(1)})
+            acc = acc + factor * _from_canonical({tuple(residual): 1})
         return acc
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> MultiPoly:
@@ -227,7 +229,7 @@ class MultiPoly:
     def derivative(self, name: str = "x") -> MultiPoly:
         """Formal partial derivative with respect to one indeterminate."""
         i = _VAR_INDEX[name]
-        out: dict[tuple[int, int, int, int], Fraction] = {}
+        out: dict[tuple[int, int, int, int], Scalar] = {}
         for exps, coeff in self._terms.items():
             e = exps[i]
             if e == 0:
@@ -266,13 +268,13 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _term_sort_key(item: tuple[tuple[int, int, int, int], Fraction]):
+def _term_sort_key(item: tuple[tuple[int, int, int, int], Scalar]):
     # Descending total degree, then lexicographic with x > y > lam > alpha.
     exps = item[0]
     return (-sum(exps), tuple(-e for e in exps))
 
 
-def _from_canonical(terms: dict[tuple[int, int, int, int], Fraction]) -> MultiPoly:
+def _from_canonical(terms: dict[tuple[int, int, int, int], Scalar]) -> MultiPoly:
     # Callers pass only nonzero coefficients; outside input goes through __init__.
     poly = MultiPoly.__new__(MultiPoly)
     poly._terms = terms

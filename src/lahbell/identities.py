@@ -138,15 +138,26 @@ class _Sum(NamedTuple):
 
 
 def _sums(*routes: _Sum) -> Check:
-    """Each basis is built once per k; every route is checked at n before n+1."""
+    """Every route is checked at n before n+1.
+
+    Each lhs and basis builder runs once per index, even when one route's lhs
+    is another's basis (the same callable), as in thm12.
+    """
 
     def cases(cap: int) -> Cases:
-        bases: list[list[PolyLike]] = [[] for _ in routes]
+        built: dict[Callable[[int], PolyLike], list[PolyLike]] = {}
+
+        def value(build: Callable[[int], PolyLike], n: int) -> PolyLike:
+            values = built.setdefault(build, [])
+            if len(values) == n:
+                values.append(build(n))
+            return values[n]
+
         for n in range(cap + 1):
-            for route, built in zip(routes, bases):
-                built.append(route.basis(n))
-                rhs = triangle_sum(n, route.triangle, built.__getitem__, route.sign)
-                yield {"n": n, **(route.label or {})}, route.lhs(n), rhs
+            for route in routes:
+                value(route.basis, n)
+                rhs = triangle_sum(n, route.triangle, built[route.basis].__getitem__, route.sign)
+                yield {"n": n, **(route.label or {})}, value(route.lhs, n), rhs
 
     return lambda cap: _first_mismatch(cases(cap))
 
@@ -239,6 +250,15 @@ def _check_thm10(cap: int) -> Counterexample:
         ({"n": n}, lah_bell_poly(n).derivative("x"), lah_bell_derivative(n))
         for n in range(1, cap + 1)
     )
+
+
+# thm12's two routes share these builders, so _sums builds each family once per n.
+def _bivariate_bell(n: int) -> MultiPoly:
+    return bivariate_bell_poly(n)
+
+
+def _bivariate_lah_bell(n: int) -> MultiPoly:
+    return bivariate_lah_bell_poly(n)
 
 
 _check_eq48_sum = _sums(
@@ -382,10 +402,8 @@ _CATALOG: tuple[_Entry, ...] = (
         "BL_n(x,y) = sum_k (-1)^(n-k) S1(n,k) B_k(x,y) and B_n(x,y) = sum_k (-1)^(n-k) S2(n,k) BL_k(x,y)",
         12,
         _sums(
-            _Sum(lambda n: bivariate_lah_bell_poly(n), stirling1_signed,
-                 lambda k: bivariate_bell_poly(k), -1, {"direction": "S1 route"}),
-            _Sum(lambda n: bivariate_bell_poly(n), stirling2,
-                 lambda k: bivariate_lah_bell_poly(k), -1, {"direction": "S2 route"}),
+            _Sum(_bivariate_lah_bell, stirling1_signed, _bivariate_bell, -1, {"direction": "S1 route"}),
+            _Sum(_bivariate_bell, stirling2, _bivariate_lah_bell, -1, {"direction": "S2 route"}),
         ),
     ),
     _Entry(
@@ -426,7 +444,7 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
         raise ValueError("max_n must be at least 1")
     if isinstance(selection, str):
         selection = [selection]
-    unknown = [] if "all" in selection else [i for i in selection if i not in CATALOG_IDS]
+    unknown = [i for i in selection if i != "all" and i not in CATALOG_IDS]
     if unknown:
         raise ValueError(f"unknown identity ids {unknown}; valid ids: {', '.join(CATALOG_IDS)}")
     records = []

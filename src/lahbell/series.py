@@ -1,23 +1,28 @@
 """Truncated formal power series over an exact coefficient ring.
 
-A :class:`TruncatedSeries` of order N tracks the ordinary coefficients of
-t^0 .. t^N exactly; coefficients are rationals or :class:`~lahbell.exact.MultiPoly`
-values.  All series here are formal, so convergence never enters; the only
-analytic-looking operations (exp, log) are coefficient recurrences.
+A :class:`TruncatedSeries` of order N stores the exponential-generating-function
+coefficients e_n = n! * a_n of t^0 .. t^N, where a_n is the ordinary
+coefficient; coefficients are integers, rationals or
+:class:`~lahbell.exact.MultiPoly` values.  All series here are formal, so
+convergence never enters; the only analytic-looking operations (exp, log) are
+coefficient recurrences.
 
-Exponential-generating-function coefficients are recovered at the boundary as
-n! times the ordinary coefficient, which keeps multiplication a plain Cauchy
-product with no divisions inside the engine.
+Every catalog series has integer (or integer-polynomial) egf coefficients.  In
+that form the product is the binomial convolution sum_i C(n,i) a_i b_{n-i},
+exp, log1p and composition are built from such convolutions, and none of them
+divides, so integer input stays integer and no coefficient pays a gcd.  The
+constructor and :meth:`TruncatedSeries.coefficient` speak ordinary
+coefficients; the conversion happens at that boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Sequence, Union
+from math import comb, factorial
+from typing import Callable, Iterable, Sequence, Union
 
-from .exact import MultiPoly
+from .exact import MultiPoly, generalized_falling
 
 __all__ = [
     "TruncatedSeries",
@@ -31,29 +36,29 @@ __all__ = [
     "GF_NAMES",
 ]
 
-Coeff = Union[Fraction, MultiPoly]
-CoeffLike = Union[int, Fraction, MultiPoly]
+Coeff = Union[int, Fraction, MultiPoly]
 
 
-def _as_ring(value: CoeffLike) -> Coeff:
-    if isinstance(value, (Fraction, MultiPoly)):
+def _as_ring(value: Coeff) -> Coeff:
+    if isinstance(value, (int, MultiPoly)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"not an exact ring element: {value!r}")
 
 
 class TruncatedSeries:
-    """Degree-capped power series with exact coefficients.
+    """Degree-capped power series with exact coefficients, stored in egf form.
 
     Binary operations require both operands to have the same order; a
     mismatch is a construction bug, not something to hide behind silent
     truncation, so it raises.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_egf",)
 
-    def __init__(self, coeffs: Sequence[CoeffLike], order: int | None = None):
+    def __init__(self, coeffs: Sequence[Coeff], order: int | None = None):
+        """A series from its ordinary coefficients a_0, a_1, ..., zero-padded to `order`."""
         coeffs = [_as_ring(c) for c in coeffs]
         if order is None:
             if not coeffs:
@@ -63,27 +68,27 @@ class TruncatedSeries:
             raise ValueError("series order must be nonnegative")
         if len(coeffs) > order + 1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
-        coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        self._coeffs = tuple(coeffs)
+        coeffs.extend([0] * (order + 1 - len(coeffs)))
+        self._egf = tuple(_as_ring(factorial(n) * c) for n, c in enumerate(coeffs))
 
     # -- access --------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._egf) - 1
+
+    def egf_coefficient(self, n: int) -> Coeff:
+        """n! times the ordinary coefficient of t^n, as stored."""
+        if not 0 <= n <= self.order:
+            raise ValueError(f"coefficient index {n} outside tracked range 0..{self.order}")
+        return self._egf[n]
 
     def coefficient(self, n: int) -> Coeff:
         """Ordinary coefficient of t^n."""
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside tracked range 0..{self.order}")
-        return self._coeffs[n]
+        return self.egf_coefficient(n) * Fraction(1, factorial(n))
 
     def coefficients(self) -> tuple[Coeff, ...]:
-        return self._coeffs
-
-    def egf_coefficient(self, n: int) -> Coeff:
-        """n! times the ordinary coefficient; exact, no division involved."""
-        return factorial(n) * self.coefficient(n)
+        return tuple(self.coefficient(n) for n in range(len(self._egf)))
 
     def _require_same_order(self, other: TruncatedSeries) -> None:
         if self.order != other.order:
@@ -95,34 +100,40 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
+        return _from_egf(a + b for a, b in zip(self._egf, other._egf))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
+        return _from_egf(a - b for a, b in zip(self._egf, other._egf))
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self._coeffs])
+        return _from_egf(-c for c in self._egf)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
+        """Binomial convolution: c_n = sum_i C(n,i) a_i b_{n-i}."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        a, b = self._coeffs, other._coeffs
+        a, b = self._egf, other._egf
+        support = [i for i, c in enumerate(a) if c != 0]
+        b_nonzero = [c != 0 for c in b]
         out = []
         for n in range(len(a)):
-            acc: CoeffLike = 0
-            for i in range(n + 1):
-                acc = acc + a[i] * b[n - i]
+            acc: Coeff = 0
+            for i in support:
+                if i > n:
+                    break
+                if b_nonzero[n - i]:
+                    acc = acc + comb(n, i) * a[i] * b[n - i]
             out.append(acc)
-        return TruncatedSeries(out)
+        return _from_egf(out)
 
-    def scale(self, c: CoeffLike) -> TruncatedSeries:
+    def scale(self, c: Coeff) -> TruncatedSeries:
         """Multiply every coefficient by a fixed ring element."""
         c = _as_ring(c)
-        return TruncatedSeries([c * coeff for coeff in self._coeffs])
+        return _from_egf(c * coeff for coeff in self._egf)
 
     def __pow__(self, k: int) -> TruncatedSeries:
         if not isinstance(k, int) or k < 0:
@@ -140,9 +151,7 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self._coeffs, other._coeffs)
-        )
+        return self.order == other.order and all(a == b for a, b in zip(self._egf, other._egf))
 
     __hash__ = None
 
@@ -152,85 +161,118 @@ class TruncatedSeries:
         """exp(f) for f with zero constant term.
 
         Solved coefficient-by-coefficient from (exp f)' = f' * exp f:
-        g_n = (1/n) * sum_{j=1..n} j * f_j * g_{n-j}, g_0 = 1.
+        g_n = sum_{j=1..n} C(n-1,j-1) f_j g_{n-j}, g_0 = 1.
         """
-        if self._coeffs[0] != 0:
+        f = self._egf
+        if f[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        f = self._coeffs
-        g: list[CoeffLike] = [Fraction(1)] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc: CoeffLike = 0
-            for j in range(1, n + 1):
-                acc = acc + (j * f[j]) * g[n - j]
-            g[n] = Fraction(1, n) * acc
-        return TruncatedSeries(g)
+        support = [j for j in range(1, len(f)) if f[j] != 0]
+        g: list[Coeff] = [1]
+        for n in range(1, len(f)):
+            acc: Coeff = 0
+            for j in support:
+                if j > n:
+                    break
+                acc = acc + comb(n - 1, j - 1) * f[j] * g[n - j]
+            g.append(acc)
+        return _from_egf(g)
 
     def log1p(self) -> TruncatedSeries:
         """log(1 + f) for f with zero constant term; the inverse of :meth:`exp`.
 
         From h' * (1 + f) = f':
-        h_n = f_n - (1/n) * sum_{j=1..n-1} j * h_j * f_{n-j}, h_0 = 0.
+        h_n = f_n - sum_{j=1..n-1} C(n-1,j) f_j h_{n-j}, h_0 = 0.
         """
-        if self._coeffs[0] != 0:
+        f = self._egf
+        if f[0] != 0:
             raise ValueError("log1p requires a zero constant term")
-        f = self._coeffs
-        h: list[CoeffLike] = [Fraction(0)] * (self.order + 1)
-        for n in range(1, self.order + 1):
-            acc: CoeffLike = 0
-            for j in range(1, n):
-                acc = acc + (j * h[j]) * f[n - j]
-            h[n] = f[n] - Fraction(1, n) * acc
-        return TruncatedSeries(h)
+        support = [j for j in range(1, len(f)) if f[j] != 0]
+        h: list[Coeff] = [0]
+        for n in range(1, len(f)):
+            acc = f[n]
+            for j in support:
+                if j >= n:
+                    break
+                acc = acc - comb(n - 1, j) * f[j] * h[n - j]
+            h.append(acc)
+        return _from_egf(h)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
-        """Exact composition self(inner(t)) for inner with zero constant term."""
+        """Exact composition self(inner(t)) for inner with zero constant term.
+
+        With P_k = inner^k / k!, self(inner) = sum_k f_k P_k over the egf
+        coefficients f_k of self.  The power table is built by series
+        products only: P_k' = inner' * P_{k-1}, so each P_k is one product
+        and one shift (an integration) away from the last, with no division.
+        """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("inner must be a TruncatedSeries")
         self._require_same_order(inner)
-        if inner._coeffs[0] != 0:
+        if inner._egf[0] != 0:
             raise ValueError("composition requires inner constant term zero")
-        # Horner accumulation: O(order) series multiplications.
-        acc = TruncatedSeries([self._coeffs[self.order]], order=self.order)
-        for i in range(self.order - 1, -1, -1):
-            acc = acc * inner + TruncatedSeries([self._coeffs[i]], order=self.order)
-        return acc
+        f = self._egf
+        # inner' = sum_n inner_{n+1} t^n/n!; its top coefficient lies past the
+        # order and only reaches the product coefficient the shift drops.
+        slope = _from_egf([*inner._egf[1:], 0])
+        power = ser_one(self.order)
+        out: list[Coeff] = [f[0], *[0] * self.order]
+        for k in range(1, len(f)):
+            power = _from_egf([0, *(slope * power)._egf[:-1]])
+            if f[k] == 0:
+                continue
+            for n in range(k, len(f)):
+                p = power._egf[n]
+                if p != 0:
+                    out[n] = out[n] + f[k] * p
+        return _from_egf(out)
 
-    def pow(self, exponent: CoeffLike) -> TruncatedSeries:
+    def pow(self, exponent: Coeff) -> TruncatedSeries:
         """Symbolic power f^e = exp(e * log1p(f - 1)) for f with constant term 1."""
-        if self._coeffs[0] != 1:
+        if self._egf[0] != 1:
             raise ValueError("symbolic power requires constant term 1")
-        shifted = TruncatedSeries([self._coeffs[0] - 1, *self._coeffs[1:]])
+        shifted = _from_egf([0, *self._egf[1:]])
         return shifted.log1p().scale(exponent).exp()
 
 
-# -- stock series -------------------------------------------------------
+def _from_egf(egf: Iterable[Coeff]) -> TruncatedSeries:
+    # Internal constructor: the coefficients are already egf and exact.
+    series = TruncatedSeries.__new__(TruncatedSeries)
+    series._egf = tuple(egf)
+    return series
+
+
+# -- stock series, built directly from their egf coefficients -------------
+
+
+def _stock(order: int, egf: Callable[[int], Coeff]) -> TruncatedSeries:
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+    return _from_egf(egf(n) for n in range(order + 1))
 
 
 def identity_t(order: int) -> TruncatedSeries:
     """The series t."""
-    if order < 1:
-        return TruncatedSeries([Fraction(0)], order=order)
-    return TruncatedSeries([Fraction(0), Fraction(1)], order=order)
+    return _stock(order, lambda n: int(n == 1))
 
 
 def ser_one(order: int) -> TruncatedSeries:
     """The constant series 1."""
-    return TruncatedSeries([Fraction(1)], order=order)
+    return _stock(order, lambda n: int(n == 0))
 
 
 def geometric_minus_one(order: int) -> TruncatedSeries:
-    """1/(1-t) - 1 = t/(1-t) = t + t^2 + t^3 + ..."""
-    return TruncatedSeries([Fraction(0)] + [Fraction(1)] * order)
+    """1/(1-t) - 1 = t/(1-t) = sum_{n>=1} n! t^n/n!"""
+    return _stock(order, lambda n: factorial(n) if n else 0)
 
 
 def exp_t_minus_one(order: int) -> TruncatedSeries:
-    """e^t - 1 = sum_{n>=1} t^n / n!"""
-    return TruncatedSeries([Fraction(0)] + [Fraction(1, factorial(n)) for n in range(1, order + 1)])
+    """e^t - 1 = sum_{n>=1} t^n/n!"""
+    return _stock(order, lambda n: 1 if n else 0)
 
 
 def neg_log_one_minus_t(order: int) -> TruncatedSeries:
-    """-log(1-t) = sum_{n>=1} t^n / n"""
-    return TruncatedSeries([Fraction(0)] + [Fraction(1, n) for n in range(1, order + 1)])
+    """-log(1-t) = sum_{n>=1} (n-1)! t^n/n!"""
+    return _stock(order, lambda n: factorial(n - 1) if n else 0)
 
 
 def degenerate_exponential(order: int) -> TruncatedSeries:
@@ -240,13 +282,9 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
     polynomially; the equivalent closed form (1 + lam*t)^(x/lam) would put
     lam into denominators and is deliberately avoided.
     """
-    from .exact import generalized_falling
-
     x = MultiPoly.var("x")
     lam = MultiPoly.var("lam")
-    return TruncatedSeries(
-        [Fraction(1, factorial(n)) * generalized_falling(x, n, lam) for n in range(order + 1)]
-    )
+    return _stock(order, lambda n: generalized_falling(x, n, lam))
 
 
 # -- the generating-function catalog --------------------------------------
@@ -264,7 +302,8 @@ GF_NAMES = (
 )
 
 
-@lru_cache(maxsize=None)
+# One entry per name: a `verify all` run asks each name at a single order.
+@lru_cache(maxsize=len(GF_NAMES))
 def gf_catalog(name: str, order: int) -> TruncatedSeries:
     """Named exponential generating functions of the number/polynomial families.
 
@@ -296,7 +335,6 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
         return degenerate_exponential(order).compose(exp_t_minus_one(order))
     if name == "laguerre_weighted":
         # (1-t)^(-alpha-1) * exp(x * t/(t-1)); t/(t-1) = -(1/(1-t) - 1).
-        one_minus_t = TruncatedSeries([Fraction(1), Fraction(-1)], order=order)
-        weight = one_minus_t.pow(-alpha - 1)
+        weight = (ser_one(order) - identity_t(order)).pow(-alpha - 1)
         return weight * geometric_minus_one(order).scale(-x).exp()
     raise ValueError(f"unknown generating function {name!r}, expected one of {GF_NAMES}")

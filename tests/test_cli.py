@@ -1,5 +1,6 @@
 """Command-line front end: formats, exit codes, canonical JSON, env override."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import lahbell.cli as cli
 from lahbell.dobinski import PrecisionNotReached
 from lahbell.identities import IdentityRecord
+from lahbell.series import GF_NAMES
 
 
 def run(capsys, argv):
@@ -106,6 +108,38 @@ def test_gf_json_renders_exact_strings(capsys):
     }
 
 
+# Golden sha256 of `lahbell gf NAME --order 24 --format json`.  Order 24 lies
+# past the degenerate families' verified range (12) and the benchmark's
+# orders (14-20), so no other check pins these bytes.
+GF_ORDER_24_SHA256 = {
+    "lah_bell": "cc269a565aa170820c86442c8b2576b57229c74d43fb748bddba596e3c31d969",
+    "lah_bell_poly": "172889efd7a02fbf7d5417af8cf7927a5056a7b70a3cbaf613a809e5a85396b1",
+    "bell": "42c54d53f56ac68b5b2e3239dd22cc466a7836f240a4e158b70c96a7d17bd4b1",
+    "bell_poly": "0909114c935feb47943d1f7bf4c8a62aa72739c52079afb4619295b492c3e0fb",
+    "bivariate_bell": "a1a0efcf764021814a8be303d6900a5e368642b1e5df9e7de47fc788b1e5630d",
+    "bivariate_lah_bell": "87f3b76675a6c6ed00a24ba3329a8eaed2e6b7cab36178b312e7e19fb7d68784",
+    "degenerate_lah_bell": "474f08dabe89a6d658f29ea5a9ce61ecba420d0074f890cf1e8208572e980a6a",
+    "degenerate_bell": "2004d9cbe9ebba1d189f271ab27da9e1822e18b530bca2bcc25754ac9f7d3202",
+    "laguerre_weighted": "eb70ca5b671499c728553d07ce27c937911603221f5b4ccf8a453ef4eca9781c",
+}
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_gf_order_24_matches_golden_digest(capsys, name):
+    code, out, err = run(capsys, ["gf", name, "--order", "24", "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GF_ORDER_24_SHA256[name]
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_gf_order_0_is_the_constant_term(capsys, name):
+    code, out, err = run(capsys, ["gf", name, "--order", "0"])
+    assert (code, out, err) == (0, "0: 1\n", "")
+    code, out, err = run(capsys, ["gf", name, "--order", "0", "--format", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"command": "gf", "egf_coefficients": ["1"], "name": name, "order": 0}
+
+
 def test_verify_text(capsys):
     code, out, err = run(capsys, ["verify", "eq3", "thm3", "--max-n", "5"])
     assert code == 0
@@ -155,6 +189,14 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
         'eq3: FAIL (n <= 2) counterexample: {"lhs":"1","n":"2","rhs":"2"}\n'
     )
     assert err == ""
+
+
+def test_verify_rejects_unknown_ids_next_to_all(capsys):
+    alone = run(capsys, ["verify", "nope"])
+    beside_all = run(capsys, ["verify", "all", "nope"])
+    assert alone[:2] == beside_all[:2] == (2, "")
+    assert "unknown identity ids ['nope']" in beside_all[2]
+    assert beside_all[2] == alone[2]
 
 
 def test_dobinski_text(capsys):

@@ -134,6 +134,16 @@ def test_power():
         X ** (-1)
 
 
+def test_integer_polynomials_keep_int_coefficients():
+    p = (X + 1) ** 5
+    assert [c for _, c in p.terms()] == [1, 5, 10, 10, 5, 1]
+    assert all(type(c) is int for _, c in p.terms())
+    value = p.evaluate({"x": 1}).as_rational()
+    assert type(value) is Fraction and value == 32
+    assert type(MultiPoly.const(Fraction(6, 3)).constant_term()) is int
+    assert (Fraction(1, 2) * X).coefficient((1, 0, 0, 0)) == Fraction(1, 2)
+
+
 def test_polys_are_unhashable():
     with pytest.raises(TypeError):
         hash(X)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lahbell import triangles
+from lahbell import identities, triangles
 from lahbell.identities import (
     _CATALOG,
     CATALOG_IDS,
@@ -76,8 +76,24 @@ def test_selection_runs_only_requested():
 def test_unknown_ids_rejected():
     with pytest.raises(ValueError):
         run_suite(["thm3", "nope"], 6)
+    with pytest.raises(ValueError, match=r"unknown identity ids \['nope'\]"):
+        run_suite(["all", "nope"], 6)
     with pytest.raises(ValueError):
         run_suite("all", 0)
+
+
+def test_thm12_builds_each_bivariate_family_once_per_n(monkeypatch):
+    calls = []
+    for name in ("bivariate_bell_poly", "bivariate_lah_bell_poly"):
+        family = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name, lambda n, family=family, name=name: calls.append((name, n)) or family(n)
+        )
+    (record,) = run_suite(["thm12"], 12)
+    assert record.passed()
+    assert sorted(calls) == sorted(
+        (name, n) for name in ("bivariate_bell_poly", "bivariate_lah_bell_poly") for n in range(13)
+    )
 
 
 def test_record_json_shape():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lahbell.exact import MultiPoly
@@ -36,6 +36,22 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 zero_led = st.lists(rationals, min_size=11, max_size=11).map(
     lambda cs: TruncatedSeries([Fraction(0), *cs[1:]])
 )
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.just(0), st.integers(0, 1), st.just(0)), rationals, max_size=3
+).map(MultiPoly)
+poly_series = st.lists(small_polys, min_size=9, max_size=9).map(TruncatedSeries)
+rational_inner = st.lists(rationals, min_size=8, max_size=8).map(
+    lambda cs: TruncatedSeries([Fraction(0), *cs])
+)
+
+
+def horner_compose(outer, inner):
+    """Reference composition: outer(inner) by Horner's rule, one series product per order."""
+    order = outer.order
+    acc = TruncatedSeries([outer.coefficient(order)], order=order)
+    for i in range(order - 1, -1, -1):
+        acc = acc * inner + TruncatedSeries([outer.coefficient(i)], order=order)
+    return acc
 
 
 def one_minus_exp_neg_t(order):
@@ -102,6 +118,19 @@ def test_compose_with_identity(f):
     assert g.compose(identity_t(f.order)) == g
 
 
+@settings(max_examples=40, deadline=None)
+@given(poly_series, rational_inner)
+def test_compose_matches_the_horner_reference(outer, inner):
+    assert outer.compose(inner) == horner_compose(outer, inner)
+
+
+@pytest.mark.parametrize("name", ["degenerate_bell", "degenerate_lah_bell", "lah_bell_poly"])
+def test_catalog_compose_matches_the_horner_reference(name):
+    outer = gf_catalog(name, 10)
+    for inner in (geometric_minus_one(10), neg_log_one_minus_t(10), one_minus_exp_neg_t(10)):
+        assert outer.compose(inner) == horner_compose(outer, inner)
+
+
 def test_compose_collapses_geometric_through_exponential():
     # 1/(1 - (1 - e^{-t})) - 1 = e^t - 1
     n = 10
@@ -133,6 +162,43 @@ def test_scaled_powers_reproduce_triangles():
             assert lists_k.egf_coefficient(m) == lah(m, k)
             assert blocks_k.egf_coefficient(m) == stirling2(m, k)
             assert cycles_k.egf_coefficient(m) == stirling1_signed(m, k)
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_catalog_egf_coefficients_are_integral(name):
+    s = gf_catalog(name, 12)
+    for n in range(13):
+        c = s.egf_coefficient(n)
+        if isinstance(c, MultiPoly):
+            assert all(type(coeff) is int for _, coeff in c.terms()), (n, c)
+        else:
+            assert type(c) is int, (n, c)
+
+
+def test_ordinary_coefficients_at_the_boundary():
+    s = TruncatedSeries([Fraction(1, 2), 3, X])
+    assert s.egf_coefficient(2) == 2 * X
+    assert s.coefficients() == (Fraction(1, 2), 3, X)
+    assert type(s.coefficient(1)) is Fraction
+
+
+def test_degenerate_catalog_makes_no_horner_products(monkeypatch):
+    # Horner composition made 8125 polynomial products here; the power
+    # table needs O(order^2).
+    calls = 0
+    multiply = MultiPoly.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    gf_catalog.cache_clear()
+    gf_catalog("degenerate_bell", 24)
+    gf_catalog.cache_clear()
+    assert calls <= 2 * 25**2
 
 
 def test_catalog_names_and_unknown():
