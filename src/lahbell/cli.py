@@ -268,7 +268,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     fmt = _resolve_format(parser, args)
-    return _HANDLERS[args.command](parser, args, fmt)
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return _HANDLERS[args.command](parser, args, fmt)
+    # Exact answers may run past the int/str digit limit; lift it for this
+    # request only and leave the caller's setting as it was.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _HANDLERS[args.command](parser, args, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ with nonnegative terms (c_k is a rising-factorial power or a plain power of
 k).  Everything here is exact rational arithmetic; the only infinities are
 the two series tails, and each is capped by a geometric bound once the
 term-to-term ratio drops below 1/2 (the ratios are monotone decreasing, so
-the first crossing covers the whole tail).
+the first crossing covers the whole tail).  Both sums come from one walk that
+keeps the partial sum for x = p/q as a single integer over q^k k!, so no term
+pays a gcd; fractions are formed only at the chosen cutoffs.
 
 The factor e^(-x) is enclosed through the reciprocal: the partial sums of
 e^x grow monotonically and carry the same geometric tail bound, giving
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Callable, Union
+from itertools import chain
+from math import floor, log10, prod
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 __all__ = [
     "CertifiedDecimal",
@@ -31,6 +34,8 @@ __all__ = [
 ]
 
 RationalLike = Union[int, Fraction]
+Weight = Callable[[int], int]
+Ratio = Callable[[int], Fraction]
 
 _HALF = Fraction(1, 2)
 _ITERATION_CAP = 100_000
@@ -80,10 +85,8 @@ class CertifiedDecimal:
         bound = self.error_bound if self.error_bound > 0 else self.requested_eps
         if bound <= 0:
             return 0
-        digits = 0
-        while bound * 2 * 10 ** (digits + 1) <= 1:
-            digits += 1
-        return digits
+        # The largest d >= 0 with bound * 2 * 10^d <= 1.
+        return max(0, _floor_log10(1 / (2 * bound)))
 
     def decimal(self) -> str:
         """The midpoint rounded to the guaranteed number of decimal places."""
@@ -103,102 +106,109 @@ class CertifiedDecimal:
         return f"{self.decimal()} (+/- {self.error_bound_decimal()})"
 
 
-def _sci_upper(q: Fraction, sig: int = 3) -> str:
+def _floor_log10(q: Fraction) -> int:
+    """The largest e with 10^e <= q, for q > 0."""
+    # 2^(b-1) < q < 2^(b+1), so e starts one to three below the answer.
+    b = q.numerator.bit_length() - q.denominator.bit_length()
+    e = floor(b * log10(2)) - 2
+    while Fraction(10) ** (e + 1) <= q:
+        e += 1
+    return e
+
+
+def _sci_upper(q: Fraction) -> str:
     if q < 0:
         raise ValueError("expected a nonnegative quantity")
     if q == 0:
         return "0"
-    exponent = 0
-    if q >= 1:
-        while q >= 10 ** (exponent + 1):
-            exponent += 1
-    else:
-        while q < 10**exponent:
-            exponent -= 1
+    exponent = _floor_log10(q)
     # Round the mantissa up so the printed bound never understates the true one.
-    mantissa = -((-q) // Fraction(10) ** (exponent - sig + 1))
-    mantissa = int(mantissa)
-    if mantissa >= 10**sig:
-        mantissa //= 10
-        exponent += 1
+    mantissa = -(-q // Fraction(10) ** (exponent - 2))
+    if mantissa == 1000:
+        mantissa, exponent = 100, exponent + 1
     text = str(mantissa)
     return f"{text[0]}.{text[1:]}e{exponent}"
 
 
-def _exp_enclosure(x: Fraction, delta: Fraction) -> tuple[Fraction, Fraction, int]:
-    """Partial sum P of e^x and a tail bound c <= delta, so e^x in [P, P+c]."""
-    partial = Fraction(1)
-    term = Fraction(1)
-    m = 0
-    while True:
-        ratio = x / (m + 1)
-        tail = 2 * term * ratio
-        if ratio <= _HALF and tail <= delta:
-            return partial, tail, m + 1
-        if m >= _ITERATION_CAP:
-            raise PrecisionNotReached(
-                f"exponential enclosure for x = {x} did not reach tail <= {delta} "
-                f"within {_ITERATION_CAP} terms"
-            )
-        term = term * x / (m + 1)
+class _Cutoff(NamedTuple):
+    """Partial sum and term k over one denominator q^k k!; tail <= 2 term ratio."""
+
+    k: int
+    partial: int
+    term: int
+    denominator: int
+    ratio: Fraction
+
+    def sum(self) -> Fraction:
+        return Fraction(self.partial, self.denominator)
+
+    def tail(self) -> Fraction:
+        r = self.ratio
+        return Fraction(2 * self.term * r.numerator, self.denominator * r.denominator)
+
+    def tail_within(self, target: Fraction) -> bool:
+        left = (2 * self.term, self.ratio.numerator, target.denominator)
+        right = (target.numerator, self.denominator, self.ratio.denominator)
+        # A product of three positive factors has between (sum of their bit
+        # lengths) - 2 and that sum bits; clear misses skip the big products.
+        if sum(v.bit_length() for v in left) - 2 > sum(v.bit_length() for v in right):
+            return False
+        return prod(left) <= prod(right)
+
+
+def _partial_sums(weight: Weight, ratio: Ratio, x: Fraction, first: int) -> Iterator[_Cutoff]:
+    """Walk sum_k weight(k) x^k / k! and yield each k >= first with ratio(k) <= 1/2."""
+    if 2 * x > _ITERATION_CAP + 1:
+        return  # every ratio in use is >= x/(k+1) > 1/2 up to the cap
+    p, q = x.numerator, x.denominator
+    partial, power, denominator = 0, 1, 1
+    for k in range(_ITERATION_CAP + 1):
+        if k:
+            power *= p
+            denominator *= q * k
+            partial *= q * k
+        term = weight(k) * power
         partial += term
-        m += 1
+        if k >= first and (r := ratio(k)) <= _HALF:
+            yield _Cutoff(k, partial, term, denominator, r)
 
 
-def _certified_product(
-    weight: Callable[[int], int],
-    ratio: Callable[[int], Fraction],
-    x: Fraction,
-    eps: Fraction,
-) -> CertifiedDecimal:
+def _first_within(cutoffs: Iterable[_Cutoff], target: Fraction) -> _Cutoff | None:
+    return next((cut for cut in cutoffs if cut.tail_within(target)), None)
+
+
+def _not_reached(what: str, x: Fraction, target: Fraction) -> PrecisionNotReached:
+    message = f"{what} for x = {x} did not reach tail <= {target} within {_ITERATION_CAP} terms"
+    return PrecisionNotReached(message)
+
+
+def _certified_product(weight: Weight, ratio: Ratio, x: Fraction, eps: Fraction) -> CertifiedDecimal:
     """Enclose e^(-x) * sum_k weight(k) x^k / k! within eps.
 
     weight(k) must be a nonnegative integer and ratio(k) must bound
-    term(k+1)/term(k) for k >= 1, monotone nonincreasing.  The series cutoff
-    targets a quarter of eps and the exponential enclosure the rest, which
-    caps the final interval width at eps/2.
+    term(k+1)/term(k) for k >= 1, monotone nonincreasing, and be at least
+    x/(k+1).  The series cutoff targets a quarter of eps and the exponential
+    enclosure the rest, which caps the final interval width at eps/2.
     """
     tail_target = min(Fraction(1), eps / 4)
-    partial = Fraction(0)
-    power_over_factorial = Fraction(1)
-    crude_upper = None
-    k = 0
-    while True:
-        partial += weight(k) * power_over_factorial
-        if k >= 1:
-            term = weight(k) * power_over_factorial
-            r = ratio(k)
-            tail = 2 * term * r
-            if r <= _HALF:
-                if crude_upper is None and tail <= 1:
-                    # Fixed, eps-independent upper bound on the full sum; it
-                    # scales the exponential target so refinement stays nested.
-                    crude_upper = partial + tail
-                if tail <= tail_target:
-                    series_terms = k + 1
-                    break
-        if k >= _ITERATION_CAP:
-            raise PrecisionNotReached(
-                f"series for x = {x} did not reach tail <= {tail_target} "
-                f"within {_ITERATION_CAP} terms"
-            )
-        k += 1
-        power_over_factorial = power_over_factorial * x / k
-    assert crude_upper is not None and crude_upper > 0
-    exp_partial, exp_tail, exp_terms = _exp_enclosure(x, eps / (4 * crude_upper))
-    low = partial / (exp_partial + exp_tail)
-    high = (partial + tail) / exp_partial
-    value = (low + high) / 2
-    error = (high - low) / 2
+    cutoffs = _partial_sums(weight, ratio, x, 1)
+    # The first cutoff with tail <= 1 bounds the full sum independently of
+    # eps; it scales the exponential target so refinement stays nested.
+    crude = _first_within(cutoffs, Fraction(1))
+    series = None if crude is None else _first_within(chain([crude], cutoffs), tail_target)
+    if series is None:
+        raise _not_reached("series", x, tail_target)
+    delta = eps / (4 * (crude.sum() + crude.tail()))
+    exp = _first_within(_partial_sums(lambda k: 1, lambda k: x / (k + 1), x, 0), delta)
+    if exp is None:
+        raise _not_reached("exponential enclosure", x, delta)
+    partial, exp_partial = series.sum(), exp.sum()
+    low = partial / (exp_partial + exp.tail())
+    high = (partial + series.tail()) / exp_partial
+    value, error = (low + high) / 2, (high - low) / 2
     if error > eps:
         raise PrecisionNotReached(f"final width {error} exceeds eps = {eps}")
-    return CertifiedDecimal(
-        value=value,
-        error_bound=error,
-        requested_eps=eps,
-        series_terms=series_terms,
-        exp_terms=exp_terms,
-    )
+    return CertifiedDecimal(value, error, eps, series_terms=series.k + 1, exp_terms=exp.k + 1)
 
 
 def _validated(n: int, x: RationalLike, eps: RationalLike) -> tuple[Fraction, Fraction]:
@@ -221,14 +231,9 @@ def lah_bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDe
     x(k+n)/(k(k+1)), monotone decreasing for k >= 1.
     """
     x, eps = _validated(n, x, eps)
-
-    def weight(k: int) -> int:
-        return prod(range(k, k + n))
-
-    def ratio(k: int) -> Fraction:
-        return x * (k + n) / (k * (k + 1))
-
-    return _certified_product(weight, ratio, x, eps)
+    return _certified_product(
+        lambda k: prod(range(k, k + n)), lambda k: x * (k + n) / (k * (k + 1)), x, eps
+    )
 
 
 def bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDecimal:
@@ -238,13 +243,6 @@ def bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDecima
     term(k+1)/term(k) = x(k+1)^(n-1)/k^n, monotone decreasing for k >= 1.
     """
     x, eps = _validated(n, x, eps)
-
-    def weight(k: int) -> int:
-        return k**n
-
-    def ratio(k: int) -> Fraction:
-        if n == 0:
-            return x / (k + 1)
-        return x * Fraction((k + 1) ** (n - 1), k**n)
-
-    return _certified_product(weight, ratio, x, eps)
+    return _certified_product(
+        lambda k: k**n, lambda k: x * Fraction((k + 1) ** n, k**n * (k + 1)), x, eps
+    )

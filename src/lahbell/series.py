@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
-from .exact import MultiPoly, generalized_falling
+from .exact import MultiPoly
 
 __all__ = [
     "TruncatedSeries",
@@ -280,11 +282,14 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
 
     Built directly from the factorial coefficients so that lam enters
     polynomially; the equivalent closed form (1 + lam*t)^(x/lam) would put
-    lam into denominators and is deliberately avoided.
+    lam into denominators and is deliberately avoided.  Each coefficient is
+    the previous one times (x - (n-1) lam), one product per order.
     """
     x = MultiPoly.var("x")
     lam = MultiPoly.var("lam")
-    return _stock(order, lambda n: generalized_falling(x, n, lam))
+    steps = (x - i * lam for i in range(order))
+    falling = list(accumulate(steps, mul, initial=MultiPoly.const(1)))
+    return _stock(order, falling.__getitem__)
 
 
 # -- the generating-function catalog --------------------------------------

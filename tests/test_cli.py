@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -226,6 +231,91 @@ def test_dobinski_json(capsys):
     assert payload["error_bound"] == "1.05e-22"
     assert payload["series_terms"] == 21
     assert payload["exp_terms"] == 19
+
+
+# Golden sha256 over `lahbell dobinski --family F --n N --x X --eps E --format
+# FMT` stdout, concatenated for n in (0, 1, 3, 7), each eps of the x and text
+# then json.  Pins the exact cutoffs and renderings of both Dobinski sums;
+# at eps >= 4 the eps cutoff is the first one with tail <= 1.
+DOBINSKI_EPS = {
+    "7/3": ("100", "4", "1", "1/3"),
+    "1/3": ("1e-5", "1e-40", "1e-150"),
+    "5/2": ("1e-5", "1e-40", "1e-150"),
+    "23": ("1e-5", "1e-40", "1e-150"),
+    "181": ("1e-5", "1e-30"),
+}
+DOBINSKI_SHA256 = {
+    ("lah_bell", "7/3"): "edcee2d102ae8cc91abbb4124ec351cd5b22bf17cea4b6627d634cf958ca5f7b",
+    ("bell", "7/3"): "73696a7de29c5291979bca7a6dad8989e58d6ac0d046ccc6589d9c01b428285b",
+    ("lah_bell", "1/3"): "5b90d648757f313a15a52ba8e0475b4e78b35ba77fff6cd3020ac25beda4ce7c",
+    ("lah_bell", "5/2"): "e725bb86c4093404aa040900be45f01c16eeab2e715694c7e05376ceaf0447d1",
+    ("lah_bell", "23"): "1c4b69367e6f4144d26c30eb514378ac3260b8140b1c8b69224738c983aaeac4",
+    ("lah_bell", "181"): "c23bddc2765944953b886bd454057d666a9ce7fc0dc9b5ea97d75167a5dee30a",
+    ("bell", "1/3"): "e794035d91258145a640a94732e411d3d58b9fe8fa81a0ab3b3fe8a73dad948a",
+    ("bell", "5/2"): "763a0bf7b729fe269ad5b5f9e70b3270bac07da1ebe886c041d132a329eab84f",
+    ("bell", "23"): "d3437e5ca8a890bf5bab27165a2b0d5411461ecaf776649bac9714d113358dcc",
+    ("bell", "181"): "9486df16cb39b4a210cd083e663d4e903ae542955b75be3ae8d8fd938447daf2",
+}
+
+
+@pytest.mark.parametrize("family, x", sorted(DOBINSKI_SHA256))
+def test_dobinski_matches_golden_digest(capsys, family, x):
+    digest = hashlib.sha256()
+    for n in (0, 1, 3, 7):
+        for eps in DOBINSKI_EPS[x]:
+            for fmt in ("text", "json"):
+                argv = ["dobinski", "--family", family, "--n", str(n), "--x", x, "--eps", eps]
+                code, out, err = run(capsys, argv + ["--format", fmt])
+                assert code == 0 and err == "", argv
+                digest.update(out.encode())
+    assert digest.hexdigest() == DOBINSKI_SHA256[family, x]
+
+
+def dobinski_enclosure(out):
+    """The printed value and bound of a text answer, and the value's rounding slack."""
+    fields = dict(line.split(": ") for line in out.splitlines())
+    decimals = len(fields["value"].partition(".")[2])
+    return Fraction(fields["value"]), Fraction(fields["error_bound"]), Fraction(1, 2 * 10**decimals)
+
+
+def test_dobinski_bound_below_float_range_is_rendered_exactly(capsys):
+    # 10**-400 underflows to 0.0 as a float, so the bound's exponent must
+    # come from exact arithmetic.
+    code, out, err = run(capsys, ["dobinski", "--n", "1", "--x", "2", "--eps", "1e-400"])
+    assert code == 0 and err == ""
+    value, bound, slack = dobinski_enclosure(out)
+    assert 0 < bound <= Fraction(1, 10**400)
+    assert abs(value - 2) <= bound + slack
+
+
+def test_dobinski_past_the_int_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, ["dobinski", "--n", "1", "--x", "2", "--eps", "1e-4400"])
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0 and err == ""
+    sys.set_int_max_str_digits(0)
+    try:
+        value, bound, slack = dobinski_enclosure(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert bound <= Fraction(1, 10**4400)
+    assert abs(value - 2) <= bound + slack
+
+
+def test_dobinski_fails_fast_when_no_cutoff_fits_under_the_cap():
+    # Every term ratio is at least x/(k+1), so x = 10^6 cannot reach a ratio
+    # of 1/2 within 100000 terms; the walk is not started.
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "lahbell.cli", "dobinski", "--n", "3", "--x", "1000000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("precision not reached: series for x = 1000000 did not reach")
 
 
 def test_dobinski_precision_failure_goes_to_stderr(capsys, monkeypatch):

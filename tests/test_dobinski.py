@@ -1,9 +1,13 @@
 """Certified series evaluation: enclosures, refinement, rendering, validation."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lahbell import dobinski
 from lahbell.dobinski import (
     CertifiedDecimal,
     PrecisionNotReached,
@@ -59,6 +63,79 @@ def test_monotone_refinement():
         assert coarse.low <= fine.low and fine.high <= coarse.high
 
 
+@pytest.mark.parametrize("evaluator", [lah_bell_dobinski, bell_dobinski])
+def test_monotone_refinement_at_large_x(evaluator):
+    coarse = evaluator(3, 461, Fraction(1, 10**10))
+    fine = evaluator(3, 461, Fraction(1, 10**30))
+    assert fine.error_bound <= coarse.error_bound
+    assert coarse.low <= fine.low and fine.high <= coarse.high
+    exact_poly = lah_bell_poly(3) if evaluator is lah_bell_dobinski else bell_poly(3)
+    assert fine.contains(exact_value(exact_poly, Fraction(461)))
+
+
+def test_walk_fails_fast_only_when_no_ratio_can_reach_one_half(monkeypatch):
+    # Every ratio in use is at least x/(k+1); with k capped at 20 a ratio of
+    # 1/2 needs 2x <= 21.
+    monkeypatch.setattr(dobinski, "_ITERATION_CAP", 20)
+
+    def exp_cutoffs(x):
+        return [cut.k for cut in dobinski._partial_sums(lambda k: 1, lambda k: x / (k + 1), x, 0)]
+
+    assert exp_cutoffs(Fraction(21, 2)) == [20]
+    assert exp_cutoffs(Fraction(11)) == []
+    with pytest.raises(PrecisionNotReached, match="series for x = 11 did not reach"):
+        bell_dobinski(0, 11, EPS20)
+
+
+def fraction_loop_enclosure(weight, ratio, x, eps):
+    """The enclosure summed one Fraction per term: the reference for the walk."""
+    tail_target = min(Fraction(1), eps / 4)
+    partial, power_over_factorial, crude, k = Fraction(0), Fraction(1), None, 0
+    while True:
+        term = weight(k) * power_over_factorial
+        partial += term
+        if k >= 1 and ratio(k) <= Fraction(1, 2):
+            tail = 2 * term * ratio(k)
+            if crude is None and tail <= 1:
+                crude = partial + tail
+            if tail <= tail_target:
+                break
+        k += 1
+        power_over_factorial = power_over_factorial * x / k
+    delta = eps / (4 * crude)
+    exp_partial, exp_term, m = Fraction(1), Fraction(1), 0
+    while not (x / (m + 1) <= Fraction(1, 2) and 2 * exp_term * x / (m + 1) <= delta):
+        m += 1
+        exp_term = exp_term * x / m
+        exp_partial += exp_term
+    low = partial / (exp_partial + 2 * exp_term * x / (m + 1))
+    high = (partial + tail) / exp_partial
+    return (low + high) / 2, (high - low) / 2, k + 1, m + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["lah_bell", "bell"]),
+    st.integers(0, 8),
+    st.builds(Fraction, st.integers(1, 120), st.integers(1, 7)),
+    st.one_of(
+        st.sampled_from([Fraction(100), Fraction(4), Fraction(1)]),
+        st.integers(1, 80).map(lambda e: Fraction(1, 10**e)),
+    ),
+)
+def test_walk_matches_the_fraction_loop(family, n, x, eps):
+    if family == "lah_bell":
+        got = lah_bell_dobinski(n, x, eps)
+        weight, ratio = (lambda k: prod(range(k, k + n))), (lambda k: x * (k + n) / (k * (k + 1)))
+    else:
+        got = bell_dobinski(n, x, eps)
+        weight, ratio = (lambda k: k**n), (lambda k: x * Fraction((k + 1) ** (n - 1), k**n))
+        if n == 0:
+            ratio = lambda k: x / (k + 1)  # noqa: E731
+    expected = fraction_loop_enclosure(weight, ratio, x, eps)
+    assert (got.value, got.error_bound, got.series_terms, got.exp_terms) == expected
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         lah_bell_dobinski(-1, 1, EPS20)
@@ -97,6 +174,25 @@ def test_decimal_rendering_edge_cases():
     exact = CertifiedDecimal(Fraction(2), Fraction(0), Fraction(1, 100), 1, 1)
     assert exact.decimal() == "2.0"
     assert exact.error_bound_decimal() == "0"
+
+
+def test_rendering_is_exact_at_any_exponent():
+    def bound(q):
+        return CertifiedDecimal(Fraction(0), q, q, 1, 1)
+
+    assert bound(Fraction(1, 10**400)).error_bound_decimal() == "1.00e-400"
+    assert bound(Fraction(1, 10**400)).guaranteed_digits() == 399
+    # Just above 10^-5 but below the float 1e-5 (which lies above 10^-5):
+    # the mantissa must round up to 1.01.
+    assert bound(Fraction(1, 10**5) * (1 + Fraction(1, 10**30))).error_bound_decimal() == "1.01e-5"
+    assert bound(Fraction(999999, 10**6)).error_bound_decimal() == "1.00e0"
+    assert bound(Fraction(10**50 + 1)).error_bound_decimal() == "1.01e50"
+    for e in range(-60, 61):
+        q = Fraction(10) ** e
+        assert bound(q).error_bound_decimal() == f"1.00e{e}"
+        assert bound(q * Fraction(9999, 10000)).error_bound_decimal() == f"1.00e{e}"
+        digits = bound(q).guaranteed_digits()
+        assert digits == max(0, -e - 1)
 
 
 def test_rounded_rendering_stays_within_digit_promise():

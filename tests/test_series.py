@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lahbell.exact import MultiPoly
+from lahbell.exact import MultiPoly, generalized_falling
 from lahbell.families import bell_poly, lah_bell_poly
 from lahbell.series import (
     GF_NAMES,
@@ -182,9 +182,8 @@ def test_ordinary_coefficients_at_the_boundary():
     assert type(s.coefficient(1)) is Fraction
 
 
-def test_degenerate_catalog_makes_no_horner_products(monkeypatch):
-    # Horner composition made 8125 polynomial products here; the power
-    # table needs O(order^2).
+def count_products(monkeypatch, build):
+    """The number of MultiPoly products `build()` makes."""
     calls = 0
     multiply = MultiPoly.__mul__
 
@@ -195,10 +194,27 @@ def test_degenerate_catalog_makes_no_horner_products(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
     monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    build()
+    monkeypatch.undo()
+    return calls
+
+
+def test_degenerate_catalog_makes_no_horner_products(monkeypatch):
+    # Horner composition made 8125 polynomial products here; the power
+    # table needs O(order^2).
     gf_catalog.cache_clear()
-    gf_catalog("degenerate_bell", 24)
+    calls = count_products(monkeypatch, lambda: gf_catalog("degenerate_bell", 24))
     gf_catalog.cache_clear()
     assert calls <= 2 * 25**2
+
+
+def test_degenerate_exponential_is_a_running_product(monkeypatch):
+    # Two products per order: the step (n-1) lam and the running product
+    # with (x - (n-1) lam).
+    assert count_products(monkeypatch, lambda: degenerate_exponential(24)) <= 2 * 24
+    s = degenerate_exponential(24)
+    for n in (0, 1, 7, 24):
+        assert s.egf_coefficient(n) == generalized_falling(X, n, LAM)
 
 
 def test_catalog_names_and_unknown():
