@@ -231,21 +231,22 @@ def _cmd_dobinski(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt
     except PrecisionNotReached as exc:
         print(f"precision not reached: {exc}", file=sys.stderr)
         return 1
+    value, bound = result.decimal(), result.error_bound_decimal()
     payload = {
         "command": "dobinski",
         "family": args.family,
         "n": n,
         "x": str(x),
         "eps": str(eps),
-        "value_decimal": result.decimal(),
-        "error_bound": result.error_bound_decimal(),
+        "value_decimal": value,
+        "error_bound": bound,
         "series_terms": result.series_terms,
         "exp_terms": result.exp_terms,
     }
     text = "\n".join(
         [
-            f"value: {result.decimal()}",
-            f"error_bound: {result.error_bound_decimal()}",
+            f"value: {value}",
+            f"error_bound: {bound}",
             f"series_terms: {result.series_terms}",
             f"exp_terms: {result.exp_terms}",
         ]

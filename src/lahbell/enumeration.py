@@ -12,8 +12,9 @@ sequences whose internal order matters.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "ENUMERATION_BOUNDS",
@@ -44,45 +45,23 @@ def _check_bound(n: int, which: str) -> None:
         raise ValueError(f"{which} enumeration is capped at n = {bound}, got {n}")
 
 
-def iter_set_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of {1..n} into nonempty unordered blocks.
+def _partitions(n: int, which: str, ordered: bool) -> Iterator[Partition]:
+    """All partitions of {1..n} into nonempty blocks, set or internally ordered.
 
-    Element m either joins an existing block or opens a new one after all
-    blocks holding smaller elements, so blocks stay sorted by least element
-    and ascending inside, and no structure repeats.
+    Element m joins an existing block or opens a new one after all blocks
+    holding smaller elements, so blocks stay sorted by least element.  A set
+    block only appends m, so it stays ascending; an ordered block takes m at
+    any of its len(block)+1 positions.  Removing the largest element inverts
+    the construction uniquely, so no structure repeats.
     """
-    _check_bound(n, "set_partitions")
+    _check_bound(n, which)
 
     def extend(blocks: list[list[int]], label: int) -> Iterator[Partition]:
         if label > n:
-            yield tuple(tuple(b) for b in blocks)
+            yield tuple(map(tuple, blocks))
             return
         for b in blocks:
-            b.append(label)
-            yield from extend(blocks, label + 1)
-            b.pop()
-        blocks.append([label])
-        yield from extend(blocks, label + 1)
-        blocks.pop()
-
-    yield from extend([], 1)
-
-
-def iter_ordered_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of {1..n} into nonempty internally ordered blocks.
-
-    Element m is placed at any of the len(block)+1 positions of any existing
-    block, or opens a new block.  Removing the largest element inverts the
-    construction uniquely, so enumeration is duplicate-free.
-    """
-    _check_bound(n, "ordered_partitions")
-
-    def extend(blocks: list[list[int]], label: int) -> Iterator[Partition]:
-        if label > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            for pos in range(len(b) + 1):
+            for pos in range(0 if ordered else len(b), len(b) + 1):
                 b.insert(pos, label)
                 yield from extend(blocks, label + 1)
                 b.pop(pos)
@@ -93,22 +72,29 @@ def iter_ordered_partitions(n: int) -> Iterator[Partition]:
     yield from extend([], 1)
 
 
+def iter_set_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of {1..n} into nonempty unordered blocks, ascending inside."""
+    return _partitions(n, "set_partitions", ordered=False)
+
+
+def iter_ordered_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of {1..n} into nonempty internally ordered blocks."""
+    return _partitions(n, "ordered_partitions", ordered=True)
+
+
+def _tally(ks: Iterable[int]) -> dict[int, int]:
+    """Counts by key k, in increasing k."""
+    return dict(sorted(Counter(ks).items()))
+
+
 def count_set_partitions(n: int) -> dict[int, int]:
     """Counts by block count; entry k is the number of k-block partitions."""
-    counts: dict[int, int] = {}
-    for partition in iter_set_partitions(n):
-        k = len(partition)
-        counts[k] = counts.get(k, 0) + 1
-    return dict(sorted(counts.items()))
+    return _tally(map(len, iter_set_partitions(n)))
 
 
 def count_ordered_partitions(n: int) -> dict[int, int]:
     """Counts by block count over ordered-block partitions."""
-    counts: dict[int, int] = {}
-    for partition in iter_ordered_partitions(n):
-        k = len(partition)
-        counts[k] = counts.get(k, 0) + 1
-    return dict(sorted(counts.items()))
+    return _tally(map(len, iter_ordered_partitions(n)))
 
 
 def cycle_count(perm: tuple[int, ...]) -> int:
@@ -129,8 +115,4 @@ def cycle_count(perm: tuple[int, ...]) -> int:
 def count_permutations_by_cycles(n: int) -> dict[int, int]:
     """Counts of permutations of n elements by number of cycles."""
     _check_bound(n, "permutation_cycles")
-    counts: dict[int, int] = {}
-    for perm in permutations(range(n)):
-        k = cycle_count(perm)
-        counts[k] = counts.get(k, 0) + 1
-    return dict(sorted(counts.items()))
+    return _tally(map(cycle_count, permutations(range(n))))

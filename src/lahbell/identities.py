@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import ne
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .dobinski import lah_bell_dobinski
@@ -67,8 +68,6 @@ _X = MultiPoly.var("x")
 
 # Precision used by the two enclosure-based entries.
 _NUMERIC_EPS = Fraction(1, 10**20)
-# Spot values substituted for alpha after the symbolic check.
-_ALPHA_SPOTS = (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(-1, 3))
 # Arguments at which enclosures are compared against exact evaluations.
 _DOBINSKI_ARGS = (Fraction(1, 2), Fraction(1), Fraction(3))
 
@@ -109,15 +108,21 @@ def _fail(**kwargs: object) -> dict[str, str]:
     return {key: str(value) for key, value in kwargs.items()}
 
 
-def _first_mismatch(cases: Cases) -> Counterexample:
-    """The first (labels, lhs, rhs) case with lhs != rhs, as a counterexample.
+def _first_mismatch(
+    cases: Cases,
+    differ: Callable[[object, object], bool] = ne,
+    keys: tuple[str, str] = ("lhs", "rhs"),
+) -> Counterexample:
+    """The first (labels, left, right) case with differ(left, right), as a counterexample.
 
-    Checkers yield their cases lazily in increasing n, so nothing past the first
-    mismatch is computed and the counterexample carries the smallest failing n.
+    The two sides are reported under keys.  Checkers yield their cases lazily in
+    increasing n, so nothing past the first mismatch is computed and the
+    counterexample carries the smallest failing n.
     """
-    for labels, lhs, rhs in cases:
-        if lhs != rhs:
-            return _fail(**labels, lhs=lhs, rhs=rhs)
+    left_key, right_key = keys
+    for labels, left, right in cases:
+        if differ(left, right):
+            return _fail(**labels, **{left_key: left, right_key: right})
     return None
 
 
@@ -192,22 +197,49 @@ def _entrywise(left: Callable[[int, int], int], right: Callable[[int, int], int]
     )
 
 
+def _enclosure(exact: Callable[[int, Fraction], Fraction], xs: tuple[Fraction, ...] = ()) -> Check:
+    """lah_bell_dobinski(n, x) encloses exact(n, x), at each x in xs (labelled) or at x = 1."""
+
+    def cases(cap: int) -> Cases:
+        for n in range(cap + 1):
+            for x in xs or (1,):
+                labels = {"n": n, "x": x} if xs else {"n": n}
+                yield labels, lah_bell_dobinski(n, x, _NUMERIC_EPS), exact(n, x)
+
+    return lambda cap: _first_mismatch(
+        cases(cap), lambda enclosure, value: not enclosure.contains(value), ("enclosure", "exact")
+    )
+
+
+def _oracle(count: Callable[[int], dict[int, int]], entry: Callable[[int, int], int]) -> Check:
+    """The brute-force counts by k equal the nonzero entries of triangle row n.
+
+    The row total (BL_n, B_n) needs no check of its own: it is the sum of the
+    same memo row whose nonzero entries have just matched.
+    """
+    return lambda cap: _first_mismatch(
+        ({"n": n}, count(n), {k: value for k in range(n + 1) if (value := entry(n, k)) != 0})
+        for n in range(cap + 1)
+    )
+
+
 # -- bespoke checkers, for identities of their own shape -------------------
 
 
 def _check_eq11_eq16(cap: int) -> Counterexample:
-    for n in range(1, cap + 1):
-        for k in range(1, n + 1):
-            reference = lah(n, k)
-            for label, form in (
-                ("product form", lah_product_form),
-                ("binomial form", lah_binomial_form),
-                ("ratio form", lah_ratio_form),
-            ):
-                value = form(n, k)
-                if value != reference:
-                    return _fail(n=n, k=k, form=label, lhs=value, rhs=reference)
-    return None
+    def cases() -> Cases:
+        forms = (
+            ("product form", lah_product_form),
+            ("binomial form", lah_binomial_form),
+            ("ratio form", lah_ratio_form),
+        )
+        for n in range(1, cap + 1):
+            for k in range(1, n + 1):
+                reference = lah(n, k)
+                for label, form in forms:
+                    yield {"n": n, "k": k, "form": label}, form(n, k), reference
+
+    return _first_mismatch(cases())
 
 
 def _check_eq17(cap: int) -> Counterexample:
@@ -216,25 +248,6 @@ def _check_eq17(cap: int) -> Counterexample:
         for n in range(2, cap + 1)
         for k in range(1, n)
     )
-
-
-def _check_thm3(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        enclosure = lah_bell_dobinski(n, 1, _NUMERIC_EPS)
-        exact = lah_bell_number(n)
-        if not enclosure.contains(exact):
-            return _fail(n=n, enclosure=enclosure, exact=exact)
-    return None
-
-
-def _check_thm6(cap: int) -> Counterexample:
-    for n in range(cap + 1):
-        for x in _DOBINSKI_ARGS:
-            enclosure = lah_bell_dobinski(n, x, _NUMERIC_EPS)
-            exact = lah_bell_poly(n).evaluate({"x": x}).as_rational()
-            if not enclosure.contains(exact):
-                return _fail(n=n, x=x, enclosure=enclosure, exact=exact)
-    return None
 
 
 def _check_thm9(cap: int) -> Counterexample:
@@ -277,35 +290,18 @@ def _check_eq48(cap: int) -> Counterexample:
     ) or _check_eq48_sum(cap)
 
 
-def _check_eq49(cap: int) -> Counterexample:
+def _check_laguerre_conv(cap: int) -> Counterexample:
     def cases() -> Cases:
-        gf = gf_catalog("laguerre_weighted", cap)
+        alpha = MultiPoly.var("alpha")
         for n in range(cap + 1):
-            lhs = gf.egf_coefficient(n)
-            rhs = laguerre_poly(n)
-            yield {"n": n}, lhs, rhs
-            for a in _ALPHA_SPOTS:
-                lhs_at = MultiPoly._coerce(lhs).substitute({"alpha": a})
-                yield {"n": n, "alpha": a}, lhs_at, rhs.substitute({"alpha": a})
+            total = MultiPoly.zero()
+            for m in range(n + 1):
+                total = total + comb(n, m) * lah_bell_poly(m) * laguerre_poly(n - m)
+            # The target is free of x, so a surviving x is always a mismatch.
+            labels = {"n": n, "issue": "x does not cancel"} if total.degree("x") != 0 else {"n": n}
+            yield labels, total, rising_factorial(alpha + 1, n)
 
     return _first_mismatch(cases())
-
-
-def _check_laguerre_conv(cap: int) -> Counterexample:
-    alpha = MultiPoly.var("alpha")
-    for n in range(cap + 1):
-        total = MultiPoly.zero()
-        for m in range(n + 1):
-            total = total + comb(n, m) * lah_bell_poly(m) * laguerre_poly(n - m)
-        target = rising_factorial(alpha + 1, n)
-        if total.degree("x") != 0:
-            return _fail(n=n, issue="x does not cancel", lhs=total, rhs=target)
-        if total != target:
-            return _fail(n=n, lhs=total, rhs=target)
-        for a in _ALPHA_SPOTS:
-            if total.substitute({"alpha": a}) != target.substitute({"alpha": a}):
-                return _fail(n=n, alpha=a, lhs=total, rhs=target)
-    return None
 
 
 @dataclass(frozen=True)
@@ -359,7 +355,10 @@ _CATALOG: tuple[_Entry, ...] = (
         "thm2", "B_n = sum_{k=0..n} (-1)^(n-k) BL_k S2(n,k)", 25,
         _sums(_Sum(lambda n: bell_number(n), stirling2, lambda k: lah_bell_number(k), -1)),
     ),
-    _Entry("thm3", "BL_n = e^(-1) sum_{k>=0} <k>_n / k!  (certified enclosure)", 12, _check_thm3),
+    _Entry(
+        "thm3", "BL_n = e^(-1) sum_{k>=0} <k>_n / k!  (certified enclosure)", 12,
+        _enclosure(lambda n, x: lah_bell_number(n)),
+    ),
     _Entry(
         "lemma4", "exp(x (1/(1-t) - 1)) = sum_n BL_n(x) t^n/n!", 15,
         _gf("lah_bell_poly", lambda n: lah_bell_poly(n)),
@@ -370,7 +369,8 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "thm6", "BL_n(x) = e^(-x) sum_{k>=0} <k>_n x^k / k!  (certified enclosure)", 12,
-        _check_thm6, "n <= {cap}, x in {{1/2, 1, 3}}",
+        _enclosure(lambda n, x: lah_bell_poly(n).evaluate({"x": x}).as_rational(), _DOBINSKI_ARGS),
+        "n <= {cap}, x in {{1/2, 1, 3}}",
     ),
     _Entry(
         "thm7", "BL_n(x) = sum_{k=0..n} (-1)^(n-k) S1(n,k) B_k(x)", 20,
@@ -424,14 +424,53 @@ _CATALOG: tuple[_Entry, ...] = (
         "e_lam^x(t/(1-t)) expands through -log(1-t); BL_{n,lam}(x) = sum_k (-1)^(n-k) S1(n,k) B_{k,lam}(x)",
         15, _check_eq48, "n <= {cap}; composition order min({cap}, 12)",
     ),
-    _Entry("eq49", "(1-t)^(-alpha-1) exp(x t/(t-1)) = sum_n Lag_n(x) t^n/n!", 10, _check_eq49),
+    _Entry(
+        "eq49", "(1-t)^(-alpha-1) exp(x t/(t-1)) = sum_n Lag_n(x) t^n/n!", 10,
+        _gf("laguerre_weighted", lambda n: laguerre_poly(n)),
+    ),
     _Entry(
         "laguerre-conv", "<alpha+1>_n = sum_{m=0..n} C(n,m) BL_m(x) Lag_{n-m}(x)  (x cancels)", 10,
         _check_laguerre_conv,
     ),
 )
 
+# -- enumeration cross-checks (the `verify --oracle` extras) ---------------
+# Defaults keep a full oracle pass in the seconds range, within the enumeration bounds.
+
+_ORACLES: tuple[_Entry, ...] = (
+    _Entry(
+        "oracle-ordered-partitions",
+        "every ordered-list partition counted once: totals by block count match L(n,k), overall total BL_n",
+        min(8, ENUMERATION_BOUNDS["ordered_partitions"]),
+        _oracle(lambda n: count_ordered_partitions(n), lah),
+    ),
+    _Entry(
+        "oracle-set-partitions",
+        "every set partition counted once: totals by block count match S2(n,k), overall total B_n",
+        min(10, ENUMERATION_BOUNDS["set_partitions"]),
+        _oracle(lambda n: count_set_partitions(n), stirling2),
+    ),
+    _Entry(
+        "oracle-permutation-cycles",
+        "every permutation counted once by cycle count: totals match |S1(n,k)|",
+        min(9, ENUMERATION_BOUNDS["permutation_cycles"]),
+        _oracle(
+            lambda n: count_permutations_by_cycles(n), lambda n, k: abs(stirling1_signed(n, k))
+        ),
+    ),
+)
+
 CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry in _CATALOG)
+ORACLE_IDS: tuple[str, ...] = tuple(entry.id for entry in _ORACLES)
+
+
+def _run(entries: Iterable[_Entry], max_n: int) -> list[IdentityRecord]:
+    """One record per entry, each over its default range capped at max_n."""
+    records = []
+    for entry in entries:
+        cap = min(entry.default_max, max_n)
+        records.append(_record(entry.id, entry.anchor, entry.range_text(cap), entry.check(cap)))
+    return records
 
 
 def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
@@ -447,71 +486,11 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
     unknown = [i for i in selection if i != "all" and i not in CATALOG_IDS]
     if unknown:
         raise ValueError(f"unknown identity ids {unknown}; valid ids: {', '.join(CATALOG_IDS)}")
-    records = []
-    for entry in _CATALOG:
-        if "all" in selection or entry.id in selection:
-            cap = min(entry.default_max, max_n)
-            records.append(_record(entry.id, entry.anchor, entry.range_text(cap), entry.check(cap)))
-    return records
-
-
-# -- enumeration cross-checks (the `verify --oracle` extras) ---------------
-
-
-# id, anchor, default cap, enumerator, triangle entry, row total (None: not checked).
-# Defaults keep a full oracle pass in the seconds range, within the enumeration bounds.
-_ORACLES = (
-    (
-        "oracle-ordered-partitions",
-        "every ordered-list partition counted once: totals by block count match L(n,k), overall total BL_n",
-        min(8, ENUMERATION_BOUNDS["ordered_partitions"]),
-        lambda n: count_ordered_partitions(n),
-        lah,
-        lambda n: lah_bell_number(n),
-    ),
-    (
-        "oracle-set-partitions",
-        "every set partition counted once: totals by block count match S2(n,k), overall total B_n",
-        min(10, ENUMERATION_BOUNDS["set_partitions"]),
-        lambda n: count_set_partitions(n),
-        stirling2,
-        lambda n: bell_number(n),
-    ),
-    (
-        "oracle-permutation-cycles",
-        "every permutation counted once by cycle count: totals match |S1(n,k)|",
-        min(9, ENUMERATION_BOUNDS["permutation_cycles"]),
-        lambda n: count_permutations_by_cycles(n),
-        lambda n, k: abs(stirling1_signed(n, k)),
-        None,
-    ),
-)
-
-ORACLE_IDS = tuple(oracle[0] for oracle in _ORACLES)
-
-
-def _check_oracle(
-    cap: int,
-    count: Callable[[int], dict[int, int]],
-    entry: Callable[[int, int], int],
-    total: Optional[Callable[[int], int]],
-) -> Counterexample:
-    for n in range(cap + 1):
-        counts = count(n)
-        expected = {k: value for k in range(n + 1) if (value := entry(n, k)) != 0}
-        if counts != expected:
-            return _fail(n=n, lhs=counts, rhs=expected)
-        if total is not None and sum(counts.values()) != total(n):
-            return _fail(n=n, total=sum(counts.values()), expected_total=total(n))
-    return None
+    return _run((e for e in _CATALOG if "all" in selection or e.id in selection), max_n)
 
 
 def oracle_records(max_n: int) -> list[IdentityRecord]:
-    """Compare the brute-force enumerators against triangles and row sums."""
+    """Compare the brute-force enumerators against the triangle rows."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    records = []
-    for oracle_id, anchor, default_max, *sources in _ORACLES:
-        cap = min(default_max, max_n)
-        records.append(_record(oracle_id, anchor, f"n <= {cap}", _check_oracle(cap, *sources)))
-    return records
+    return _run(_ORACLES, max_n)

@@ -24,7 +24,7 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
-from .exact import MultiPoly
+from .exact import MultiPoly, _as_coeff
 
 __all__ = [
     "TruncatedSeries",
@@ -42,11 +42,7 @@ Coeff = Union[int, Fraction, MultiPoly]
 
 
 def _as_ring(value: Coeff) -> Coeff:
-    if isinstance(value, (int, MultiPoly)):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"not an exact ring element: {value!r}")
+    return value if isinstance(value, MultiPoly) else _as_coeff(value)
 
 
 class TruncatedSeries:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import lahbell.cli as cli
-from lahbell.dobinski import PrecisionNotReached
+from lahbell.dobinski import CertifiedDecimal, PrecisionNotReached
 from lahbell.identities import IdentityRecord
 from lahbell.series import GF_NAMES
 
@@ -316,6 +316,21 @@ def test_dobinski_fails_fast_when_no_cutoff_fits_under_the_cap():
     assert time.perf_counter() - start < 5
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("precision not reached: series for x = 1000000 did not reach")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dobinski_renders_value_and_bound_once(capsys, monkeypatch, fmt):
+    calls = []
+    for name in ("decimal", "error_bound_decimal"):
+
+        def counted(self, render=getattr(CertifiedDecimal, name), name=name):
+            calls.append(name)
+            return render(self)
+
+        monkeypatch.setattr(CertifiedDecimal, name, counted)
+    code, _, err = run(capsys, ["dobinski", "--n", "3", "--x", "1/2", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert sorted(calls) == ["decimal", "error_bound_decimal"]
 
 
 def test_dobinski_precision_failure_goes_to_stderr(capsys, monkeypatch):

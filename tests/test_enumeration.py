@@ -79,6 +79,19 @@ def test_blocks_are_canonically_ordered():
         assert all(list(block) == sorted(block) for block in partition)
 
 
+def test_set_partitions_are_the_ascending_ordered_partitions():
+    # Both kinds come from one walk: a set block only appends, so the set
+    # partitions are the ordered partitions whose blocks are all ascending,
+    # in the same order.
+    for n in range(9):
+        ascending = [
+            partition
+            for partition in iter_ordered_partitions(n)
+            if all(list(block) == sorted(block) for block in partition)
+        ]
+        assert list(iter_set_partitions(n)) == ascending
+
+
 def test_cycle_count():
     assert cycle_count((0, 1, 2)) == 3
     assert cycle_count((1, 2, 0)) == 1

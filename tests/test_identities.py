@@ -1,6 +1,9 @@
 """Identity suite: catalog integrity, full small-range pass, record shape,
 failure payloads under a corrupted triangle, and the README catalog table."""
 
+import hashlib
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from lahbell import identities, triangles
 from lahbell.identities import (
     _CATALOG,
+    _ORACLES,
     CATALOG_IDS,
     ORACLE_IDS,
     IdentityRecord,
@@ -124,16 +128,20 @@ def _readme_catalog_rows():
     section = readme.split("## Identity catalog", 1)[1].split("\n## ", 1)[0]
     rows = []
     for line in section.splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        # A literal "|" inside a cell is escaped as "\|".
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
         if len(cells) == 3 and cells[0].startswith("`"):
-            rows.append(tuple(" ".join(cell.replace("`", "").split()) for cell in cells))
+            rows.append(
+                tuple(" ".join(cell.replace("`", "").replace("\\|", "|").split()) for cell in cells)
+            )
     return rows
 
 
 def test_readme_catalog_table_matches_the_catalog():
+    # The catalog table, then the --oracle table, row for row.
     expected = [
         (entry.id, " ".join(entry.anchor.split()), entry.range_text(entry.default_max))
-        for entry in _CATALOG
+        for entry in _CATALOG + _ORACLES
     ]
     assert _readme_catalog_rows() == expected
 
@@ -207,17 +215,21 @@ _FAULT_FAILURES = {
 }
 
 
-def _failures_with_row_4_corrupted(monkeypatch, memo):
-    # Rows past 4 are built first, so only the one corrupted entry is wrong.
+def _records_with_one_entry_corrupted(monkeypatch, memo, n, k):
+    # Rows past n are built first, so only the one corrupted entry is wrong.
     triangle = getattr(triangles, memo)
     triangle.row(20)
     rows = list(triangle._rows)
-    bad = list(rows[4])
-    bad[2] += 1
-    rows[4] = tuple(bad)
+    bad = list(rows[n])
+    bad[k] += 1
+    rows[n] = tuple(bad)
     with monkeypatch.context() as patch:
         patch.setattr(triangle, "_rows", rows)
-        records = run_suite("all", 8) + oracle_records(8)
+        return run_suite("all", 8) + oracle_records(8)
+
+
+def _failures_with_row_4_corrupted(monkeypatch, memo):
+    records = _records_with_one_entry_corrupted(monkeypatch, memo, 4, 2)
     failures = {}
     for record in records:
         if record.passed():
@@ -241,3 +253,27 @@ def test_failure_records_carry_counterexamples(monkeypatch):
     # that depends on it fails at the smallest n, with its usual payload keys.
     for memo, expected in _FAULT_FAILURES.items():
         assert _failures_with_row_4_corrupted(monkeypatch, memo) == expected, memo
+
+
+# sha256 of the canonical JSON of every record of run_suite("all", 8) +
+# oracle_records(8), with entry (n, k) of one triangle memo raised by 1.  The
+# digests pin every counterexample value (lhs/rhs, enclosure/exact), not only
+# the labels and key sets checked above.
+_FAULT_DIGESTS = {
+    ("_LAH", 4, 2): "06db849488e8844a7599cca4697eb832688c0266ea9e070e9728f96d8d5907d1",
+    ("_LAH", 3, 1): "4b80a9e63b845baa30ba1f56ff7f369a6b3485c97d88e48e39e2b63726fe5f2c",
+    ("_LAH", 6, 3): "e29a15e71f5c21b88725b8686dc6d798076d1124b79ee2bde4dda9b4ca6da81f",
+    ("_S1", 4, 2): "724ac11530e9ebe037965c5d60a677db29b8312c79e938efae60358d1b8318e0",
+    ("_S1", 3, 1): "812a786dcdb7cae72dcd0f230ef078c73ec36c76e4ee14334749f0b8b9b7ec7e",
+    ("_S1", 6, 3): "bb40b69667c7e85f0b5250fa4ce424b1037641ee2a92d9449edaa7ab1251125f",
+    ("_S2", 4, 2): "bcfa97be9d5073d9dc9348f5d6ade5c43fbfc6c6c13b8985dd93442fa9e976c3",
+    ("_S2", 3, 1): "8b5a682afa83c24df8e0ced59642fa6af92b136bcdff5a95597c9131004ea1c1",
+    ("_S2", 6, 3): "68e4b5eb5b8ed289b15603dda1fc3f20b6cc4d47762ed17a1f42cdb9231539d4",
+}
+
+
+@pytest.mark.parametrize("memo, n, k", sorted(_FAULT_DIGESTS))
+def test_fault_records_are_byte_stable(monkeypatch, memo, n, k):
+    records = _records_with_one_entry_corrupted(monkeypatch, memo, n, k)
+    payload = json.dumps([r.to_json() for r in records], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == _FAULT_DIGESTS[memo, n, k]

@@ -182,6 +182,19 @@ def test_ordinary_coefficients_at_the_boundary():
     assert type(s.coefficient(1)) is Fraction
 
 
+def test_scalar_coefficients_follow_the_multipoly_rule():
+    # A Fraction with denominator 1 is stored as an int, exactly as MultiPoly
+    # stores its coefficients; anything inexact is rejected.
+    s = TruncatedSeries([Fraction(4, 2), Fraction(3, 1), Fraction(1, 2), Fraction(1, 5)])
+    assert [type(s.egf_coefficient(n)) for n in range(4)] == [int, int, int, Fraction]
+    assert s.scale(Fraction(5, 1)).coefficients() == (10, 15, Fraction(5, 2), 1)
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, bad])
+        with pytest.raises(TypeError):
+            s.scale(bad)
+
+
 def count_products(monkeypatch, build):
     """The number of MultiPoly products `build()` makes."""
     calls = 0
