@@ -7,7 +7,8 @@ the fixed, ordered indeterminate set ``("x", "y", "lam", "alpha")``.
 
 A :class:`MultiPoly` stores a map from exponent vectors to nonzero exact
 coefficients.  Integer input stays integer, so integer polynomials never pay
-for a gcd; an input ``Fraction`` with denominator 1 is stored as its ``int``::
+for a gcd; a ``Fraction`` with denominator 1, given or computed, is stored as
+its ``int``::
 
     x^2*y + 3  ->  {(2, 1, 0, 0): 1, (0, 0, 0, 0): 3}
 
@@ -103,7 +104,7 @@ class MultiPoly:
 
     def terms(self) -> Iterator[tuple[tuple[int, int, int, int], Scalar]]:
         """Iterate terms in the deterministic rendering order."""
-        return iter(sorted(self._terms.items(), key=_term_sort_key))
+        return iter(sorted(self._terms.items(), key=_term_sort_key, reverse=True))
 
     def coefficient(self, exps: tuple[int, ...]) -> Scalar:
         return self._terms.get(tuple(exps), 0)
@@ -133,15 +134,9 @@ class MultiPoly:
     def __add__(self, other: PolyLike) -> MultiPoly:
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        other = MultiPoly._coerce(other)
         out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            new = out.get(exps, 0) + coeff
-            if new == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = new
-        return _from_canonical(out)
+        _fma(out, 1, other, 1)
+        return _finish(out)
 
     __radd__ = __add__
 
@@ -151,26 +146,19 @@ class MultiPoly:
     def __sub__(self, other: PolyLike) -> MultiPoly:
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        return self + (-MultiPoly._coerce(other))
+        out = dict(self._terms)
+        _fma(out, -1, other, 1)
+        return _finish(out)
 
     def __rsub__(self, other: PolyLike) -> MultiPoly:
         return (-self) + other
 
     def __mul__(self, other: PolyLike) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            if c == 0:
-                return MultiPoly.zero()
-            return _from_canonical({exps: coeff * c for exps, coeff in self._terms.items()})
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
         out: dict[tuple[int, int, int, int], Scalar] = {}
-        get = out.get
-        for (a0, a1, a2, a3), ca in self._terms.items():
-            for (b0, b1, b2, b3), cb in other._terms.items():
-                exps = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                out[exps] = get(exps, 0) + ca * cb
-        return _from_canonical({exps: c for exps, c in out.items() if c})
+        _fma(out, 1, self, other)
+        return _finish(out)
 
     __rmul__ = __mul__
 
@@ -208,10 +196,10 @@ class MultiPoly:
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown indeterminate {name!r}")
         bound = {_VAR_INDEX[n]: MultiPoly._coerce(v) for n, v in bindings.items()}
-        acc = MultiPoly.zero()
+        out: dict[tuple[int, int, int, int], Scalar] = {}
         for exps, coeff in self._terms.items():
             residual = [0] * _NVARS
-            factor = MultiPoly.const(coeff)
+            factor: PolyLike = 1
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
@@ -219,8 +207,8 @@ class MultiPoly:
                     factor = factor * bound[i] ** e
                 else:
                     residual[i] = e
-            acc = acc + factor * _from_canonical({tuple(residual): 1})
-        return acc
+            _fma(out, coeff, factor, _from_canonical({tuple(residual): 1}))
+        return _finish(out)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> MultiPoly:
         """Partial evaluation at exact rational points (see :meth:`substitute`)."""
@@ -237,7 +225,7 @@ class MultiPoly:
             lowered = list(exps)
             lowered[i] = e - 1
             out[tuple(lowered)] = coeff * e
-        return _from_canonical(out)
+        return _finish(out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -269,16 +257,67 @@ class MultiPoly:
 
 
 def _term_sort_key(item: tuple[tuple[int, int, int, int], Scalar]):
-    # Descending total degree, then lexicographic with x > y > lam > alpha.
+    # Sorted in reverse: descending total degree, then lexicographic with
+    # x > y > lam > alpha.  Exponent vectors are distinct, so no two keys tie.
     exps = item[0]
-    return (-sum(exps), tuple(-e for e in exps))
+    return (sum(exps), exps)
 
 
 def _from_canonical(terms: dict[tuple[int, int, int, int], Scalar]) -> MultiPoly:
-    # Callers pass only nonzero coefficients; outside input goes through __init__.
+    # Callers pass only canonical coefficients; outside input goes through __init__.
     poly = MultiPoly.__new__(MultiPoly)
     poly._terms = terms
     return poly
+
+
+# -- the multiply-accumulate kernel ----------------------------------------
+# Every sum of products in the library (ring products, series recurrences,
+# family sums) accumulates into one plain term dict with _fma, in place, and
+# canonicalizes once with _finish.  A scalar lands on the constant exponent
+# vector, so one dict serves scalar and polynomial sums alike.
+
+
+def _fma(out: dict[tuple[int, int, int, int], Scalar], c: Scalar, a: PolyLike, b: PolyLike) -> None:
+    """out += c*a*b in place, for a scalar c and scalar or MultiPoly a, b.
+
+    Zero and integral-Fraction coefficients may appear in out until _finish.
+    """
+    get = out.get
+    if type(a) is not MultiPoly:
+        if type(b) is not MultiPoly:
+            out[_ZERO_EXP] = get(_ZERO_EXP, 0) + c * a * b
+            return
+        a, b = b, a
+    if type(b) is not MultiPoly:
+        c = c * b
+        for exps, ca in a._terms.items():
+            out[exps] = get(exps, 0) + c * ca
+        return
+    if len(a._terms) > len(b._terms):
+        a, b = b, a
+    for (a0, a1, a2, a3), ca in a._terms.items():
+        ca = c * ca
+        for (b0, b1, b2, b3), cb in b._terms.items():
+            exps = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            out[exps] = get(exps, 0) + ca * cb
+
+
+def _finish(out: dict[tuple[int, int, int, int], Scalar], poly: bool = True) -> PolyLike:
+    """The canonical value of an _fma accumulation: zero terms dropped and
+    integral Fractions stored as ints.
+
+    A MultiPoly, or with poly false the scalar on the constant exponent
+    vector (the caller knows no polynomial entered the sum).
+    """
+    if not poly:
+        return _as_coeff(out.get(_ZERO_EXP, 0))
+    return _from_canonical(
+        {
+            exps: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for exps, c in out.items()
+            if c
+        }
+    )
 
 
 def falling_factorial(p: PolyLike, n: int) -> MultiPoly:

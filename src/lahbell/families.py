@@ -13,7 +13,15 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .exact import MultiPoly, PolyLike, falling_factorial, generalized_falling, rising_factorial
+from .exact import (
+    MultiPoly,
+    PolyLike,
+    _finish,
+    _fma,
+    falling_factorial,
+    generalized_falling,
+    rising_factorial,
+)
 from .triangles import lah, stirling2
 
 __all__ = [
@@ -49,10 +57,10 @@ def triangle_sum(
     sign: int = 1,
 ) -> MultiPoly:
     """sum_{k=0..n} sign^(n-k) entry(n,k) basis(k); a sign of -1 alternates the terms."""
-    acc = MultiPoly.zero()
+    acc: dict = {}
     for k in range(n + 1):
-        acc = acc + sign ** (n - k) * entry(n, k) * basis(k)
-    return acc
+        _fma(acc, sign ** (n - k) * entry(n, k), basis(k), 1)
+    return _finish(acc)
 
 
 def bell_poly(n: int) -> MultiPoly:
@@ -99,11 +107,10 @@ def laguerre_poly(n: int) -> MultiPoly:
     sum_k (-1)^k C(n,k) (alpha+k+1)(alpha+k+2)...(alpha+n) x^k.
     """
     _require_index(n)
-    acc = MultiPoly.zero()
+    acc: dict = {}
     for k in range(n + 1):
-        coeff = (-1) ** k * comb(n, k)
-        acc = acc + coeff * rising_factorial(_ALPHA + k + 1, n - k) * _X**k
-    return acc
+        _fma(acc, (-1) ** k * comb(n, k), rising_factorial(_ALPHA + k + 1, n - k), _X**k)
+    return _finish(acc)
 
 
 def lah_bell_recurrence_step(n: int, values: Sequence[MultiPoly]) -> MultiPoly:
@@ -114,10 +121,10 @@ def lah_bell_recurrence_step(n: int, values: Sequence[MultiPoly]) -> MultiPoly:
     _require_index(n)
     if len(values) != n + 1:
         raise ValueError(f"need values for indices 0..{n}, got {len(values)} entries")
-    acc = MultiPoly.zero()
+    acc: dict = {}
     for m in range(n + 1):
-        acc = acc + comb(n, m) * factorial(n - m + 1) * values[m]
-    return _X * acc
+        _fma(acc, comb(n, m) * factorial(n - m + 1), _X, values[m])
+    return _finish(acc)
 
 
 def lah_bell_derivative(n: int) -> MultiPoly:
@@ -127,10 +134,10 @@ def lah_bell_derivative(n: int) -> MultiPoly:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"derivative expansion needs n >= 1, got {n!r}")
-    acc = MultiPoly.zero()
+    acc: dict = {}
     for m in range(n):
-        acc = acc + comb(n, m) * factorial(n - m) * lah_bell_poly(m)
-    return acc
+        _fma(acc, comb(n, m) * factorial(n - m), lah_bell_poly(m), 1)
+    return _finish(acc)
 
 
 _FAMILY_BUILDERS: dict[str, Callable[[int], MultiPoly]] = {

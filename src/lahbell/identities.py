@@ -29,7 +29,7 @@ from .enumeration import (
     count_permutations_by_cycles,
     count_set_partitions,
 )
-from .exact import MultiPoly, PolyLike, falling_factorial, rising_factorial
+from .exact import MultiPoly, PolyLike, _finish, _fma, falling_factorial, rising_factorial
 from .families import (
     bell_poly,
     bivariate_bell_poly,
@@ -293,10 +293,13 @@ def _check_eq48(cap: int) -> Counterexample:
 def _check_laguerre_conv(cap: int) -> Counterexample:
     def cases() -> Cases:
         alpha = MultiPoly.var("alpha")
+        lah_bells = [lah_bell_poly(m) for m in range(cap + 1)]
+        laguerres = [laguerre_poly(j) for j in range(cap + 1)]
         for n in range(cap + 1):
-            total = MultiPoly.zero()
+            acc: dict = {}
             for m in range(n + 1):
-                total = total + comb(n, m) * lah_bell_poly(m) * laguerre_poly(n - m)
+                _fma(acc, comb(n, m), lah_bells[m], laguerres[n - m])
+            total = _finish(acc)
             # The target is free of x, so a surviving x is always a mismatch.
             labels = {"n": n, "issue": "x does not cancel"} if total.degree("x") != 0 else {"n": n}
             yield labels, total, rising_factorial(alpha + 1, n)

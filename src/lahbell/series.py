@@ -9,8 +9,10 @@ coefficient recurrences.
 
 Every catalog series has integer (or integer-polynomial) egf coefficients.  In
 that form the product is the binomial convolution sum_i C(n,i) a_i b_{n-i},
-exp, log1p and composition are built from such convolutions, and none of them
-divides, so integer input stays integer and no coefficient pays a gcd.  The
+exp, log1p, composition and the symbolic power are built from such
+convolutions, and none of them divides, so integer input stays integer and no
+coefficient pays a gcd.  Every convolution sum accumulates in place through
+the multiply-accumulate kernel of :mod:`lahbell.exact`.  The
 constructor and :meth:`TruncatedSeries.coefficient` speak ordinary
 coefficients; the conversion happens at that boundary.
 """
@@ -24,7 +26,7 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
-from .exact import MultiPoly, _as_coeff
+from .exact import MultiPoly, _as_coeff, _finish, _fma
 
 __all__ = [
     "TruncatedSeries",
@@ -43,6 +45,11 @@ Coeff = Union[int, Fraction, MultiPoly]
 
 def _as_ring(value: Coeff) -> Coeff:
     return value if isinstance(value, MultiPoly) else _as_coeff(value)
+
+
+def _has_poly(*coeffs: Iterable[Coeff]) -> bool:
+    """Whether a MultiPoly enters: the ring an accumulation finishes in."""
+    return any(type(c) is MultiPoly for seq in coeffs for c in seq)
 
 
 class TruncatedSeries:
@@ -98,13 +105,13 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return _from_egf(a + b for a, b in zip(self._egf, other._egf))
+        return _from_egf(_as_ring(a + b) for a, b in zip(self._egf, other._egf))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return _from_egf(a - b for a, b in zip(self._egf, other._egf))
+        return _from_egf(_as_ring(a - b) for a, b in zip(self._egf, other._egf))
 
     def __neg__(self) -> TruncatedSeries:
         return _from_egf(-c for c in self._egf)
@@ -115,23 +122,24 @@ class TruncatedSeries:
             return NotImplemented
         self._require_same_order(other)
         a, b = self._egf, other._egf
+        poly = _has_poly(a, b)
         support = [i for i, c in enumerate(a) if c != 0]
         b_nonzero = [c != 0 for c in b]
         out = []
         for n in range(len(a)):
-            acc: Coeff = 0
+            acc: dict = {}
             for i in support:
                 if i > n:
                     break
                 if b_nonzero[n - i]:
-                    acc = acc + comb(n, i) * a[i] * b[n - i]
-            out.append(acc)
+                    _fma(acc, comb(n, i), a[i], b[n - i])
+            out.append(_finish(acc, poly))
         return _from_egf(out)
 
     def scale(self, c: Coeff) -> TruncatedSeries:
         """Multiply every coefficient by a fixed ring element."""
         c = _as_ring(c)
-        return _from_egf(c * coeff for coeff in self._egf)
+        return _from_egf(_as_ring(c * coeff) for coeff in self._egf)
 
     def __pow__(self, k: int) -> TruncatedSeries:
         if not isinstance(k, int) or k < 0:
@@ -164,15 +172,16 @@ class TruncatedSeries:
         f = self._egf
         if f[0] != 0:
             raise ValueError("exp requires a zero constant term")
+        poly = _has_poly(f)
         support = [j for j in range(1, len(f)) if f[j] != 0]
         g: list[Coeff] = [1]
         for n in range(1, len(f)):
-            acc: Coeff = 0
+            acc: dict = {}
             for j in support:
                 if j > n:
                     break
-                acc = acc + comb(n - 1, j - 1) * f[j] * g[n - j]
-            g.append(acc)
+                _fma(acc, comb(n - 1, j - 1), f[j], g[n - j])
+            g.append(_finish(acc, poly))
         return _from_egf(g)
 
     def log1p(self) -> TruncatedSeries:
@@ -184,15 +193,17 @@ class TruncatedSeries:
         f = self._egf
         if f[0] != 0:
             raise ValueError("log1p requires a zero constant term")
+        poly = _has_poly(f)
         support = [j for j in range(1, len(f)) if f[j] != 0]
         h: list[Coeff] = [0]
         for n in range(1, len(f)):
-            acc = f[n]
+            acc: dict = {}
+            _fma(acc, 1, f[n], 1)
             for j in support:
                 if j >= n:
                     break
-                acc = acc - comb(n - 1, j) * f[j] * h[n - j]
-            h.append(acc)
+                _fma(acc, -comb(n - 1, j), f[j], h[n - j])
+            h.append(_finish(acc, poly))
         return _from_egf(h)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
@@ -209,11 +220,12 @@ class TruncatedSeries:
         if inner._egf[0] != 0:
             raise ValueError("composition requires inner constant term zero")
         f = self._egf
+        poly = _has_poly(f, inner._egf)
         # inner' = sum_n inner_{n+1} t^n/n!; its top coefficient lies past the
         # order and only reaches the product coefficient the shift drops.
         slope = _from_egf([*inner._egf[1:], 0])
         power = ser_one(self.order)
-        out: list[Coeff] = [f[0], *[0] * self.order]
+        acc: list[dict] = [{} for _ in f]
         for k in range(1, len(f)):
             power = _from_egf([0, *(slope * power)._egf[:-1]])
             if f[k] == 0:
@@ -221,15 +233,36 @@ class TruncatedSeries:
             for n in range(k, len(f)):
                 p = power._egf[n]
                 if p != 0:
-                    out[n] = out[n] + f[k] * p
-        return _from_egf(out)
+                    _fma(acc[n], 1, f[k], p)
+        return _from_egf([f[0], *(_finish(terms, poly) for terms in acc[1:])])
 
     def pow(self, exponent: Coeff) -> TruncatedSeries:
-        """Symbolic power f^e = exp(e * log1p(f - 1)) for f with constant term 1."""
-        if self._egf[0] != 1:
+        """Symbolic power g = f^e for f with constant term 1, by J.C.P. Miller's recurrence.
+
+        g = f^e solves f g' = e f' g with g_0 = 1.  In egf form, with f_0 = 1,
+        g_{m+1} = sum_{i=1..m+1} (C(m,i-1) e f_i - C(m,i) f_i) g_{m+1-i}:
+        no log, exp or division, so integer (polynomial) input stays integer.
+        The products e f_i are formed once; each step is then two
+        multiply-accumulates per nonzero f_i.
+        """
+        f = self._egf
+        if f[0] != 1:
             raise ValueError("symbolic power requires constant term 1")
-        shifted = _from_egf([0, *self._egf[1:]])
-        return shifted.log1p().scale(exponent).exp()
+        e = _as_ring(exponent)
+        poly = _has_poly(f, (e,))
+        support = [i for i in range(1, len(f)) if f[i] != 0]
+        ef = [e * c for c in f]
+        g: list[Coeff] = [1]
+        for m in range(self.order):
+            acc: dict = {}
+            for i in support:
+                if i > m + 1:
+                    break
+                _fma(acc, comb(m, i - 1), ef[i], g[m + 1 - i])
+                if i <= m:
+                    _fma(acc, -comb(m, i), f[i], g[m + 1 - i])
+            g.append(_finish(acc, poly))
+        return _from_egf(g)
 
 
 def _from_egf(egf: Iterable[Coeff]) -> TruncatedSeries:

@@ -136,6 +136,23 @@ def test_gf_order_24_matches_golden_digest(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == GF_ORDER_24_SHA256[name]
 
 
+# Golden sha256 of `lahbell gf NAME --order N --format json` at the highest
+# order the benchmark deck asks of each symbolic power, past the order-24
+# digests above.
+GF_DECK_TOP_SHA256 = {
+    ("bivariate_bell", 30): "651ddbfce53f79070b33cab9b824b8c1c0fe2fab64e20504a4db123e4b92c0ab",
+    ("bivariate_lah_bell", 32): "2c0eff5e9b7ff669cd624b553445833592104a8a2654606145f9c96a7c430a5a",
+    ("laguerre_weighted", 40): "612096c95063906de5ddb51ae21d6f5c2e63a96cf75ee1e23dc45b76ce1c4eb6",
+}
+
+
+@pytest.mark.parametrize("name, order", sorted(GF_DECK_TOP_SHA256))
+def test_gf_deck_top_orders_match_golden_digest(capsys, name, order):
+    code, out, err = run(capsys, ["gf", name, "--order", str(order), "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GF_DECK_TOP_SHA256[name, order]
+
+
 @pytest.mark.parametrize("name", GF_NAMES)
 def test_gf_order_0_is_the_constant_term(capsys, name):
     code, out, err = run(capsys, ["gf", name, "--order", "0"])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from lahbell.exact import (
     INDETERMINATES,
     MultiPoly,
+    _finish,
+    _fma,
     falling_factorial,
     generalized_falling,
     rising_factorial,
@@ -66,6 +68,30 @@ def test_additive_and_multiplicative_identities(p):
     assert p + MultiPoly.zero() == p
     assert p * MultiPoly.const(1) == p
     assert p - p == MultiPoly.zero()
+
+
+def follows_the_scalar_rule(p):
+    return all(type(c) is int or c.denominator != 1 for _, c in p.terms())
+
+
+@given(polys, polys, rationals)
+def test_ring_results_store_integral_fractions_as_ints(a, b, c):
+    for result in (a + b, a - b, a * b, a * c, c * a, a + c, c - a, a.derivative("x"),
+                   a.substitute({"y": b})):
+        assert follows_the_scalar_rule(result)
+
+
+@given(st.one_of(rationals, polys), st.one_of(rationals, polys), rationals, polys)
+def test_fma_accumulates_in_place(a, b, c, start):
+    out = {}
+    _fma(out, 1, start, 1)
+    _fma(out, c, a, b)
+    total = _finish(out)
+    assert total == start + c * a * b and follows_the_scalar_rule(total)
+    scalars = {}
+    _fma(scalars, c, Fraction(2), Fraction(1, 2))
+    value = _finish(scalars, poly=False)
+    assert value == c and (type(value) is int or value.denominator != 1)
 
 
 def test_partial_evaluation():

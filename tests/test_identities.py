@@ -100,6 +100,20 @@ def test_thm12_builds_each_bivariate_family_once_per_n(monkeypatch):
     )
 
 
+def test_laguerre_conv_builds_each_family_once(monkeypatch):
+    calls = []
+    for name in ("lah_bell_poly", "laguerre_poly"):
+        family = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name, lambda n, family=family, name=name: calls.append((name, n)) or family(n)
+        )
+    (record,) = run_suite(["laguerre-conv"], 12)
+    assert record.passed()
+    assert sorted(calls) == sorted(
+        (name, n) for name in ("lah_bell_poly", "laguerre_poly") for n in range(11)
+    )
+
+
 def test_record_json_shape():
     record = run_suite(["eq3"], 5)[0]
     payload = record.to_json()

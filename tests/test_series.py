@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lahbell.series as series
 from lahbell.exact import MultiPoly, generalized_falling
 from lahbell.families import bell_poly, lah_bell_poly
 from lahbell.series import (
@@ -42,6 +43,15 @@ small_polys = st.dictionaries(
 poly_series = st.lists(small_polys, min_size=9, max_size=9).map(TruncatedSeries)
 rational_inner = st.lists(rationals, min_size=8, max_size=8).map(
     lambda cs: TruncatedSeries([Fraction(0), *cs])
+)
+xy_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.just(0), st.just(0)), rationals, max_size=2
+).map(MultiPoly)
+ring_elements = st.one_of(st.integers(-4, 4), rationals, xy_polys)
+unit_led = st.integers(0, 12).flatmap(
+    lambda order: st.lists(ring_elements, min_size=order, max_size=order).map(
+        lambda cs: TruncatedSeries([1, *cs], order=order)
+    )
 )
 
 
@@ -145,6 +155,26 @@ def test_compose_collapses_exponential_through_log():
     assert lhs == geometric_minus_one(n)
 
 
+def exp_log_pow(f, e):
+    """Reference power: f^e = exp(e * log1p(f - 1)), the route pow used to take."""
+    return (f - ser_one(f.order)).log1p().scale(e).exp()
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_led, ring_elements)
+def test_pow_matches_the_exp_log_reference(f, e):
+    assert f.pow(e) == exp_log_pow(f, e)
+
+
+def test_pow_rejects_what_it_rejected():
+    with pytest.raises(ValueError):
+        (ser_one(4) + ser_one(4)).pow(X)
+    with pytest.raises(TypeError):
+        (ser_one(4) + identity_t(4)).pow(0.5)
+    with pytest.raises(TypeError):
+        ser_one(0).pow(0.5)
+
+
 def test_pow_geometric():
     one_minus_t = ser_one(6) - identity_t(6)
     assert one_minus_t.pow(-1).coefficients() == (1,) * 7
@@ -188,6 +218,19 @@ def test_scalar_coefficients_follow_the_multipoly_rule():
     s = TruncatedSeries([Fraction(4, 2), Fraction(3, 1), Fraction(1, 2), Fraction(1, 5)])
     assert [type(s.egf_coefficient(n)) for n in range(4)] == [int, int, int, Fraction]
     assert s.scale(Fraction(5, 1)).coefficients() == (10, 15, Fraction(5, 2), 1)
+    # Ring results follow the rule too, not only input.
+    def egf_types(s):
+        return [type(s.egf_coefficient(n)) for n in range(s.order + 1)]
+
+    fifths = TruncatedSeries([Fraction(1, 5)] * 4)
+    assert egf_types(fifths.scale(Fraction(5, 1))) == [int] * 4
+    assert fifths.scale(Fraction(5, 1)).egf_coefficient(3) == 6
+    assert egf_types(fifths + fifths + fifths + fifths + fifths) == [int] * 4
+    assert egf_types(fifths - fifths.scale(-4)) == [int] * 4
+    doubled = (X * Fraction(1, 2)) * 2
+    assert [type(c) for _, c in doubled.terms()] == [int] and doubled == X
+    # so base^k / k! has the triangle's ints as egf coefficients.
+    assert egf_types((exp_t_minus_one(6) ** 2).scale(Fraction(1, 2))) == [int] * 7
     for bad in (0.5, "1", None):
         with pytest.raises(TypeError):
             TruncatedSeries([1, bad])
@@ -219,6 +262,31 @@ def test_degenerate_catalog_makes_no_horner_products(monkeypatch):
     calls = count_products(monkeypatch, lambda: gf_catalog("degenerate_bell", 24))
     gf_catalog.cache_clear()
     assert calls <= 2 * 25**2
+
+
+def test_bivariate_catalog_is_one_miller_power(monkeypatch):
+    # exp(x * log1p(f - 1)) ran two O(order^2) recurrences over growing
+    # polynomials; the Miller recurrence makes at most two kernel calls per
+    # nonzero f_i per order, and a linear number of ring operations.
+    def refused(self):
+        raise AssertionError("the symbolic power must not go through exp or log1p")
+
+    kernel_calls = 0
+    kernel = series._fma
+
+    def counted(*args):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(TruncatedSeries, "exp", refused)
+    monkeypatch.setattr(TruncatedSeries, "log1p", refused)
+    monkeypatch.setattr(series, "_fma", counted)
+    gf_catalog.cache_clear()
+    products = count_products(monkeypatch, lambda: gf_catalog("bivariate_lah_bell", 24))
+    gf_catalog.cache_clear()
+    assert kernel_calls <= 25**2
+    assert products <= 2 * 25
 
 
 def test_degenerate_exponential_is_a_running_product(monkeypatch):
