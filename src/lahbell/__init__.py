@@ -61,6 +61,7 @@ from .triangles import (
     TRIANGLE_KINDS,
     Triangle,
     bell_number,
+    iter_rows,
     lah,
     lah_bell_number,
     lah_via_stirling,
@@ -83,6 +84,7 @@ __all__ = [
     # triangles and sequences
     "Triangle",
     "TRIANGLE_KINDS",
+    "iter_rows",
     "lah",
     "stirling1_signed",
     "stirling2",

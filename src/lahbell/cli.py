@@ -5,8 +5,9 @@ text (default), json, and csv (triangles and sequences only).  The default
 format can also be set through the LAHBELL_FORMAT environment variable.
 
 Exit codes: 0 on success, 1 when `verify` finds a failing identity (or a
-certified evaluation cannot reach the requested precision), 2 on usage
-errors.  Nothing is written to stderr on success.
+certified evaluation cannot reach the requested precision, or the reader of
+stdout closed it early), 2 on usage errors.  Nothing is written to stderr
+on success.
 
 JSON payloads are canonical: keys sorted, no whitespace, exact values
 rendered as integers or "p/q" strings, never floats.  The same input always
@@ -21,6 +22,19 @@ import io
 import json
 import os
 import sys
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
 
 from .dobinski import (
@@ -32,19 +46,23 @@ from .dobinski import (
 from .families import FAMILIES, poly_family
 from .identities import oracle_records, run_suite
 from .series import GF_NAMES, gf_catalog
-from .triangles import (
-    bell_number,
-    lah,
-    lah_bell_number,
-    stirling1_signed,
-    stirling2,
-)
+from .triangles import bell_number, iter_rows, lah_bell_number
 
 __all__ = ["main"]
 
 _FORMATS = ("text", "json", "csv")
-_TABLE_KINDS = {"lah": lah, "s1": stirling1_signed, "s2": stirling2}
+_TABLE_KINDS = {"lah": "lah", "s1": "stirling1_signed", "s2": "stirling2"}
 _SEQ_KINDS = {"bell": bell_number, "lah_bell": lah_bell_number}
+
+# Tables are made in base 10, whose str() is linear where str(int) is
+# quadratic.  Nothing may round: the entries are exact integers, and any
+# rounding would raise here instead of printing a wrong digit.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
 
 
 def _canonical_json(payload: object) -> str:
@@ -151,11 +169,20 @@ def _emit(fmt: str, text: str, payload: object, csv_rows: list[list[object]] | N
 
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
     nmax = _nonneg(parser, args.nmax, "nmax")
-    value = _TABLE_KINDS[args.kind]
-    rows = [[value(n, k) for k in range(n + 1)] for n in range(nmax + 1)]
-    text = "\n".join(" ".join(str(v) for v in row) for row in rows)
-    payload = {"command": "table", "kind": args.kind, "nmax": nmax, "rows": rows}
-    _emit(fmt, text, payload, csv_rows=rows)
+    # Each row is written as soon as it is made; entries are digits and "-"
+    # only, so no CSV field needs quoting.
+    out = sys.stdout
+    separator = " " if fmt == "text" else ","
+    if fmt == "json":
+        scalars = _canonical_json({"command": "table", "kind": args.kind, "nmax": nmax})
+        out.write(scalars[:-1] + ',"rows":[')  # "rows" sorts last: still canonical
+    with localcontext(_EXACT):
+        for n, row in enumerate(iter_rows(_TABLE_KINDS[args.kind], nmax, Decimal(1))):
+            entries = separator.join(map(str, row))
+            if fmt == "json":
+                out.write(f"[{entries}]" + ("," if n < nmax else "]}\n"))
+            else:
+                out.write(entries + "\n")
     return 0
 
 
@@ -269,6 +296,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     fmt = _resolve_format(parser, args)
+    try:
+        code = _run(parser, args, fmt)
+        sys.stdout.flush()  # a closed pipe must raise here, not at exit
+    except BrokenPipeError:
+        # The reader left early (`lahbell table lah 600 | head`).  Point
+        # stdout at /dev/null so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
     if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
         return _HANDLERS[args.command](parser, args, fmt)
     # Exact answers may run past the int/str digit limit; lift it for this

@@ -20,6 +20,7 @@ returns a sub-interval of the wider answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import floor, log10, prod
@@ -93,7 +94,9 @@ class CertifiedDecimal:
         digits = self.guaranteed_digits()
         scaled = round(self.value * 10**digits)
         sign = "-" if scaled < 0 else ""
-        body = str(abs(scaled)).rjust(digits + 1, "0")
+        # Through Decimal: str(int) refuses past the interpreter's digit
+        # limit (4300 by default), and lifting it would change a global.
+        body = str(Decimal(abs(scaled))).rjust(digits + 1, "0")
         if digits == 0:
             return sign + body
         return f"{sign}{body[:-digits]}.{body[-digits:]}"

@@ -1,20 +1,24 @@
 """Number triangles (Lah, Stirling first/second kind) and their row-sum sequences.
 
-Triangles are built one row at a time from the previous row's recurrence and
-memoized for the life of the process; entries are plain Python integers.
+Triangles are built one row at a time from the previous row's recurrence.
+One row step serves two consumers: the memoized tables, whose entries are
+plain Python integers kept for the life of the process, and `iter_rows`,
+which streams rows in any number type and keeps only the last one.
 The closed-form evaluators are kept alongside as independent cross-check
 routes and are never used to fill the tables.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial
+from typing import Iterator
 
 __all__ = [
     "Triangle",
     "TRIANGLE_KINDS",
+    "iter_rows",
     "lah",
     "stirling1_signed",
     "stirling2",
@@ -30,39 +34,62 @@ __all__ = [
 TRIANGLE_KINDS = ("lah", "stirling1_signed", "stirling2")
 
 
+def _checked_kind(kind: str) -> str:
+    if kind not in TRIANGLE_KINDS:
+        raise ValueError(f"unknown triangle kind {kind!r}, expected one of {TRIANGLE_KINDS}")
+    return kind
+
+
+def _next_row(kind: str, prev: tuple) -> tuple:
+    """Row m = len(prev) of a triangle from row m - 1, in the number type of prev.
+
+    Every kind follows T(m, k) = T(m-1, k-1) + c * T(m-1, k) for k = 1..m,
+    with c = m - 1 + k (Lah), k (Stirling 2) or 1 - m (signed Stirling 1).
+    """
+    m = len(prev)
+    zero = prev[0] * 0
+    if kind == "lah":
+        factors = range(m, 2 * m)
+    elif kind == "stirling2":
+        factors = range(1, m + 1)
+    else:  # stirling1_signed
+        factors = repeat(1 - m)
+    return (zero, *[left + c * mid for left, mid, c in zip(prev, (*prev[1:], zero), factors)])
+
+
+def iter_rows(kind: str, nmax: int, one=1) -> Iterator[tuple]:
+    """Rows 0..nmax of a triangle, each made from the one before and not kept.
+
+    Every entry is a sum of integer multiples of ``one``, so ``Decimal(1)``
+    under a context that cannot round gives the exact rows in base 10.
+    """
+    _checked_kind(kind)
+    if nmax < 0:
+        raise ValueError("row index must be nonnegative")
+    row = (one,)
+    yield row
+    for _ in range(nmax):
+        row = _next_row(kind, row)
+        yield row
+
+
 class Triangle:
     """Memoized lower-triangular table of integers, grown row by row.
 
-    Row 0 is (1,).  Reads of already-built rows are lock-free; row extension
-    is serialized by an internal lock, so instances are safe to share across
-    threads.
+    Row 0 is (1,).  Reads and extension take no lock: each new row is stored
+    by one slice assignment at its own index, so two threads that build the
+    same row store equal rows and never a duplicate.
     """
 
     def __init__(self, kind: str):
-        if kind not in TRIANGLE_KINDS:
-            raise ValueError(f"unknown triangle kind {kind!r}, expected one of {TRIANGLE_KINDS}")
-        self.kind = kind
+        self.kind = _checked_kind(kind)
         self._rows: list[tuple[int, ...]] = [(1,)]
-        self._lock = threading.Lock()
 
     def _extend_to(self, n: int) -> None:
-        if len(self._rows) > n:
-            return
-        with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows)
-                prev = self._rows[m - 1]
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    left = prev[k - 1]
-                    mid = prev[k] if k < m else 0
-                    if self.kind == "lah":
-                        row[k] = left + (m - 1 + k) * mid
-                    elif self.kind == "stirling2":
-                        row[k] = left + k * mid
-                    else:  # stirling1_signed
-                        row[k] = left - (m - 1) * mid
-                self._rows.append(tuple(row))
+        rows = self._rows
+        while len(rows) <= n:
+            m = len(rows)
+            rows[m:m + 1] = [_next_row(self.kind, rows[m - 1])]
 
     def value(self, n: int, k: int) -> int:
         if n < 0 or k < 0:

@@ -1,11 +1,14 @@
 """Command-line front end: formats, exit codes, canonical JSON, env override."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ import lahbell.cli as cli
 from lahbell.dobinski import CertifiedDecimal, PrecisionNotReached
 from lahbell.identities import IdentityRecord
 from lahbell.series import GF_NAMES
+from lahbell.triangles import Triangle
 
 
 def run(capsys, argv):
@@ -51,6 +55,122 @@ def test_table_json_is_canonical(capsys):
     }
     assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     assert err == ""
+
+
+def old_table_output(kind, nmax, fmt):
+    """`table` output as it was rendered from a list of int rows."""
+    rows = [list(Triangle(cli._TABLE_KINDS[kind]).row(n)) for n in range(nmax + 1)]
+    if fmt == "json":
+        return cli._canonical_json({"command": "table", "kind": kind, "nmax": nmax, "rows": rows}) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        return buffer.getvalue()
+    return "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("kind", ["lah", "s1", "s2"])
+def test_streamed_table_matches_the_list_rendering(capsys, kind, fmt):
+    for nmax in range(6):
+        code, out, err = run(capsys, ["table", kind, str(nmax), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == old_table_output(kind, nmax, fmt)
+
+
+def test_table_context_raises_instead_of_rounding():
+    with localcontext(cli._EXACT):
+        with pytest.raises(Inexact):
+            Decimal("2.5").to_integral_exact()
+        with pytest.raises(Inexact):
+            Decimal("1.25").quantize(Decimal("0.1"))
+
+
+class Sha256Stdout(io.TextIOBase):
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+        return len(text)
+
+
+# Golden sha256 of `lahbell table KIND NMAX --format FMT`, recorded from the
+# list-of-int-rows rendering before tables were streamed.  The benchmark's
+# expected output covers text only.
+TABLE_SHA256 = {
+    ("lah", 600, "text"): "0de2cde2e7320058526b1e28898d79a71066e49a6218c742ce9c178827cb0195",
+    ("lah", 600, "csv"): "002b2c4b51aacd0ab053ce9f6a3a4edd9667fd75dc665b4a5b9d0442e5e63751",
+    ("lah", 600, "json"): "da3dbe48d20edf027a404f68d19c0b3feef561e292e661fce3fd32b24ecf4e7b",
+    ("s1", 450, "text"): "b8396fc97ae33e7cfb7e3b27a9024c4aa1f33b2171cc7da1476a3d4b7b9334ff",
+    ("s1", 450, "csv"): "ff9b7b36412e9b59d2850e9ec3ff7311078a048fe0569c2e4d521812dd0b20b8",
+    ("s1", 450, "json"): "9442f8c88c6494e21eb0a1d35156e3ad05e758a5795aedf4e6b6abe3b290d37d",
+    ("s2", 450, "text"): "bc012fbbc142e7e816debb6c1eb90494794b5f5d5ec1b88d353b562c61d9d33a",
+    ("s2", 450, "csv"): "eec3ff99ad70b6510a94d245643d8f1b5605d8ac6540c1a4192fa6456392f43c",
+    ("s2", 450, "json"): "768e2b89ac9b2070910e9f8e8d2b81357fc12ebf5c2ef70287174c9d05dbd0cf",
+}
+
+
+@pytest.mark.parametrize("kind, nmax, fmt", sorted(TABLE_SHA256))
+def test_table_matches_golden_digest(monkeypatch, kind, nmax, fmt):
+    stdout = Sha256Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["table", kind, str(nmax), "--format", fmt]) == 0
+    assert stdout.sha256.hexdigest() == TABLE_SHA256[kind, nmax, fmt]
+
+
+def lahbell_command(*argv):
+    return [sys.executable, "-m", "lahbell.cli", *argv]
+
+
+LAHBELL_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # `lahbell table lah 300 | head -c 10`: the output is far larger than a
+    # pipe buffer, so the reader leaves while rows are still being written.
+    with subprocess.Popen(
+        lahbell_command("table", "lah", "300"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=LAHBELL_ENV,
+    ) as proc:
+        assert proc.stdout.read(10) == b"1\n0 1\n0 2 "
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
+# Spawns argv[1:] with stdout on /dev/null and prints its exit code and peak
+# RSS in KiB.  A child's peak RSS counts the pages of the process that
+# spawned it, so it is spawned from this bare interpreter, not from pytest.
+SPAWN_AND_REAP = """
+import os, sys
+actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=actions)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_spawn") or not hasattr(os, "wait4"), reason="needs posix_spawn and wait4")
+def test_table_streams_in_bounded_memory():
+    # Built as a list of rows and one joined text, `table lah 1000` peaked at
+    # about 1.25 GB; streamed, only the newest row and its text are alive.
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", SPAWN_AND_REAP, *lahbell_command("table", "lah", "1000")],
+        capture_output=True,
+        text=True,
+        env=LAHBELL_ENV,
+        timeout=120,
+    )
+    assert done.stderr == ""
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert peak_kib < 100 * 1024
 
 
 def test_seq_text(capsys):
@@ -324,10 +444,10 @@ def test_dobinski_fails_fast_when_no_cutoff_fits_under_the_cap():
     # of 1/2 within 100000 terms; the walk is not started.
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "lahbell.cli", "dobinski", "--n", "3", "--x", "1000000"],
+        lahbell_command("dobinski", "--n", "3", "--x", "1000000"),
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env=LAHBELL_ENV,
         timeout=60,
     )
     assert time.perf_counter() - start < 5

@@ -1,5 +1,6 @@
 """Certified series evaluation: enclosures, refinement, rendering, validation."""
 
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -205,3 +206,19 @@ def test_rounded_rendering_stays_within_digit_promise():
 
 def test_precision_not_reached_is_an_exception():
     assert issubclass(PrecisionNotReached, Exception)
+
+
+def test_decimal_renders_past_the_int_str_digit_limit():
+    # The library renders through Decimal, so 4401 places print at the
+    # interpreter's default limit of 4300 digits and leave it unchanged.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        result = lah_bell_dobinski(1, Fraction(1), Fraction(1, 10**4400))
+        text, bound = result.decimal(), result.error_bound_decimal()
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # BL_1(1) = 1, and the bound is far below half a unit in the last place.
+    assert text == "1." + "0" * 4401
+    assert bound.endswith("e-4402")

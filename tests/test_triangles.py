@@ -1,13 +1,17 @@
 """Number triangles: recurrences vs closed forms, inversions, derived sequences."""
 
 import concurrent.futures
+import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
 
 from lahbell.triangles import (
+    TRIANGLE_KINDS,
     Triangle,
     bell_number,
+    iter_rows,
     lah,
     lah_bell_number,
     lah_binomial_form,
@@ -128,3 +132,40 @@ def test_concurrent_reads_are_consistent():
         rows = list(pool.map(tri.row, [60] * 16))
     assert all(r == rows[0] for r in rows)
     assert rows[0][1] == lah(60, 1)
+
+
+def test_concurrent_extension_stores_each_row_once():
+    # Switch threads as often as the interpreter allows, so that several
+    # threads build the same rows of a fresh triangle at once.
+    expected = list(iter_rows("lah", 40))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            tri = Triangle("lah")
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(tri.row, [40] * 8, timeout=60))
+            assert [tri.row(n) for n in range(41)] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+def test_streamed_rows_equal_the_memo(kind):
+    tri = Triangle(kind)
+    memo = [tri.row(n) for n in range(301)]
+    assert list(iter_rows(kind, 300)) == memo
+    # Integer multiples of Decimal(1) stay exact when nothing may round.
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+    with localcontext(exact):
+        rows = list(iter_rows(kind, 300, Decimal(1)))
+    assert [[str(v) for v in row] for row in rows] == [[str(v) for v in row] for row in memo]
+    assert all(isinstance(v, Decimal) for row in rows for v in row)
+
+
+def test_iter_rows_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        list(iter_rows("eulerian", 3))
+    with pytest.raises(ValueError):
+        list(iter_rows("lah", -1))
+    assert list(iter_rows("stirling2", 0)) == [(1,)]
