@@ -1,20 +1,32 @@
 """Brute-force enumeration of the counted structures, independent of all formulas.
 
-These generators build every structure explicitly, one at a time, so the
-counts they produce depend on nothing but the combinatorial definitions.
-They are the ground truth the triangle recurrences are checked against.
+Every structure is built explicitly, one at a time, so the counts read off
+them depend on nothing but the combinatorial definitions.  They are the
+ground truth the triangle recurrences are checked against.
 
-Canonical form: a partition is a tuple of blocks listed in increasing order
-of least element, so each structure is generated exactly once.  Blocks of a
-set partition are sorted ascending; blocks of an ordered partition are
-sequences whose internal order matters.
+One walk, :func:`_walk`, builds all three kinds on {1..n} by insertion:
+element m joins an existing block at any position ``>= first``, or opens a
+new block after all blocks holding smaller elements.  Three rules cover the
+three kinds:
+
+- a set block takes m only at its end, so it stays ascending;
+- an ordered list takes m at any position (``first = 0``);
+- a cycle written from its least element takes m anywhere after that
+  leader (``first = 1``), so the block (a, b, ..., z) is the cycle
+  a -> b -> ... -> z -> a.
+
+Blocks stay listed in increasing order of least element, and removing the
+largest element inverts the construction uniquely, so each structure is
+generated exactly once.  The walk mutates one list of blocks in place and
+yields that live list for every structure; a caller copies what it keeps.
+:func:`iter_set_partitions` and :func:`iter_ordered_partitions` yield
+copies as tuples of tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "ENUMERATION_BOUNDS",
@@ -35,6 +47,7 @@ ENUMERATION_BOUNDS = {
 }
 
 Partition = tuple[tuple[int, ...], ...]
+Blocks = list[list[int]]
 
 
 def _check_bound(n: int, which: str) -> None:
@@ -45,41 +58,75 @@ def _check_bound(n: int, which: str) -> None:
         raise ValueError(f"{which} enumeration is capped at n = {bound}, got {n}")
 
 
-def _partitions(n: int, which: str, ordered: bool) -> Iterator[Partition]:
-    """All partitions of {1..n} into nonempty blocks, set or internally ordered.
+def _places(blocks: Blocks, m: int, first: Optional[int]) -> Iterator[tuple[list, int, object]]:
+    """Every (target, position, item) that places m: in a block, then as a new block.
 
-    Element m joins an existing block or opens a new one after all blocks
-    holding smaller elements, so blocks stay sorted by least element.  A set
-    block only appends m, so it stays ascending; an ordered block takes m at
-    any of its len(block)+1 positions.  Removing the largest element inverts
-    the construction uniquely, so no structure repeats.
+    Blocks are read when the iterator reaches them, so the walk must have
+    undone every later placement before it asks for the next place.
+    """
+    for block in blocks:
+        for pos in range(len(block) if first is None else first, len(block) + 1):
+            yield block, pos, m
+    yield blocks, len(blocks), [m]
+
+
+def _walk(n: int, which: str, first: Optional[int]) -> Iterator[Blocks]:
+    """Every structure on {1..n} under one insertion rule, as one live list of blocks.
+
+    first is None for set blocks (m only at the end), else the least position
+    m may take in a block.  Elements 1..n-1 are placed from an explicit stack
+    of place iterators, with an undo stack of their placements; the inner
+    loop places n, so each structure costs one insert, one yield and one
+    delete.
     """
     _check_bound(n, which)
-
-    def extend(blocks: list[list[int]], label: int) -> Iterator[Partition]:
-        if label > n:
-            yield tuple(map(tuple, blocks))
+    blocks: Blocks = []
+    if n == 0:
+        yield blocks
+        return
+    choices: list[Iterator[tuple[list, int, object]]] = []
+    placed: list[tuple[list, int]] = []
+    while True:
+        if len(choices) == n - 1:
+            # The places of n, as _places gives them, inlined: each is one structure.
+            for block in blocks:
+                if first is None:
+                    block.append(n)
+                    yield blocks
+                    block.pop()
+                    continue
+                for pos in range(first, len(block) + 1):
+                    block.insert(pos, n)
+                    yield blocks
+                    del block[pos]
+            blocks.append([n])
+            yield blocks
+            blocks.pop()
+        else:
+            choices.append(_places(blocks, len(choices) + 1, first))
+        while choices:
+            if len(placed) == len(choices):
+                target, pos = placed.pop()
+                del target[pos]
+            place = next(choices[-1], None)
+            if place is not None:
+                break
+            choices.pop()
+        else:
             return
-        for b in blocks:
-            for pos in range(0 if ordered else len(b), len(b) + 1):
-                b.insert(pos, label)
-                yield from extend(blocks, label + 1)
-                b.pop(pos)
-        blocks.append([label])
-        yield from extend(blocks, label + 1)
-        blocks.pop()
-
-    yield from extend([], 1)
+        target, pos, item = place
+        target.insert(pos, item)
+        placed.append((target, pos))
 
 
 def iter_set_partitions(n: int) -> Iterator[Partition]:
     """All partitions of {1..n} into nonempty unordered blocks, ascending inside."""
-    return _partitions(n, "set_partitions", ordered=False)
+    return (tuple(map(tuple, blocks)) for blocks in _walk(n, "set_partitions", None))
 
 
 def iter_ordered_partitions(n: int) -> Iterator[Partition]:
     """All partitions of {1..n} into nonempty internally ordered blocks."""
-    return _partitions(n, "ordered_partitions", ordered=True)
+    return (tuple(map(tuple, blocks)) for blocks in _walk(n, "ordered_partitions", 0))
 
 
 def _tally(ks: Iterable[int]) -> dict[int, int]:
@@ -89,12 +136,12 @@ def _tally(ks: Iterable[int]) -> dict[int, int]:
 
 def count_set_partitions(n: int) -> dict[int, int]:
     """Counts by block count; entry k is the number of k-block partitions."""
-    return _tally(map(len, iter_set_partitions(n)))
+    return _tally(map(len, _walk(n, "set_partitions", None)))
 
 
 def count_ordered_partitions(n: int) -> dict[int, int]:
     """Counts by block count over ordered-block partitions."""
-    return _tally(map(len, iter_ordered_partitions(n)))
+    return _tally(map(len, _walk(n, "ordered_partitions", 0)))
 
 
 def cycle_count(perm: tuple[int, ...]) -> int:
@@ -113,6 +160,5 @@ def cycle_count(perm: tuple[int, ...]) -> int:
 
 
 def count_permutations_by_cycles(n: int) -> dict[int, int]:
-    """Counts of permutations of n elements by number of cycles."""
-    _check_bound(n, "permutation_cycles")
-    return _tally(map(cycle_count, permutations(range(n))))
+    """Counts of permutations of n elements by number of cycles, each built in cycle notation."""
+    return _tally(map(len, _walk(n, "permutation_cycles", 1)))

@@ -197,14 +197,21 @@ def _entrywise(left: Callable[[int, int], int], right: Callable[[int, int], int]
     )
 
 
-def _enclosure(exact: Callable[[int, Fraction], Fraction], xs: tuple[Fraction, ...] = ()) -> Check:
-    """lah_bell_dobinski(n, x) encloses exact(n, x), at each x in xs (labelled) or at x = 1."""
+def _enclosure(family: Callable[[int], PolyLike], xs: tuple[Fraction, ...] = ()) -> Check:
+    """lah_bell_dobinski(n, x) encloses family(n) at x, for each x in xs (labelled) or at x = 1.
+
+    family(n) is built once per n.  With xs it is a polynomial in x, evaluated
+    at each x; without, it is the number itself.
+    """
 
     def cases(cap: int) -> Cases:
         for n in range(cap + 1):
-            for x in xs or (1,):
-                labels = {"n": n, "x": x} if xs else {"n": n}
-                yield labels, lah_bell_dobinski(n, x, _NUMERIC_EPS), exact(n, x)
+            value = family(n)
+            if not xs:
+                yield {"n": n}, lah_bell_dobinski(n, 1, _NUMERIC_EPS), value
+            for x in xs:
+                exact = value.evaluate({"x": x}).as_rational()
+                yield {"n": n, "x": x}, lah_bell_dobinski(n, x, _NUMERIC_EPS), exact
 
     return lambda cap: _first_mismatch(
         cases(cap), lambda enclosure, value: not enclosure.contains(value), ("enclosure", "exact")
@@ -360,7 +367,7 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "thm3", "BL_n = e^(-1) sum_{k>=0} <k>_n / k!  (certified enclosure)", 12,
-        _enclosure(lambda n, x: lah_bell_number(n)),
+        _enclosure(lambda n: lah_bell_number(n)),
     ),
     _Entry(
         "lemma4", "exp(x (1/(1-t) - 1)) = sum_n BL_n(x) t^n/n!", 15,
@@ -372,7 +379,7 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "thm6", "BL_n(x) = e^(-x) sum_{k>=0} <k>_n x^k / k!  (certified enclosure)", 12,
-        _enclosure(lambda n, x: lah_bell_poly(n).evaluate({"x": x}).as_rational(), _DOBINSKI_ARGS),
+        _enclosure(lambda n: lah_bell_poly(n), _DOBINSKI_ARGS),
         "n <= {cap}, x in {{1/2, 1, 3}}",
     ),
     _Entry(

@@ -316,6 +316,21 @@ def test_verify_oracle_appends_records(capsys):
     ]
 
 
+# Golden sha256 of `lahbell verify --oracle --max-n 30 --format FMT`, recorded
+# from the recursive generator walk before the in-place enumeration walk.
+VERIFY_ORACLE_SHA256 = {
+    "text": "28cee8ed4e1aa78ac8987b39f42eb36b67323693cf75af0c1a48b1c8ac831268",
+    "json": "5a6f28c15d214140c5f13254a3a4e27fca2288c39bed30614221c28eeee38b4b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ORACLE_SHA256))
+def test_verify_oracle_matches_golden_digest(capsys, fmt):
+    code, out, err = run(capsys, ["verify", "--oracle", "--max-n", "30", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ORACLE_SHA256[fmt]
+
+
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     broken = IdentityRecord(
         id="eq3",

@@ -1,9 +1,14 @@
 """Brute-force enumeration oracles: counts, canonical order, duplicate freedom."""
 
+import hashlib
+from itertools import permutations
+from math import factorial
+
 import pytest
 
 from lahbell.enumeration import (
     ENUMERATION_BOUNDS,
+    _walk,
     count_ordered_partitions,
     count_permutations_by_cycles,
     count_set_partitions,
@@ -40,14 +45,16 @@ def test_three_element_set_partition_count():
 
 
 def test_counts_match_triangles():
-    for n in range(8):
+    # Up to the `verify --oracle` default ranges.
+    for n in range(11):
         assert count_set_partitions(n) == {
             k: stirling2(n, k) for k in range(n + 1) if stirling2(n, k)
         }
+    for n in range(9):
         assert count_ordered_partitions(n) == {
             k: lah(n, k) for k in range(n + 1) if lah(n, k)
         }
-    for n in range(7):
+    for n in range(10):
         assert count_permutations_by_cycles(n) == {
             k: abs(stirling1_signed(n, k))
             for k in range(n + 1)
@@ -99,17 +106,79 @@ def test_cycle_count():
     assert cycle_count(()) == 0
 
 
+# sha256 of the repr of each value, recorded from the recursive generator walk
+# before the in-place walk replaced it.  The partition lists pin content and
+# order; the counts run to the `verify --oracle` default ranges.
+GOLDEN_SHA256 = [
+    (lambda: list(iter_ordered_partitions(8)),
+     "cdfc3ff84cc68a6cd0d32d70c3740a0f1dafead28dcf5f1bdb5e0e98b959cd3c"),
+    (lambda: list(iter_set_partitions(10)),
+     "cb271f622a5aa333fe43d2e60067e2575a7b8db2c1a6da3371f09fde0cbf4698"),
+    (lambda: [count_ordered_partitions(n) for n in range(9)],
+     "e78b62d8f670b08ea8d829b71c15022e26865c64dae7b16470c23f052fe6b8de"),
+    (lambda: [count_set_partitions(n) for n in range(11)],
+     "176ca68dcf1be05dab36ddea745834fbe3a24a2ab837cafd5020181d13b81a03"),
+    (lambda: [count_permutations_by_cycles(n) for n in range(10)],
+     "64c17e8f538490ea526099dc0c9a1b42a13c9a172c83932587f949e7b0f92c85"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    GOLDEN_SHA256,
+    ids=["ordered-8", "set-10", "count-ordered", "count-set", "count-cycles"],
+)
+def test_enumeration_matches_golden_digest(build, digest):
+    assert hashlib.sha256(repr(build()).encode()).hexdigest() == digest
+
+
+def _one_line(cycles):
+    """The permutation of 0..n-1 whose cycles, on 1..n, are the blocks."""
+    perm = [None] * sum(map(len, cycles))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a - 1] = b - 1
+    return tuple(perm)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_cycle_rule_builds_every_permutation_once(n):
+    # Each structure of the cycle rule, read as a product of cycles, is a
+    # distinct permutation, so together they are all n! of them; its block
+    # count is its cycle count by the definition.
+    seen = []
+    for blocks in _walk(n, "permutation_cycles", 1):
+        perm = _one_line(blocks)
+        assert cycle_count(perm) == len(blocks)
+        seen.append(perm)
+    assert len(seen) == factorial(n)
+    assert sorted(seen) == list(permutations(range(n)))
+
+
 def test_bounds_are_enforced():
     assert ENUMERATION_BOUNDS == {
         "ordered_partitions": 10,
         "set_partitions": 12,
         "permutation_cycles": 9,
     }
-    with pytest.raises(ValueError):
-        next(iter_ordered_partitions(11))
-    with pytest.raises(ValueError):
-        next(iter_set_partitions(13))
-    with pytest.raises(ValueError):
-        count_permutations_by_cycles(10)
-    with pytest.raises(ValueError):
-        next(iter_set_partitions(-1))
+    cases = [
+        (lambda: next(iter_ordered_partitions(11)),
+         "ordered_partitions enumeration is capped at n = 10, got 11"),
+        (lambda: next(iter_set_partitions(13)),
+         "set_partitions enumeration is capped at n = 12, got 13"),
+        (lambda: count_ordered_partitions(11),
+         "ordered_partitions enumeration is capped at n = 10, got 11"),
+        (lambda: count_set_partitions(13), "set_partitions enumeration is capped at n = 12, got 13"),
+        (lambda: count_permutations_by_cycles(10),
+         "permutation_cycles enumeration is capped at n = 9, got 10"),
+        (lambda: next(iter_ordered_partitions(-1)),
+         "element count must be a nonnegative integer, got -1"),
+        (lambda: next(iter_set_partitions(-1)), "element count must be a nonnegative integer, got -1"),
+        (lambda: count_permutations_by_cycles(-2),
+         "element count must be a nonnegative integer, got -2"),
+        (lambda: count_set_partitions(2.5), "element count must be a nonnegative integer, got 2.5"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message

@@ -114,6 +114,16 @@ def test_laguerre_conv_builds_each_family_once(monkeypatch):
     )
 
 
+def test_thm6_builds_each_lah_bell_poly_once_per_n(monkeypatch):
+    # One BL_n(x) serves the evaluations at every x in {1/2, 1, 3}.
+    calls = []
+    family = identities.lah_bell_poly
+    monkeypatch.setattr(identities, "lah_bell_poly", lambda n: calls.append(n) or family(n))
+    (record,) = run_suite(["thm6"], 12)
+    assert record.passed()
+    assert calls == list(range(13))
+
+
 def test_record_json_shape():
     record = run_suite(["eq3"], 5)[0]
     payload = record.to_json()
