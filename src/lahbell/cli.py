@@ -17,9 +17,7 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from decimal import (
@@ -65,11 +63,17 @@ _EXACT = Context(
 )
 
 
+# json and csv are imported where they are used: no default-format request
+# needs them, and each costs a fresh process milliseconds to load.
 def _canonical_json(payload: object) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _csv_lines(rows: list[list[object]]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)

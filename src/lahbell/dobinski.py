@@ -19,7 +19,6 @@ returns a sub-interval of the wider answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -48,25 +47,38 @@ class PrecisionNotReached(Exception):
     """Raised instead of ever returning a bound looser than requested."""
 
 
-@dataclass(frozen=True)
-class CertifiedDecimal:
-    """Exact rational midpoint with a rigorous absolute error bound.
-
-    The true value is guaranteed to lie in [value - error_bound,
-    value + error_bound], and error_bound <= requested_eps.
-    """
-
+# A NamedTuple class may not define __new__, so the fields live here and the
+# certificate checks in the subclass below.
+class _Certificate(NamedTuple):
     value: Fraction
     error_bound: Fraction
     requested_eps: Fraction
     series_terms: int
     exp_terms: int
 
-    def __post_init__(self) -> None:
-        if self.error_bound < 0:
+
+class CertifiedDecimal(_Certificate):
+    """Exact rational midpoint with a rigorous absolute error bound.
+
+    The true value is guaranteed to lie in [value - error_bound,
+    value + error_bound], and error_bound <= requested_eps.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        value: Fraction,
+        error_bound: Fraction,
+        requested_eps: Fraction,
+        series_terms: int,
+        exp_terms: int,
+    ) -> CertifiedDecimal:
+        if error_bound < 0:
             raise ValueError("error bound must be nonnegative")
-        if self.error_bound > self.requested_eps:
+        if error_bound > requested_eps:
             raise ValueError("error bound exceeds the requested precision")
+        return super().__new__(cls, value, error_bound, requested_eps, series_terms, exp_terms)
 
     @property
     def low(self) -> Fraction:

@@ -20,6 +20,7 @@ There is no floating point anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -234,11 +235,7 @@ class MultiPoly:
             return "0"
         parts: list[str] = []
         for exps, coeff in self.terms():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(INDETERMINATES, exps)
-                if e > 0
-            )
+            mono = _monomial(exps)
             mag = abs(coeff)
             if not mono:
                 body = str(mag)
@@ -254,6 +251,13 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+@lru_cache(maxsize=1 << 13)
+def _monomial(exps: tuple[int, int, int, int]) -> str:
+    # The rendering of one exponent vector ("x^2*lam", "" for the constant),
+    # made once: the coefficients of one series share most of their monomials.
+    return "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(INDETERMINATES, exps) if e > 0)
 
 
 def _term_sort_key(item: tuple[tuple[int, int, int, int], Scalar]):

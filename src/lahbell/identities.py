@@ -16,7 +16,6 @@ Laguerre polynomial of order alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import ne
@@ -76,8 +75,7 @@ Check = Callable[[int], Counterexample]
 Cases = Iterable[tuple[dict, object, object]]
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     id: str
     anchor: str
     range: str
@@ -314,8 +312,7 @@ def _check_laguerre_conv(cap: int) -> Counterexample:
     return _first_mismatch(cases())
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     id: str
     anchor: str
     default_max: int

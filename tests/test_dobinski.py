@@ -149,10 +149,36 @@ def test_input_validation():
 
 
 def test_certificate_invariants_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^error bound must be nonnegative$"):
         CertifiedDecimal(Fraction(1), Fraction(-1), Fraction(1), 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^error bound exceeds the requested precision$"):
         CertifiedDecimal(Fraction(1), Fraction(1), Fraction(1, 2), 1, 1)
+
+
+def test_record_repr_is_stable():
+    # Recorded when the record was a frozen dataclass.
+    got = lah_bell_dobinski(3, Fraction(7, 3), Fraction(1, 10**5))
+    assert repr(got) == (
+        "CertifiedDecimal(value=Fraction(4044570401959579290783084512081380483298335522783, "
+        "68124392307983274382886919526576509984968260482), error_bound=Fraction("
+        "4507754932746075829146973838163678939091, 68124392307983274382886919526576509984968260482), "
+        "requested_eps=Fraction(1, 100000), series_terms=19, exp_terms=18)"
+    )
+
+
+def test_record_construction_equality_and_immutability():
+    fields = (Fraction(1, 2), Fraction(1, 10), Fraction(1, 5), 3, 4)
+    positional = CertifiedDecimal(*fields)
+    keyword = CertifiedDecimal(
+        value=fields[0], error_bound=fields[1], requested_eps=fields[2], series_terms=3, exp_terms=4
+    )
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    assert (positional.value, positional.exp_terms) == (Fraction(1, 2), 4)
+    with pytest.raises(AttributeError):
+        positional.value = Fraction(1)
+    with pytest.raises(AttributeError):
+        positional.extra = 1
 
 
 def test_decimal_rendering():

@@ -301,3 +301,41 @@ def test_fault_records_are_byte_stable(monkeypatch, memo, n, k):
     records = _records_with_one_entry_corrupted(monkeypatch, memo, n, k)
     payload = json.dumps([r.to_json() for r in records], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == _FAULT_DIGESTS[memo, n, k]
+
+
+def test_failing_record_repr_is_stable(monkeypatch):
+    # Recorded when the record was a frozen dataclass.
+    records = _records_with_one_entry_corrupted(monkeypatch, "_LAH", 4, 2)
+    (eq17,) = [record for record in records if record.id == "eq17"]
+    assert repr(eq17) == (
+        "IdentityRecord(id='eq17', anchor='L(n,k+1) k(k+1) = (n-k) L(n,k)', "
+        "range='1 <= k < n <= 8', status='fail', "
+        "counterexample={'n': '4', 'k': '1', 'lhs': '74', 'rhs': '72'})"
+    )
+
+
+def test_record_construction_equality_and_immutability():
+    positional = IdentityRecord("eq3", "anchor", "n <= 4", "pass")
+    keyword = IdentityRecord(id="eq3", anchor="anchor", range="n <= 4", status="pass")
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    assert positional.counterexample is None
+    failing = IdentityRecord("eq3", "anchor", "n <= 4", "fail", {"n": "4"})
+    assert failing == IdentityRecord(
+        id="eq3", anchor="anchor", range="n <= 4", status="fail", counterexample={"n": "4"}
+    )
+    with pytest.raises(AttributeError):
+        positional.status = "fail"
+    with pytest.raises(AttributeError):
+        positional.extra = 1
+
+
+def test_catalog_entry_fields():
+    entry = _CATALOG[0]
+    assert repr(entry).startswith(
+        "_Entry(id='eq3', anchor='x^n = sum_{k=0..n} S2(n,k) (x)_k', default_max=20, check=<function "
+    )
+    assert repr(entry).endswith(", range_template='n <= {cap}')")
+    assert entry.range_text(7) == "n <= 7"
+    with pytest.raises(AttributeError):
+        entry.default_max = 1

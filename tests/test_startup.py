@@ -1,0 +1,61 @@
+"""Start-up cost: what importing the package loads, and `python -m lahbell`."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENTRY = "import sys; from lahbell.cli import main; sys.exit(main())"
+
+# Modules no default-format request needs: dataclasses pulls in inspect, ast,
+# dis and tokenize; json and csv serve only their own output formats.
+NOT_AT_IMPORT = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv"}
+
+# The modules an import adds, not all of sys.modules: a site hook that
+# preloads one of the above must not decide the result.
+ADDED = "import sys; before = set(sys.modules); import {}; print(*sorted(set(sys.modules) - before))"
+
+
+def fresh(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("LAHBELL_FORMAT", None)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["lahbell.cli", "lahbell"])
+def test_import_loads_only_what_a_default_request_needs(module):
+    result = fresh("-c", ADDED.format(module))
+    assert (result.returncode, result.stderr) == (0, "")
+    added = set(result.stdout.split())
+    assert module in added
+    assert added & NOT_AT_IMPORT == set()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["verify", "eq3", "--format", "json"],
+            '[{"anchor":"x^n = sum_{k=0..n} S2(n,k) (x)_k","id":"eq3","range":"n <= 12","status":"pass"}]\n',
+        ),
+        (["table", "lah", "3", "--format", "csv"], "1\n0,1\n0,2,1\n0,6,6,1\n"),
+        (["seq", "bell", "3", "--format", "csv"], "n,value\n0,1\n1,1\n2,2\n3,5\n"),
+    ],
+)
+def test_json_and_csv_output_in_a_fresh_process(argv, expected):
+    result = fresh("-c", ENTRY, *argv)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv", [["seq", "lah_bell", "6"], ["verify", "nope"]])
+def test_python_dash_m_matches_the_console_entry(argv):
+    via_module = fresh("-m", "lahbell", *argv)
+    via_entry = fresh("-c", ENTRY, *argv)
+    assert via_module.returncode == via_entry.returncode
+    assert via_module.stdout == via_entry.stdout
+    assert via_module.stderr == via_entry.stderr
