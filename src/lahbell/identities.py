@@ -17,6 +17,7 @@ Laguerre polynomial of order alpha.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import comb, factorial
 from operator import ne
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -114,8 +115,9 @@ def _first_mismatch(
     """The first (labels, left, right) case with differ(left, right), as a counterexample.
 
     The two sides are reported under keys.  Checkers yield their cases lazily in
-    increasing n, so nothing past the first mismatch is computed and the
-    counterexample carries the smallest failing n.
+    increasing n and build each family value when a case first needs it, so no
+    value past the first mismatch is built and the counterexample carries the
+    smallest failing n.
     """
     left_key, right_key = keys
     for labels, left, right in cases:
@@ -128,6 +130,15 @@ def _first_mismatch(
 # Rows reach families, row sums, counters and gf_catalog through lambdas or
 # function bodies, so every call goes through the module-level name at check
 # time and anything that rebinds those names (a test double, a tracer) sees it.
+# Family values are built through _built, keyed by the builder as that name
+# resolves, so checks that need the same family share one build.  _run clears
+# it, so no value outlives the triangle memo it was built from.
+
+
+@lru_cache(maxsize=None)
+def _built(build: Callable[[int], PolyLike], n: int) -> PolyLike:
+    """build(n), built once per run."""
+    return build(n)
 
 
 class _Sum(NamedTuple):
@@ -141,26 +152,13 @@ class _Sum(NamedTuple):
 
 
 def _sums(*routes: _Sum) -> Check:
-    """Every route is checked at n before n+1.
-
-    Each lhs and basis builder runs once per index, even when one route's lhs
-    is another's basis (the same callable), as in thm12.
-    """
+    """Every route is checked at n before n+1; each basis(k) is built once per run."""
 
     def cases(cap: int) -> Cases:
-        built: dict[Callable[[int], PolyLike], list[PolyLike]] = {}
-
-        def value(build: Callable[[int], PolyLike], n: int) -> PolyLike:
-            values = built.setdefault(build, [])
-            if len(values) == n:
-                values.append(build(n))
-            return values[n]
-
         for n in range(cap + 1):
             for route in routes:
-                value(route.basis, n)
-                rhs = triangle_sum(n, route.triangle, built[route.basis].__getitem__, route.sign)
-                yield {"n": n, **(route.label or {})}, value(route.lhs, n), rhs
+                rhs = triangle_sum(n, route.triangle, partial(_built, route.basis), route.sign)
+                yield {"n": n, **(route.label or {})}, route.lhs(n), rhs
 
     return lambda cap: _first_mismatch(cases(cap))
 
@@ -256,32 +254,23 @@ def _check_eq17(cap: int) -> Counterexample:
 
 
 def _check_thm9(cap: int) -> Counterexample:
-    values = [lah_bell_poly(m) for m in range(cap + 2)]
     return _first_mismatch(
-        ({"n": n}, lah_bell_recurrence_step(n, values[: n + 1]), values[n + 1])
+        ({"n": n}, lah_bell_recurrence_step(n, [_built(lah_bell_poly, m) for m in range(n + 1)]),
+         _built(lah_bell_poly, n + 1))
         for n in range(cap + 1)
     )
 
 
 def _check_thm10(cap: int) -> Counterexample:
     return _first_mismatch(
-        ({"n": n}, lah_bell_poly(n).derivative("x"), lah_bell_derivative(n))
+        ({"n": n}, _built(lah_bell_poly, n).derivative("x"), lah_bell_derivative(n))
         for n in range(1, cap + 1)
     )
 
 
-# thm12's two routes share these builders, so _sums builds each family once per n.
-def _bivariate_bell(n: int) -> MultiPoly:
-    return bivariate_bell_poly(n)
-
-
-def _bivariate_lah_bell(n: int) -> MultiPoly:
-    return bivariate_lah_bell_poly(n)
-
-
 _check_eq48_sum = _sums(
-    _Sum(lambda n: degenerate_lah_bell_poly(n), stirling1_signed,
-         lambda k: degenerate_bell_poly(k), -1, {"part": "coefficient sum"})
+    _Sum(lambda n: _built(degenerate_lah_bell_poly, n), stirling1_signed,
+         lambda k: _built(degenerate_bell_poly, k), -1, {"part": "coefficient sum"})
 )
 
 
@@ -298,12 +287,10 @@ def _check_eq48(cap: int) -> Counterexample:
 def _check_laguerre_conv(cap: int) -> Counterexample:
     def cases() -> Cases:
         alpha = MultiPoly.var("alpha")
-        lah_bells = [lah_bell_poly(m) for m in range(cap + 1)]
-        laguerres = [laguerre_poly(j) for j in range(cap + 1)]
         for n in range(cap + 1):
             acc: dict = {}
             for m in range(n + 1):
-                _fma(acc, comb(n, m), lah_bells[m], laguerres[n - m])
+                _fma(acc, comb(n, m), _built(lah_bell_poly, m), _built(laguerre_poly, n - m))
             total = _finish(acc)
             # The target is free of x, so a surviving x is always a mismatch.
             labels = {"n": n, "issue": "x does not cancel"} if total.degree("x") != 0 else {"n": n}
@@ -356,32 +343,35 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "lemma1", "exp(1/(1-t) - 1) = sum_n BL_n t^n/n!", 20,
-        _gf("lah_bell", lambda n: lah_bell_number(n)),
+        _gf("lah_bell", lambda n: _built(lah_bell_number, n)),
     ),
     _Entry(
         "thm2", "B_n = sum_{k=0..n} (-1)^(n-k) BL_k S2(n,k)", 25,
-        _sums(_Sum(lambda n: bell_number(n), stirling2, lambda k: lah_bell_number(k), -1)),
+        _sums(_Sum(lambda n: _built(bell_number, n), stirling2,
+                   lambda k: _built(lah_bell_number, k), -1)),
     ),
     _Entry(
         "thm3", "BL_n = e^(-1) sum_{k>=0} <k>_n / k!  (certified enclosure)", 12,
-        _enclosure(lambda n: lah_bell_number(n)),
+        _enclosure(lambda n: _built(lah_bell_number, n)),
     ),
     _Entry(
         "lemma4", "exp(x (1/(1-t) - 1)) = sum_n BL_n(x) t^n/n!", 15,
-        _gf("lah_bell_poly", lambda n: lah_bell_poly(n)),
+        _gf("lah_bell_poly", lambda n: _built(lah_bell_poly, n)),
     ),
     _Entry(
         "thm5", "B_n(x) = sum_{k=0..n} (-1)^(n-k) S2(n,k) BL_k(x)", 20,
-        _sums(_Sum(lambda n: bell_poly(n), stirling2, lambda k: lah_bell_poly(k), -1)),
+        _sums(_Sum(lambda n: _built(bell_poly, n), stirling2,
+                   lambda k: _built(lah_bell_poly, k), -1)),
     ),
     _Entry(
         "thm6", "BL_n(x) = e^(-x) sum_{k>=0} <k>_n x^k / k!  (certified enclosure)", 12,
-        _enclosure(lambda n: lah_bell_poly(n), _DOBINSKI_ARGS),
+        _enclosure(lambda n: _built(lah_bell_poly, n), _DOBINSKI_ARGS),
         "n <= {cap}, x in {{1/2, 1, 3}}",
     ),
     _Entry(
         "thm7", "BL_n(x) = sum_{k=0..n} (-1)^(n-k) S1(n,k) B_k(x)", 20,
-        _sums(_Sum(lambda n: lah_bell_poly(n), stirling1_signed, lambda k: bell_poly(k), -1)),
+        _sums(_Sum(lambda n: _built(lah_bell_poly, n), stirling1_signed,
+                   lambda k: _built(bell_poly, k), -1)),
     ),
     _Entry(
         "thm8", "S2(n,k) = sum_{l=k..n} (-1)^(n-l) S2(n,l) L(l,k)", 25,
@@ -398,33 +388,35 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "eq37", "(1 + y(e^t - 1))^x = sum_n B_n(x,y) t^n/n!", 12,
-        _gf("bivariate_bell", lambda n: bivariate_bell_poly(n)),
+        _gf("bivariate_bell", lambda n: _built(bivariate_bell_poly, n)),
     ),
     _Entry(
         "lemma11", "(1 + y(1/(1-t) - 1))^x = sum_n BL_n(x,y) t^n/n!", 12,
-        _gf("bivariate_lah_bell", lambda n: bivariate_lah_bell_poly(n)),
+        _gf("bivariate_lah_bell", lambda n: _built(bivariate_lah_bell_poly, n)),
     ),
     _Entry(
         "thm12",
         "BL_n(x,y) = sum_k (-1)^(n-k) S1(n,k) B_k(x,y) and B_n(x,y) = sum_k (-1)^(n-k) S2(n,k) BL_k(x,y)",
         12,
         _sums(
-            _Sum(_bivariate_lah_bell, stirling1_signed, _bivariate_bell, -1, {"direction": "S1 route"}),
-            _Sum(_bivariate_bell, stirling2, _bivariate_lah_bell, -1, {"direction": "S2 route"}),
+            _Sum(lambda n: _built(bivariate_lah_bell_poly, n), stirling1_signed,
+                 lambda k: _built(bivariate_bell_poly, k), -1, {"direction": "S1 route"}),
+            _Sum(lambda n: _built(bivariate_bell_poly, n), stirling2,
+                 lambda k: _built(bivariate_lah_bell_poly, k), -1, {"direction": "S2 route"}),
         ),
     ),
     _Entry(
         "eq44", "BL_{n,lam}(x) = sum_{k=0..n} L(n,k) (x)_{k,lam}", 12,
-        _gf("degenerate_lah_bell", lambda n: degenerate_lah_bell_poly(n)),
+        _gf("degenerate_lah_bell", lambda n: _built(degenerate_lah_bell_poly, n)),
     ),
     _Entry(
         "eq45-catalog", "e_lam^x(e^t - 1) = sum_n B_{n,lam}(x) t^n/n!", 12,
-        _gf("degenerate_bell", lambda n: degenerate_bell_poly(n)),
+        _gf("degenerate_bell", lambda n: _built(degenerate_bell_poly, n)),
     ),
     _Entry(
         "eq47", "B_{n,lam}(x) = sum_{k=0..n} (-1)^(n-k) S2(n,k) BL_{k,lam}(x)", 15,
-        _sums(_Sum(lambda n: degenerate_bell_poly(n), stirling2,
-                   lambda k: degenerate_lah_bell_poly(k), -1)),
+        _sums(_Sum(lambda n: _built(degenerate_bell_poly, n), stirling2,
+                   lambda k: _built(degenerate_lah_bell_poly, k), -1)),
     ),
     _Entry(
         "eq48-corrected",
@@ -433,7 +425,7 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "eq49", "(1-t)^(-alpha-1) exp(x t/(t-1)) = sum_n Lag_n(x) t^n/n!", 10,
-        _gf("laguerre_weighted", lambda n: laguerre_poly(n)),
+        _gf("laguerre_weighted", lambda n: _built(laguerre_poly, n)),
     ),
     _Entry(
         "laguerre-conv", "<alpha+1>_n = sum_{m=0..n} C(n,m) BL_m(x) Lag_{n-m}(x)  (x cancels)", 10,
@@ -472,11 +464,18 @@ ORACLE_IDS: tuple[str, ...] = tuple(entry.id for entry in _ORACLES)
 
 
 def _run(entries: Iterable[_Entry], max_n: int) -> list[IdentityRecord]:
-    """One record per entry, each over its default range capped at max_n."""
+    """One record per entry, each over its default range capped at max_n; _built lasts one run."""
+    if isinstance(max_n, bool) or not isinstance(max_n, int):
+        raise ValueError(f"max_n must be an int, got {max_n!r}")
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     records = []
-    for entry in entries:
-        cap = min(entry.default_max, max_n)
-        records.append(_record(entry.id, entry.anchor, entry.range_text(cap), entry.check(cap)))
+    try:
+        for entry in entries:
+            cap = min(entry.default_max, max_n)
+            records.append(_record(entry.id, entry.anchor, entry.range_text(cap), entry.check(cap)))
+    finally:
+        _built.cache_clear()
     return records
 
 
@@ -486,8 +485,6 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
     selection is "all" (or a list containing "all") for the full catalog, or a
     list of catalog ids; records come back in catalog order.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
     if isinstance(selection, str):
         selection = [selection]
     unknown = [i for i in selection if i != "all" and i not in CATALOG_IDS]
@@ -498,6 +495,4 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
 
 def oracle_records(max_n: int) -> list[IdentityRecord]:
     """Compare the brute-force enumerators against the triangle rows."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
     return _run(_ORACLES, max_n)

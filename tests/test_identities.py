@@ -4,6 +4,7 @@ failure payloads under a corrupted triangle, and the README catalog table."""
 import hashlib
 import json
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -86,42 +87,81 @@ def test_unknown_ids_rejected():
         run_suite("all", 0)
 
 
-def test_thm12_builds_each_bivariate_family_once_per_n(monkeypatch):
+def _refuse(cap):
+    pytest.fail(f"a check ran at cap {cap!r}")
+
+
+@pytest.mark.parametrize(
+    "max_n, message",
+    [
+        (True, "max_n must be an int, got True"),
+        (2.5, "max_n must be an int, got 2.5"),
+        (0, "max_n must be at least 1"),
+    ],
+    ids=["bool", "float", "zero"],
+)
+def test_bad_max_n_is_rejected_before_any_check(monkeypatch, max_n, message):
+    for name in ("_CATALOG", "_ORACLES"):
+        entries = getattr(identities, name)
+        monkeypatch.setattr(identities, name, tuple(e._replace(check=_refuse) for e in entries))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(["eq3"], max_n)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_records(max_n)
+
+
+# Every identities-level name that builds one family value from its index.
+_FAMILY_BUILDERS = (
+    "bell_number",
+    "lah_bell_number",
+    "bell_poly",
+    "lah_bell_poly",
+    "bivariate_bell_poly",
+    "bivariate_lah_bell_poly",
+    "degenerate_bell_poly",
+    "degenerate_lah_bell_poly",
+    "laguerre_poly",
+)
+
+
+def _record_builds(monkeypatch):
     calls = []
-    for name in ("bivariate_bell_poly", "bivariate_lah_bell_poly"):
+    for name in _FAMILY_BUILDERS:
         family = getattr(identities, name)
         monkeypatch.setattr(
             identities, name, lambda n, family=family, name=name: calls.append((name, n)) or family(n)
         )
-    (record,) = run_suite(["thm12"], 12)
-    assert record.passed()
-    assert sorted(calls) == sorted(
-        (name, n) for name in ("bivariate_bell_poly", "bivariate_lah_bell_poly") for n in range(13)
-    )
+    return calls
 
 
-def test_laguerre_conv_builds_each_family_once(monkeypatch):
-    calls = []
-    for name in ("lah_bell_poly", "laguerre_poly"):
-        family = getattr(identities, name)
-        monkeypatch.setattr(
-            identities, name, lambda n, family=family, name=name: calls.append((name, n)) or family(n)
-        )
-    (record,) = run_suite(["laguerre-conv"], 12)
-    assert record.passed()
-    assert sorted(calls) == sorted(
-        (name, n) for name in ("lah_bell_poly", "laguerre_poly") for n in range(11)
-    )
+def _builds(names, indices):
+    return sorted((name, n) for name in names for n in indices)
 
 
-def test_thm6_builds_each_lah_bell_poly_once_per_n(monkeypatch):
-    # One BL_n(x) serves the evaluations at every x in {1/2, 1, 3}.
-    calls = []
-    family = identities.lah_bell_poly
-    monkeypatch.setattr(identities, "lah_bell_poly", lambda n: calls.append(n) or family(n))
-    (record,) = run_suite(["thm6"], 12)
-    assert record.passed()
-    assert calls == list(range(13))
+@pytest.mark.parametrize(
+    "selection, max_n, expected",
+    [
+        pytest.param(
+            ["thm12"], 12, _builds(("bivariate_bell_poly", "bivariate_lah_bell_poly"), range(13)),
+            id="thm12",
+        ),
+        # laguerre-conv's default range stops at n = 10.
+        pytest.param(
+            ["laguerre-conv"], 12, _builds(("lah_bell_poly", "laguerre_poly"), range(11)),
+            id="laguerre-conv",
+        ),
+        # One BL_n(x) serves the evaluations at every x in {1/2, 1, 3}.
+        pytest.param(["thm6"], 12, _builds(("lah_bell_poly",), range(13)), id="thm6"),
+        # Entries that need the same family share one build.
+        pytest.param("all", 30, None, id="all"),
+    ],
+)
+def test_each_family_value_is_built_once_per_run(monkeypatch, selection, max_n, expected):
+    calls = _record_builds(monkeypatch)
+    assert all(record.passed() for record in run_suite(selection, max_n))
+    assert len(calls) == len(set(calls))
+    if expected is not None:
+        assert sorted(calls) == expected
 
 
 def test_record_json_shape():
@@ -239,7 +279,8 @@ _FAULT_FAILURES = {
 }
 
 
-def _records_with_one_entry_corrupted(monkeypatch, memo, n, k):
+@contextmanager
+def _one_entry_corrupted(monkeypatch, memo, n, k):
     # Rows past n are built first, so only the one corrupted entry is wrong.
     triangle = getattr(triangles, memo)
     triangle.row(20)
@@ -249,6 +290,11 @@ def _records_with_one_entry_corrupted(monkeypatch, memo, n, k):
     rows[n] = tuple(bad)
     with monkeypatch.context() as patch:
         patch.setattr(triangle, "_rows", rows)
+        yield
+
+
+def _records_with_one_entry_corrupted(monkeypatch, memo, n, k):
+    with _one_entry_corrupted(monkeypatch, memo, n, k):
         return run_suite("all", 8) + oracle_records(8)
 
 
@@ -277,6 +323,40 @@ def test_failure_records_carry_counterexamples(monkeypatch):
     # that depends on it fails at the smallest n, with its usual payload keys.
     for memo, expected in _FAULT_FAILURES.items():
         assert _failures_with_row_4_corrupted(monkeypatch, memo) == expected, memo
+
+
+def test_a_clean_run_leaves_no_values_behind(monkeypatch):
+    # Values built from the clean triangle must not serve the corrupted run.
+    assert all(record.passed() for record in run_suite("all", 8))
+    assert identities._built.cache_info().currsize == 0
+    assert _failures_with_row_4_corrupted(monkeypatch, "_LAH") == _FAULT_FAILURES["_LAH"]
+
+
+def test_run_memo_is_emptied_when_a_check_raises(monkeypatch):
+    def broken(n):
+        assert identities._built.cache_info().currsize > 0
+        raise RuntimeError("broken builder")
+
+    monkeypatch.setattr(identities, "laguerre_poly", broken)
+    with pytest.raises(RuntimeError, match="broken builder"):
+        run_suite("all", 8)
+    assert identities._built.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "identity, failing_n, expected",
+    [
+        ("thm9", 3, _builds(("lah_bell_poly",), range(5))),
+        ("laguerre-conv", 4, _builds(("lah_bell_poly", "laguerre_poly"), range(5))),
+    ],
+    ids=["thm9", "laguerre-conv"],
+)
+def test_checks_build_nothing_past_their_first_mismatch(monkeypatch, identity, failing_n, expected):
+    calls = _record_builds(monkeypatch)
+    with _one_entry_corrupted(monkeypatch, "_LAH", 4, 2):
+        (record,) = run_suite([identity], 8)
+    assert record.counterexample["n"] == str(failing_n)
+    assert sorted(calls) == expected
 
 
 # sha256 of the canonical JSON of every record of run_suite("all", 8) +
