@@ -47,6 +47,14 @@ Scalar = Union[int, Fraction]
 PolyLike = Union["MultiPoly", int, Fraction]
 
 
+def _var_index(name: str) -> int:
+    try:
+        return _VAR_INDEX[name]
+    except KeyError:
+        message = f"unknown indeterminate {name!r}, expected one of {INDETERMINATES}"
+        raise ValueError(message) from None
+
+
 def _as_coeff(value: Scalar) -> Scalar:
     if isinstance(value, int):
         return value
@@ -85,10 +93,8 @@ class MultiPoly:
     @classmethod
     def var(cls, name: str) -> MultiPoly:
         """The polynomial consisting of the single indeterminate `name`."""
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown indeterminate {name!r}, expected one of {INDETERMINATES}")
         exps = [0] * _NVARS
-        exps[_VAR_INDEX[name]] = 1
+        exps[_var_index(name)] = 1
         return cls({tuple(exps): 1})
 
     @classmethod
@@ -112,7 +118,7 @@ class MultiPoly:
 
     def degree(self, name: str) -> int:
         """Degree in one indeterminate; zero polynomial has degree 0 by convention."""
-        i = _VAR_INDEX[name]
+        i = _var_index(name)
         return max((exps[i] for exps in self._terms), default=0)
 
     def total_degree(self) -> int:
@@ -193,10 +199,7 @@ class MultiPoly:
         Unbound indeterminates pass through unchanged, so a partial binding
         yields another polynomial and a full binding yields a constant one.
         """
-        for name in bindings:
-            if name not in _VAR_INDEX:
-                raise ValueError(f"unknown indeterminate {name!r}")
-        bound = {_VAR_INDEX[n]: MultiPoly._coerce(v) for n, v in bindings.items()}
+        bound = {_var_index(n): MultiPoly._coerce(v) for n, v in bindings.items()}
         out: dict[tuple[int, int, int, int], Scalar] = {}
         for exps, coeff in self._terms.items():
             residual = [0] * _NVARS
@@ -217,7 +220,7 @@ class MultiPoly:
 
     def derivative(self, name: str = "x") -> MultiPoly:
         """Formal partial derivative with respect to one indeterminate."""
-        i = _VAR_INDEX[name]
+        i = _var_index(name)
         out: dict[tuple[int, int, int, int], Scalar] = {}
         for exps, coeff in self._terms.items():
             e = exps[i]
@@ -342,9 +345,23 @@ def generalized_falling(p: PolyLike, n: int, step: PolyLike) -> MultiPoly:
     """
     if n < 0:
         raise ValueError("factorial length must be nonnegative")
-    p = MultiPoly._coerce(p)
+    for last in _falling_prefixes(p, n, step):
+        pass  # keep only the last prefix, not all n+1
+    return last
+
+
+def _falling_prefixes(p: PolyLike, n: int, step: PolyLike) -> Iterator[MultiPoly]:
+    """The n+1 stepped falling products (p)_{0,step}, ..., (p)_{n,step}, one
+    polynomial product each.
+
+    Every factorial basis is a run of these: x^k is (x)_{k,0}, (x)_k y^k is
+    (xy)_{k,y}, and the rising <a+1>_k is (a+k)_{k,1} read from its top factor.
+    """
+    factor = MultiPoly._coerce(p)
     step = MultiPoly._coerce(step)
     result = MultiPoly.const(1)
-    for i in range(n):
-        result = result * (p - i * step)
-    return result
+    yield result
+    for _ in range(n):
+        result = result * factor
+        factor = factor - step
+        yield result

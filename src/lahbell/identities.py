@@ -157,7 +157,8 @@ def _sums(*routes: _Sum) -> Check:
     def cases(cap: int) -> Cases:
         for n in range(cap + 1):
             for route in routes:
-                rhs = triangle_sum(n, route.triangle, partial(_built, route.basis), route.sign)
+                bases = map(partial(_built, route.basis), range(n + 1))
+                rhs = triangle_sum(n, route.triangle, bases, route.sign)
                 yield {"n": n, **(route.label or {})}, route.lhs(n), rhs
 
     return lambda cap: _first_mismatch(cases(cap))
@@ -263,7 +264,8 @@ def _check_thm9(cap: int) -> Counterexample:
 
 def _check_thm10(cap: int) -> Counterexample:
     return _first_mismatch(
-        ({"n": n}, _built(lah_bell_poly, n).derivative("x"), lah_bell_derivative(n))
+        ({"n": n}, _built(lah_bell_poly, n).derivative("x"),
+         lah_bell_derivative(n, [_built(lah_bell_poly, m) for m in range(n)]))
         for n in range(1, cap + 1)
     )
 

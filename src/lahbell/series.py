@@ -313,6 +313,11 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
     polynomially; the equivalent closed form (1 + lam*t)^(x/lam) would put
     lam into denominators and is deliberately avoided.  Each coefficient is
     the previous one times (x - (n-1) lam), one product per order.
+
+    The product is kept here on purpose, apart from the stepped-falling helper
+    in :mod:`lahbell.exact` that builds the family bases: eq44 and
+    eq45-catalog hold the families against this series, and a shared helper
+    would turn them into comparisons of that helper with itself.
     """
     x = MultiPoly.var("x")
     lam = MultiPoly.var("lam")

@@ -316,6 +316,33 @@ def test_verify_oracle_appends_records(capsys):
     ]
 
 
+# Golden sha256 of `lahbell poly FAMILY 60 --format FMT`, recorded while each
+# family still built its basis from scratch for every k.
+POLY_60_SHA256 = {
+    ("bell", "text"): "cb0b81fe4998271058ee50a6ad5577d348d3b56a15c9940c4657813688394a09",
+    ("bell", "json"): "cfd992c4b88de479d9d007ccb4c3eab3bb9504bd362b5973a3ecae1e2d18160d",
+    ("lah_bell", "text"): "3bd87a6645e88d74af66e2f8e730362864014965ac50decedda53c559ff71f25",
+    ("lah_bell", "json"): "e0ccb4cdc8ec62dcca602d008b1fcd5c0022d7516a62fccbfa7a7535d20b8768",
+    ("bivariate_bell", "text"): "478492e3f7d6bf4346965b56717f8127eadf78431b11eb104c5b5b5c39582f90",
+    ("bivariate_bell", "json"): "22b2838e6ef589543d0b12d28e43291dfadbb709e212a587fab31dc1cff6c7be",
+    ("bivariate_lah_bell", "text"): "8dd866774b0aa1c25fd1d2ced02722dc322e828d9e2d1f148d20b42e641d1b34",
+    ("bivariate_lah_bell", "json"): "a3f06fb6d0395d42c7423cf4ed523a012170b8f2d256ec46c8d2c1bf1a3f669d",
+    ("degenerate_bell", "text"): "78110fb51ac83946ed5dd0613c6a6cfe110bec4265e084bbde4783a17a7ed33f",
+    ("degenerate_bell", "json"): "a30b1ff8890d4aa5ead7f8a608969b5f513f3dc0fde7c3674ae9d4425f3dd02b",
+    ("degenerate_lah_bell", "text"): "3d33c20291632b7adf80deb62bdf0e2863cb2b0834b64c9a17381a259ee334d4",
+    ("degenerate_lah_bell", "json"): "7e04591e610983cf285263a30889361963fe343130b1066e47a49b66d2ed2bfb",
+    ("laguerre", "text"): "04f29f80dca3ce6c44058f30fd5215bd4af90bbce00a3f9adee1125ba55656c1",
+    ("laguerre", "json"): "a8a9f9d99cd4ff6c0061468a9957b5c04f1aff820462ab3a247d2bdaae36fc40",
+}
+
+
+@pytest.mark.parametrize("family, fmt", sorted(POLY_60_SHA256))
+def test_poly_60_matches_golden_digest(capsys, family, fmt):
+    code, out, err = run(capsys, ["poly", family, "60", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == POLY_60_SHA256[family, fmt]
+
+
 # Golden sha256 of `lahbell verify --oracle --max-n 30 --format FMT`, recorded
 # from the recursive generator walk before the in-place enumeration walk.
 VERIFY_ORACLE_SHA256 = {

@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic: canonical form, ring axioms, factorials, rendering."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from lahbell.exact import (
     INDETERMINATES,
     MultiPoly,
+    _falling_prefixes,
     _finish,
     _fma,
     falling_factorial,
@@ -118,6 +121,8 @@ def test_degrees():
     assert p.degree("x") == 2
     assert p.degree("y") == 1
     assert p.degree("alpha") == 0
+    with pytest.raises(ValueError, match="unknown indeterminate 'z'"):
+        p.degree("z")
     assert p.total_degree() == 3
     assert not p.is_constant()
     assert MultiPoly.const(5).is_constant()
@@ -140,6 +145,26 @@ def test_rising_equals_signed_falling_at_negated_argument(q, n):
     assert rising == (-1) ** n * falling
 
 
+@pytest.mark.parametrize(
+    "p, step",
+    [(X, 0), (X, 1), (X, -1), (X, LAM), (X * Y, Y), (ALPHA + 9, 1), (Fraction(1, 2), LAM)],
+)
+def test_falling_prefixes_match_per_k_products(p, step):
+    # Each prefix against its own product, built from scratch for every k.
+    n = 9
+    expected = [
+        reduce(operator.mul, (p - i * step for i in range(k)), MultiPoly.const(1))
+        for k in range(n + 1)
+    ]
+    assert list(_falling_prefixes(p, n, step)) == expected
+    assert generalized_falling(p, n, step) == expected[n]
+    for build in (falling_factorial, rising_factorial):
+        with pytest.raises(ValueError):
+            build(X, -1)
+    with pytest.raises(ValueError):
+        generalized_falling(p, -1, step)
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_generalized_falling_degenerations(n):
     assert generalized_falling(X, n, 1) == falling_factorial(X, n)
@@ -151,6 +176,8 @@ def test_derivative():
     assert p.derivative("x") == 3 * X**2 + 12 * X + 6
     assert (X * Y).derivative("y") == X
     assert MultiPoly.const(7).derivative("x") == MultiPoly.zero()
+    with pytest.raises(ValueError, match="unknown indeterminate 'z'"):
+        p.derivative("z")
 
 
 def test_power():

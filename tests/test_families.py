@@ -17,6 +17,7 @@ from lahbell.families import (
     lah_bell_recurrence_step,
     laguerre_poly,
     poly_family,
+    triangle_sum,
 )
 from lahbell.triangles import bell_number, lah, lah_bell_number
 
@@ -138,12 +139,33 @@ def test_recurrence_chain_from_scratch():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_derivative_identity(n):
-    assert lah_bell_poly(n).derivative("x") == lah_bell_derivative(n)
+    values = [lah_bell_poly(m) for m in range(n)]
+    assert lah_bell_poly(n).derivative("x") == lah_bell_derivative(n, values)
 
 
 def test_derivative_index_validation():
     with pytest.raises(ValueError):
-        lah_bell_derivative(0)
+        lah_bell_derivative(0, [])
+    values = [lah_bell_poly(m) for m in range(3)]
+    for short_or_long in (values[:2], values + [lah_bell_poly(3)]):
+        with pytest.raises(ValueError):
+            lah_bell_derivative(3, short_or_long)
+
+
+def test_triangle_sum_takes_exactly_n_plus_one_bases():
+    assert triangle_sum(2, lah, [1, X, X**2]) == lah_bell_poly(2)
+    for bases in ([1, X], [1, X, X**2, X**3]):
+        with pytest.raises(ValueError):
+            triangle_sum(2, lah, bases)
+
+
+@pytest.mark.parametrize("build", [bivariate_lah_bell_poly, degenerate_lah_bell_poly, laguerre_poly])
+def test_family_bases_are_one_running_product(count_products, build):
+    # A basis built from scratch for each k costs O(n^2) products (1640 to
+    # 1926 at n = 40); the running product costs one per k, and Laguerre adds
+    # one per k for x^(n-k) and one per k to join the two.
+    n = 40
+    assert count_products(lambda: build(n)) <= 3 * n + 3
 
 
 def test_rational_evaluation():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lahbell import identities, triangles
+from lahbell import families, identities, triangles
 from lahbell.identities import (
     _CATALOG,
     _ORACLES,
@@ -162,6 +162,17 @@ def test_each_family_value_is_built_once_per_run(monkeypatch, selection, max_n, 
     assert len(calls) == len(set(calls))
     if expected is not None:
         assert sorted(calls) == expected
+
+
+def test_thm10_builds_each_lah_bell_polynomial_once(monkeypatch):
+    # The derivative expansion takes BL_0..BL_{n-1} from the run memo instead
+    # of rebuilding them below identities, where the memo does not reach.
+    calls = []
+    for module in (identities, families):
+        build = module.lah_bell_poly
+        monkeypatch.setattr(module, "lah_bell_poly", lambda n, build=build: calls.append(n) or build(n))
+    assert all(record.passed() for record in run_suite(["thm10"], 20))
+    assert sorted(calls) == list(range(21))
 
 
 def test_record_json_shape():

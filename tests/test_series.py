@@ -238,33 +238,16 @@ def test_scalar_coefficients_follow_the_multipoly_rule():
             s.scale(bad)
 
 
-def count_products(monkeypatch, build):
-    """The number of MultiPoly products `build()` makes."""
-    calls = 0
-    multiply = MultiPoly.__mul__
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return multiply(self, other)
-
-    monkeypatch.setattr(MultiPoly, "__mul__", counted)
-    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
-    build()
-    monkeypatch.undo()
-    return calls
-
-
-def test_degenerate_catalog_makes_no_horner_products(monkeypatch):
+def test_degenerate_catalog_makes_no_horner_products(count_products):
     # Horner composition made 8125 polynomial products here; the power
     # table needs O(order^2).
     gf_catalog.cache_clear()
-    calls = count_products(monkeypatch, lambda: gf_catalog("degenerate_bell", 24))
+    calls = count_products(lambda: gf_catalog("degenerate_bell", 24))
     gf_catalog.cache_clear()
     assert calls <= 2 * 25**2
 
 
-def test_bivariate_catalog_is_one_miller_power(monkeypatch):
+def test_bivariate_catalog_is_one_miller_power(monkeypatch, count_products):
     # exp(x * log1p(f - 1)) ran two O(order^2) recurrences over growing
     # polynomials; the Miller recurrence makes at most two kernel calls per
     # nonzero f_i per order, and a linear number of ring operations.
@@ -283,16 +266,16 @@ def test_bivariate_catalog_is_one_miller_power(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "log1p", refused)
     monkeypatch.setattr(series, "_fma", counted)
     gf_catalog.cache_clear()
-    products = count_products(monkeypatch, lambda: gf_catalog("bivariate_lah_bell", 24))
+    products = count_products(lambda: gf_catalog("bivariate_lah_bell", 24))
     gf_catalog.cache_clear()
     assert kernel_calls <= 25**2
     assert products <= 2 * 25
 
 
-def test_degenerate_exponential_is_a_running_product(monkeypatch):
+def test_degenerate_exponential_is_a_running_product(count_products):
     # Two products per order: the step (n-1) lam and the running product
     # with (x - (n-1) lam).
-    assert count_products(monkeypatch, lambda: degenerate_exponential(24)) <= 2 * 24
+    assert count_products(lambda: degenerate_exponential(24)) <= 2 * 24
     s = degenerate_exponential(24)
     for n in (0, 1, 7, 24):
         assert s.egf_coefficient(n) == generalized_falling(X, n, LAM)
