@@ -17,7 +17,6 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from decimal import (
@@ -63,21 +62,12 @@ _EXACT = Context(
 )
 
 
-# json and csv are imported where they are used: no default-format request
-# needs them, and each costs a fresh process milliseconds to load.
+# json is imported where it is used: no default-format request needs it, and
+# it costs a fresh process milliseconds to load.
 def _canonical_json(payload: object) -> str:
     import json
 
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _csv_lines(rows: list[list[object]]) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
 
 
 def _resolve_format(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
@@ -161,14 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(fmt: str, text: str, payload: object, csv_rows: list[list[object]] | None = None) -> None:
-    if fmt == "json":
-        print(_canonical_json(payload))
-    elif fmt == "csv":
-        assert csv_rows is not None
-        print(_csv_lines(csv_rows))
-    else:
-        print(text)
+def _emit(fmt: str, text: str, payload: object) -> None:
+    print(_canonical_json(payload) if fmt == "json" else text)
 
 
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
@@ -194,11 +178,13 @@ def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str
     nmax = _nonneg(parser, args.nmax, "nmax")
     value = _SEQ_KINDS[args.kind]
     values = [value(n) for n in range(nmax + 1)]
-    text = " ".join(str(v) for v in values)
+    # Entries are digits only, as table entries are, so no CSV field needs quoting.
+    if fmt == "csv":
+        text = "\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(values))])
+    else:
+        text = " ".join(str(v) for v in values)
     payload = {"command": "seq", "kind": args.kind, "nmax": nmax, "values": values}
-    csv_rows: list[list[object]] = [["n", "value"]]
-    csv_rows.extend([n, v] for n, v in enumerate(values))
-    _emit(fmt, text, payload, csv_rows=csv_rows)
+    _emit(fmt, text, payload)
     return 0
 
 

@@ -35,9 +35,7 @@ __all__ = [
 
 RationalLike = Union[int, Fraction]
 Weight = Callable[[int], int]
-Ratio = Callable[[int], Fraction]
 
-_HALF = Fraction(1, 2)
 _ITERATION_CAP = 100_000
 
 DOBINSKI_FAMILIES = ("lah_bell", "bell")
@@ -171,21 +169,28 @@ class _Cutoff(NamedTuple):
         return prod(left) <= prod(right)
 
 
-def _partial_sums(weight: Weight, ratio: Ratio, x: Fraction, first: int) -> Iterator[_Cutoff]:
-    """Walk sum_k weight(k) x^k / k! and yield each k >= first with ratio(k) <= 1/2."""
+def _partial_sums(weight: Weight, x: Fraction, first: int) -> Iterator[_Cutoff]:
+    """Walk sum_k weight(k) x^k / k! and yield each k >= first with term ratio <= 1/2.
+
+    The ratio term(k+1)/term(k) = x weight(k+1) / ((k+1) weight(k)) comes
+    from a one-term look-ahead of the weight.
+    """
     if 2 * x > _ITERATION_CAP + 1:
-        return  # every ratio in use is >= x/(k+1) > 1/2 up to the cap
+        return  # a nondecreasing weight keeps every ratio >= x/(k+1) > 1/2 up to the cap
     p, q = x.numerator, x.denominator
     partial, power, denominator = 0, 1, 1
+    w_next = weight(0)
     for k in range(_ITERATION_CAP + 1):
         if k:
             power *= p
             denominator *= q * k
             partial *= q * k
-        term = weight(k) * power
+        w, w_next = w_next, weight(k + 1)
+        term = w * power
         partial += term
-        if k >= first and (r := ratio(k)) <= _HALF:
-            yield _Cutoff(k, partial, term, denominator, r)
+        # The ratio is made only once it is known to be at most 1/2.
+        if k >= first and 2 * p * w_next <= q * (k + 1) * w:
+            yield _Cutoff(k, partial, term, denominator, Fraction(p * w_next, q * (k + 1) * w))
 
 
 def _first_within(cutoffs: Iterable[_Cutoff], target: Fraction) -> _Cutoff | None:
@@ -197,16 +202,17 @@ def _not_reached(what: str, x: Fraction, target: Fraction) -> PrecisionNotReache
     return PrecisionNotReached(message)
 
 
-def _certified_product(weight: Weight, ratio: Ratio, x: Fraction, eps: Fraction) -> CertifiedDecimal:
+def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedDecimal:
     """Enclose e^(-x) * sum_k weight(k) x^k / k! within eps.
 
-    weight(k) must be a nonnegative integer and ratio(k) must bound
-    term(k+1)/term(k) for k >= 1, monotone nonincreasing, and be at least
-    x/(k+1).  The series cutoff targets a quarter of eps and the exponential
-    enclosure the rest, which caps the final interval width at eps/2.
+    weight(k) must be a positive integer for k >= 1 and nondecreasing, with
+    weight(k+1)/weight(k) nonincreasing, so the term ratio is monotone
+    nonincreasing for k >= 1 and at least x/(k+1).  The series cutoff
+    targets a quarter of eps and the exponential enclosure the rest, which
+    caps the final interval width at eps/2.
     """
     tail_target = min(Fraction(1), eps / 4)
-    cutoffs = _partial_sums(weight, ratio, x, 1)
+    cutoffs = _partial_sums(weight, x, 1)
     # The first cutoff with tail <= 1 bounds the full sum independently of
     # eps; it scales the exponential target so refinement stays nested.
     crude = _first_within(cutoffs, Fraction(1))
@@ -214,7 +220,7 @@ def _certified_product(weight: Weight, ratio: Ratio, x: Fraction, eps: Fraction)
     if series is None:
         raise _not_reached("series", x, tail_target)
     delta = eps / (4 * (crude.sum() + crude.tail()))
-    exp = _first_within(_partial_sums(lambda k: 1, lambda k: x / (k + 1), x, 0), delta)
+    exp = _first_within(_partial_sums(lambda k: 1, x, 0), delta)
     if exp is None:
         raise _not_reached("exponential enclosure", x, delta)
     partial, exp_partial = series.sum(), exp.sum()
@@ -246,9 +252,7 @@ def lah_bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDe
     x(k+n)/(k(k+1)), monotone decreasing for k >= 1.
     """
     x, eps = _validated(n, x, eps)
-    return _certified_product(
-        lambda k: prod(range(k, k + n)), lambda k: x * (k + n) / (k * (k + 1)), x, eps
-    )
+    return _certified_product(lambda k: prod(range(k, k + n)), x, eps)
 
 
 def bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDecimal:
@@ -258,6 +262,4 @@ def bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDecima
     term(k+1)/term(k) = x(k+1)^(n-1)/k^n, monotone decreasing for k >= 1.
     """
     x, eps = _validated(n, x, eps)
-    return _certified_product(
-        lambda k: k**n, lambda k: x * Fraction((k + 1) ** n, k**n * (k + 1)), x, eps
-    )
+    return _certified_product(lambda k: k**n, x, eps)

@@ -73,7 +73,7 @@ class MultiPoly:
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != _NVARS or any(e < 0 for e in exps):
+                if len(exps) != _NVARS or any(type(e) is not int or e < 0 for e in exps):
                     raise ValueError(f"bad exponent vector: {exps!r}")
                 c = _as_coeff(coeff)
                 if c != 0:

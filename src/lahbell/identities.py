@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb
 from operator import ne
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -44,6 +44,7 @@ from .families import (
 )
 from .series import (
     TruncatedSeries,
+    _divided_powers,
     exp_t_minus_one,
     gf_catalog,
     identity_t,
@@ -178,9 +179,7 @@ def _powers(base: Callable[[int], TruncatedSeries], triangle: Callable[[int, int
     """The egf coefficient n of base^k / k! equals triangle(n,k), for k <= n."""
 
     def cases(cap: int) -> Cases:
-        series = base(cap)
-        for k in range(cap + 1):
-            power = (series**k).scale(Fraction(1, factorial(k)))
+        for k, power in enumerate(_divided_powers(base(cap))):
             for n in range(k, cap + 1):
                 yield {"n": n, "k": k}, power.egf_coefficient(n), triangle(n, k)
 

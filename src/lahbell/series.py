@@ -4,8 +4,8 @@ A :class:`TruncatedSeries` of order N stores the exponential-generating-function
 coefficients e_n = n! * a_n of t^0 .. t^N, where a_n is the ordinary
 coefficient; coefficients are integers, rationals or
 :class:`~lahbell.exact.MultiPoly` values.  All series here are formal, so
-convergence never enters; the only analytic-looking operations (exp, log) are
-coefficient recurrences.
+convergence never enters; the only analytic-looking operations (exp, log1p
+and the symbolic power) are one first-order coefficient recurrence.
 
 Every catalog series has integer (or integer-polynomial) egf coefficients.  In
 that form the product is the binomial convolution sum_i C(n,i) a_i b_{n-i},
@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 from operator import mul
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact import MultiPoly, _as_coeff, _finish, _fma
 
@@ -166,53 +166,28 @@ class TruncatedSeries:
     def exp(self) -> TruncatedSeries:
         """exp(f) for f with zero constant term.
 
-        Solved coefficient-by-coefficient from (exp f)' = f' * exp f:
-        g_n = sum_{j=1..n} C(n-1,j-1) f_j g_{n-j}, g_0 = 1.
+        g = exp f solves g' = f' g with g_0 = 1.
         """
         f = self._egf
         if f[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        poly = _has_poly(f)
-        support = [j for j in range(1, len(f)) if f[j] != 0]
-        g: list[Coeff] = [1]
-        for n in range(1, len(f)):
-            acc: dict = {}
-            for j in support:
-                if j > n:
-                    break
-                _fma(acc, comb(n - 1, j - 1), f[j], g[n - j])
-            g.append(_finish(acc, poly))
-        return _from_egf(g)
+        return _first_order(1, b=f)
 
     def log1p(self) -> TruncatedSeries:
         """log(1 + f) for f with zero constant term; the inverse of :meth:`exp`.
 
-        From h' * (1 + f) = f':
-        h_n = f_n - sum_{j=1..n-1} C(n-1,j) f_j h_{n-j}, h_0 = 0.
+        h = log(1 + f) solves (1 + f) h' = f' with h_0 = 0.
         """
         f = self._egf
         if f[0] != 0:
             raise ValueError("log1p requires a zero constant term")
-        poly = _has_poly(f)
-        support = [j for j in range(1, len(f)) if f[j] != 0]
-        h: list[Coeff] = [0]
-        for n in range(1, len(f)):
-            acc: dict = {}
-            _fma(acc, 1, f[n], 1)
-            for j in support:
-                if j >= n:
-                    break
-                _fma(acc, -comb(n - 1, j), f[j], h[n - j])
-            h.append(_finish(acc, poly))
-        return _from_egf(h)
+        return _first_order(0, a=f, c=f)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """Exact composition self(inner(t)) for inner with zero constant term.
 
         With P_k = inner^k / k!, self(inner) = sum_k f_k P_k over the egf
-        coefficients f_k of self.  The power table is built by series
-        products only: P_k' = inner' * P_{k-1}, so each P_k is one product
-        and one shift (an integration) away from the last, with no division.
+        coefficients f_k of self, the P_k coming from :func:`_divided_powers`.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("inner must be a TruncatedSeries")
@@ -221,14 +196,9 @@ class TruncatedSeries:
             raise ValueError("composition requires inner constant term zero")
         f = self._egf
         poly = _has_poly(f, inner._egf)
-        # inner' = sum_n inner_{n+1} t^n/n!; its top coefficient lies past the
-        # order and only reaches the product coefficient the shift drops.
-        slope = _from_egf([*inner._egf[1:], 0])
-        power = ser_one(self.order)
         acc: list[dict] = [{} for _ in f]
-        for k in range(1, len(f)):
-            power = _from_egf([0, *(slope * power)._egf[:-1]])
-            if f[k] == 0:
+        for k, power in enumerate(_divided_powers(inner)):
+            if k == 0 or f[k] == 0:
                 continue
             for n in range(k, len(f)):
                 p = power._egf[n]
@@ -239,30 +209,66 @@ class TruncatedSeries:
     def pow(self, exponent: Coeff) -> TruncatedSeries:
         """Symbolic power g = f^e for f with constant term 1, by J.C.P. Miller's recurrence.
 
-        g = f^e solves f g' = e f' g with g_0 = 1.  In egf form, with f_0 = 1,
-        g_{m+1} = sum_{i=1..m+1} (C(m,i-1) e f_i - C(m,i) f_i) g_{m+1-i}:
-        no log, exp or division, so integer (polynomial) input stays integer.
-        The products e f_i are formed once; each step is then two
-        multiply-accumulates per nonzero f_i.
+        g = f^e solves f g' = e f' g with g_0 = 1: no log, exp or division,
+        so integer (polynomial) input stays integer.
         """
         f = self._egf
         if f[0] != 1:
             raise ValueError("symbolic power requires constant term 1")
         e = _as_ring(exponent)
-        poly = _has_poly(f, (e,))
-        support = [i for i in range(1, len(f)) if f[i] != 0]
-        ef = [e * c for c in f]
-        g: list[Coeff] = [1]
-        for m in range(self.order):
-            acc: dict = {}
-            for i in support:
-                if i > m + 1:
-                    break
-                _fma(acc, comb(m, i - 1), ef[i], g[m + 1 - i])
-                if i <= m:
-                    _fma(acc, -comb(m, i), f[i], g[m + 1 - i])
-            g.append(_finish(acc, poly))
-        return _from_egf(g)
+        return _first_order(1, b=[e * c for c in f], a=f)
+
+
+def _first_order(
+    g0: Coeff, b: Sequence[Coeff] = (), a: Sequence[Coeff] = (), c: Sequence[Coeff] = ()
+) -> TruncatedSeries:
+    """The series g with constant term g0 that solves a g' = b' g + c'.
+
+    a, b and c are egf coefficient sequences of one length, or empty for the
+    zero series; a_0 is taken as 1, and b_0, c_0 never enter.  Matching the
+    coefficients of t^m/m! gives, for m = 0..N-1,
+
+        g_{m+1} = c_{m+1} + sum_{i=1..m+1} (C(m,i-1) b_i - C(m,i) a_i) g_{m+1-i},
+
+    which never divides, so integer (polynomial) input stays integer.  exp
+    is (1, b=f), log1p is (0, a=f, c=f) and the power f^e is (1, b=e f, a=f).
+    """
+    order = max(len(b), len(a), len(c)) - 1
+    poly = _has_poly(b, a, c)
+    b_terms = [(i, bi) for i, bi in enumerate(b) if i and bi != 0]
+    a_terms = [(i, ai) for i, ai in enumerate(a) if i and ai != 0]
+    g: list[Coeff] = [g0]
+    for m in range(order):
+        acc: dict = {}
+        if c:
+            _fma(acc, 1, c[m + 1], 1)
+        for i, bi in b_terms:
+            if i > m + 1:
+                break
+            _fma(acc, comb(m, i - 1), bi, g[m + 1 - i])
+        for i, ai in a_terms:
+            if i > m:
+                break
+            _fma(acc, -comb(m, i), ai, g[m + 1 - i])
+        g.append(_finish(acc, poly))
+    return _from_egf(g)
+
+
+def _divided_powers(inner: TruncatedSeries) -> Iterator[TruncatedSeries]:
+    """P_k = inner^k / k! for k = 0..N, for inner with zero constant term.
+
+    Built by series products only: P_k' = inner' * P_{k-1}, so each P_k is
+    one product and one shift (an integration) away from the last, with no
+    division.
+    """
+    # inner' = sum_n inner_{n+1} t^n/n!; its top coefficient lies past the
+    # order and only reaches the product coefficient the shift drops.
+    slope = _from_egf([*inner._egf[1:], 0])
+    power = ser_one(inner.order)
+    yield power
+    for _ in range(inner.order):
+        power = _from_egf([0, *(slope * power)._egf[:-1]])
+        yield power
 
 
 def _from_egf(egf: Iterable[Coeff]) -> TruncatedSeries:

@@ -186,6 +186,14 @@ def test_seq_csv_has_header(capsys):
     assert out == "n,value\n0,1\n1,1\n2,2\n3,5\n4,15\n"
 
 
+def test_seq_csv_matches_golden_digest(capsys):
+    # Recorded from the csv-module rendering of `seq lah_bell 300 --format csv`.
+    code, out, err = run(capsys, ["seq", "lah_bell", "300", "--format", "csv"])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "1dd8bf889a406cfc6f2953b84ec99ffdba9fcef94d48c3a34a5cd0993ee9d38c"
+
+
 def test_seq_json(capsys):
     code, out, _ = run(capsys, ["seq", "bell", "4", "--format", "json"])
     assert code == 0

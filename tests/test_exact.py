@@ -42,6 +42,15 @@ def test_zero_coefficients_are_dropped():
     assert (X + (-X)).is_zero
 
 
+@pytest.mark.parametrize(
+    "exps",
+    [(2.0, 0, 0, 0), (1.5, 0, 0, 0), (0, Fraction(1), 0, 0), (True, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0)],
+)
+def test_exponent_vectors_must_hold_nonnegative_ints(exps):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        MultiPoly({exps: 1})
+
+
 def test_like_term_merge():
     assert (2 * X + X**2) + X == 3 * X + X**2
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import lahbell.series as series
 from lahbell.exact import MultiPoly, generalized_falling
 from lahbell.families import bell_poly, lah_bell_poly
+from lahbell.identities import run_suite
 from lahbell.series import (
     GF_NAMES,
     TruncatedSeries,
@@ -164,6 +165,96 @@ def exp_log_pow(f, e):
 @given(unit_led, ring_elements)
 def test_pow_matches_the_exp_log_reference(f, e):
     assert f.pow(e) == exp_log_pow(f, e)
+
+
+# References for the shared first-order solver behind exp, log1p and pow, and
+# for the divided-power table: each is built from series products alone.
+poly_zero_led = st.lists(xy_polys, min_size=8, max_size=8).map(
+    lambda cs: TruncatedSeries([0, *cs])
+)
+zero_led_any = st.one_of(zero_led, poly_zero_led)
+
+
+def product_powers(f):
+    """f^0, f^1, ..., f^N, one series product each."""
+    powers = [ser_one(f.order)]
+    for _ in range(f.order):
+        powers.append(powers[-1] * f)
+    return powers
+
+
+def series_sum(terms, order):
+    return sum(terms, TruncatedSeries([0], order=order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_led_any)
+def test_exp_is_the_sum_of_divided_powers(f):
+    powers = product_powers(f)
+    terms = (p.scale(Fraction(1, factorial(k))) for k, p in enumerate(powers))
+    assert f.exp() == series_sum(terms, f.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_led_any)
+def test_log1p_is_the_alternating_power_sum(f):
+    powers = product_powers(f)
+    terms = (powers[k].scale(Fraction((-1) ** (k + 1), k)) for k in range(1, f.order + 1))
+    assert f.log1p() == series_sum(terms, f.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_led, st.integers(-4, 6))
+def test_integer_pow_is_a_repeated_product(f, e):
+    repeated = ser_one(f.order)
+    for _ in range(abs(e)):
+        repeated = repeated * f
+    if e >= 0:
+        assert f.pow(e) == repeated
+    else:
+        assert f.pow(e) * repeated == ser_one(f.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_led, xy_polys)
+def test_polynomial_pow_is_the_binomial_series(f, e):
+    # f^e = sum_k (e)_k / k! (f - 1)^k, and (f - 1)^k vanishes past the order.
+    falling = MultiPoly.const(1)
+    terms = []
+    for k, power in enumerate(product_powers(f - ser_one(f.order))):
+        terms.append(power.scale(falling * Fraction(1, factorial(k))))
+        falling = falling * (e - k)
+    assert f.pow(e) == series_sum(terms, f.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_led_any)
+def test_divided_powers_are_scaled_binary_powers(inner):
+    table = list(series._divided_powers(inner))
+    assert len(table) == inner.order + 1
+    for k, power in enumerate(table):
+        assert power == (inner**k).scale(Fraction(1, factorial(k)))
+
+
+def test_power_checks_share_the_compose_table(monkeypatch):
+    # eq4 and eq9 read P_k = base^k / k! off one running table: one product
+    # per k, where binary powers made 132 products and 32 power calls.
+    products = 0
+    multiply = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    def refused(self, k):
+        raise AssertionError("the power checks must not call TruncatedSeries.__pow__")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    monkeypatch.setattr(TruncatedSeries, "__pow__", refused)
+    records = run_suite(["eq4", "eq9"], 15)
+    assert [r.passed() for r in records] == [True, True]
+    assert products <= 30
 
 
 def test_pow_rejects_what_it_rejected():

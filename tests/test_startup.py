@@ -52,6 +52,18 @@ def test_json_and_csv_output_in_a_fresh_process(argv, expected):
     assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 
+@pytest.mark.parametrize("kind", ["bell", "lah_bell"])
+def test_seq_csv_never_imports_csv(kind):
+    run = (
+        "import sys; before = set(sys.modules); from lahbell.cli import main; "
+        "main(sys.argv[1:]); print('csv' in set(sys.modules) - before)"
+    )
+    result = fresh("-c", run, "seq", kind, "5", "--format", "csv")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[0] == "n,value"
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("argv", [["seq", "lah_bell", "6"], ["verify", "nope"]])
 def test_python_dash_m_matches_the_console_entry(argv):
     via_module = fresh("-m", "lahbell", *argv)
