@@ -33,6 +33,8 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .dobinski import (
     DOBINSKI_FAMILIES,
@@ -155,59 +157,98 @@ def _emit(fmt: str, text: str, payload: object) -> None:
     print(_canonical_json(payload) if fmt == "json" else text)
 
 
+# table, seq, poly and gf write their answers in pieces, each as soon as it
+# is rendered, so no request holds its whole answer as text.  Every piece is
+# made of digits, letters, spaces and "^*+-/" only: no CSV field needs
+# quoting, and a quoted piece is its own JSON string.
+
+
+def _joined(parts: Iterable[str], sep: str) -> Iterator[str]:
+    """The pieces of sep.join(parts), one part at a time."""
+    for i, part in enumerate(parts):
+        if i:
+            yield sep
+        yield part
+
+
+def _array(items: Iterable[str]) -> Iterator[str]:
+    """The pieces of a JSON array, from the JSON texts of its items."""
+    yield "["
+    yield from _joined(items, ",")
+    yield "]"
+
+
+def _write(parts: Iterable[str], sep: str) -> None:
+    """Write sep.join(parts) and a newline, as print would, piece by piece."""
+    sys.stdout.writelines(_joined(parts, sep))
+    sys.stdout.write("\n")
+
+
+def _write_json(fields: dict, key: str, pieces: Iterable[str]) -> None:
+    """Write the canonical JSON object of fields plus key, whose value's JSON
+    text comes as pieces, and a newline.  Keys are plain names, so each
+    quoted key is its own JSON, and writing them sorted keeps the output
+    canonical wherever key sorts."""
+    out = sys.stdout
+    sep = "{"
+    for name in sorted([*fields, key]):
+        out.write(f'{sep}"{name}":')
+        sep = ","
+        if name == key:
+            out.writelines(pieces)
+        else:
+            out.write(_canonical_json(fields[name]))
+    out.write("}\n")
+
+
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
     nmax = _nonneg(parser, args.nmax, "nmax")
-    # Each row is written as soon as it is made; entries are digits and "-"
-    # only, so no CSV field needs quoting.
-    out = sys.stdout
     separator = " " if fmt == "text" else ","
-    if fmt == "json":
-        scalars = _canonical_json({"command": "table", "kind": args.kind, "nmax": nmax})
-        out.write(scalars[:-1] + ',"rows":[')  # "rows" sorts last: still canonical
     with localcontext(_EXACT):
-        for n, row in enumerate(iter_rows(_TABLE_KINDS[args.kind], nmax, Decimal(1))):
-            entries = separator.join(map(str, row))
-            if fmt == "json":
-                out.write(f"[{entries}]" + ("," if n < nmax else "]}\n"))
-            else:
-                out.write(entries + "\n")
+        rows = iter_rows(_TABLE_KINDS[args.kind], nmax, Decimal(1))
+        entries = (separator.join(map(str, row)) for row in rows)
+        if fmt == "json":
+            fields = {"command": "table", "kind": args.kind, "nmax": nmax}
+            _write_json(fields, "rows", _array(f"[{row}]" for row in entries))
+        else:
+            _write(entries, "\n")
     return 0
 
 
 def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
     nmax = _nonneg(parser, args.nmax, "nmax")
     value = _SEQ_KINDS[args.kind]
-    values = [value(n) for n in range(nmax + 1)]
-    # Entries are digits only, as table entries are, so no CSV field needs quoting.
-    if fmt == "csv":
-        text = "\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(values))])
+    values = (str(value(n)) for n in range(nmax + 1))
+    if fmt == "json":
+        fields = {"command": "seq", "kind": args.kind, "nmax": nmax}
+        _write_json(fields, "values", _array(values))
+    elif fmt == "csv":
+        _write(chain(["n,value"], (f"{n},{v}" for n, v in enumerate(values))), "\n")
     else:
-        text = " ".join(str(v) for v in values)
-    payload = {"command": "seq", "kind": args.kind, "nmax": nmax, "values": values}
-    _emit(fmt, text, payload)
+        _write(values, " ")
     return 0
 
 
 def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
     n = _nonneg(parser, args.n, "n")
-    rendered = str(poly_family(args.family, n))
-    payload = {"command": "poly", "family": args.family, "n": n, "value": rendered}
-    _emit(fmt, rendered, payload)
+    terms = poly_family(args.family, n).rendered_terms()
+    if fmt == "json":
+        fields = {"command": "poly", "family": args.family, "n": n}
+        _write_json(fields, "value", chain(['"'], _joined(terms, " "), ['"']))
+    else:
+        _write(terms, " ")
     return 0
 
 
 def _cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
     order = _nonneg(parser, args.order, "order")
     series = gf_catalog(args.name, order)
-    coefficients = [str(series.egf_coefficient(n)) for n in range(order + 1)]
-    text = "\n".join(f"{n}: {c}" for n, c in enumerate(coefficients))
-    payload = {
-        "command": "gf",
-        "name": args.name,
-        "order": order,
-        "egf_coefficients": coefficients,
-    }
-    _emit(fmt, text, payload)
+    coefficients = (str(series.egf_coefficient(n)) for n in range(order + 1))
+    if fmt == "json":
+        fields = {"command": "gf", "name": args.name, "order": order}
+        _write_json(fields, "egf_coefficients", _array(f'"{c}"' for c in coefficients))
+    else:
+        _write((f"{n}: {c}" for n, c in enumerate(coefficients)), "\n")
     return 0
 
 

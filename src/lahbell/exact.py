@@ -110,8 +110,15 @@ class MultiPoly:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[tuple[int, int, int, int], Scalar]]:
-        """Iterate terms in the deterministic rendering order."""
-        return iter(sorted(self._terms.items(), key=_term_sort_key, reverse=True))
+        """Iterate terms in the deterministic rendering order: descending total
+        degree, then lexicographic with x > y > lam > alpha."""
+        # Two stable sorts of the bare exponent vectors hold one list slot
+        # (and one degree) per term, where a (degree, exps) key would hold a
+        # tuple per term; vectors are distinct, so the order is the same.
+        order = sorted(self._terms, reverse=True)
+        order.sort(key=sum, reverse=True)
+        terms = self._terms
+        return ((exps, terms[exps]) for exps in order)
 
     def coefficient(self, exps: tuple[int, ...]) -> Scalar:
         return self._terms.get(tuple(exps), 0)
@@ -234,11 +241,25 @@ class MultiPoly:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
+        return " ".join(self.rendered_terms())
+
+    def rendered_terms(self) -> Iterator[str]:
+        """The pieces of ``str(self)``, one per term, made one at a time.
+
+        The first piece carries its sign ("-3*x"), each later one its
+        operator ("+ x^2", "- 2"), and the zero polynomial is the one piece
+        "0".  Joined by single spaces they are ``str(self)``, so a large
+        polynomial can be written out without its whole text existing at once.
+        """
         if not self._terms:
-            return "0"
-        parts: list[str] = []
+            yield "0"
+            return
+        # Each monomial appears once in a polynomial, so one with more terms
+        # than the cache holds would only evict its own entries: it skips it.
+        monomial = _monomial if len(self._terms) <= _MONOMIALS else _monomial.__wrapped__
+        first = True
         for exps, coeff in self.terms():
-            mono = _monomial(exps)
+            mono = monomial(exps)
             mag = abs(coeff)
             if not mono:
                 body = str(mag)
@@ -246,28 +267,24 @@ class MultiPoly:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+            if first:
+                yield body if coeff > 0 else f"-{body}"
+                first = False
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+                yield f"+ {body}" if coeff > 0 else f"- {body}"
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
 
 
-@lru_cache(maxsize=1 << 13)
+_MONOMIALS = 1 << 13
+
+
+@lru_cache(maxsize=_MONOMIALS)
 def _monomial(exps: tuple[int, int, int, int]) -> str:
     # The rendering of one exponent vector ("x^2*lam", "" for the constant),
     # made once: the coefficients of one series share most of their monomials.
     return "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(INDETERMINATES, exps) if e > 0)
-
-
-def _term_sort_key(item: tuple[tuple[int, int, int, int], Scalar]):
-    # Sorted in reverse: descending total degree, then lexicographic with
-    # x > y > lam > alpha.  Exponent vectors are distinct, so no two keys tie.
-    exps = item[0]
-    return (sum(exps), exps)
 
 
 def _from_canonical(terms: dict[tuple[int, int, int, int], Scalar]) -> MultiPoly:
@@ -309,18 +326,34 @@ def _fma(out: dict[tuple[int, int, int, int], Scalar], c: Scalar, a: PolyLike, b
             out[exps] = get(exps, 0) + ca * cb
 
 
-def _finish(out: dict[tuple[int, int, int, int], Scalar], poly: bool = True) -> PolyLike:
+def _finish(
+    out: dict[tuple[int, int, int, int], Scalar],
+    poly: bool = True,
+    keys: dict[tuple[int, int, int, int], tuple[int, int, int, int]] | None = None,
+) -> PolyLike:
     """The canonical value of an _fma accumulation: zero terms dropped and
     integral Fractions stored as ints.
 
     A MultiPoly, or with poly false the scalar on the constant exponent
-    vector (the caller knows no polynomial entered the sum).
+    vector (the caller knows no polynomial entered the sum).  An operation
+    that finishes many sums can pass one keys table for all of them, so its
+    results share one exponent-vector object per distinct monomial; the
+    table lives only as long as the caller keeps it.
     """
     if not poly:
         return _as_coeff(out.get(_ZERO_EXP, 0))
+    if keys is None:  # a ring operation: one sum, nothing to share
+        return _from_canonical(
+            {
+                exps: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for exps, c in out.items()
+                if c
+            }
+        )
+    share = keys.setdefault
     return _from_canonical(
         {
-            exps: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            share(exps, exps): c.numerator if type(c) is Fraction and c.denominator == 1 else c
             for exps, c in out.items()
             if c
         }

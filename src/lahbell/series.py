@@ -12,9 +12,11 @@ that form the product is the binomial convolution sum_i C(n,i) a_i b_{n-i},
 exp, log1p, composition and the symbolic power are built from such
 convolutions, and none of them divides, so integer input stays integer and no
 coefficient pays a gcd.  Every convolution sum accumulates in place through
-the multiply-accumulate kernel of :mod:`lahbell.exact`.  The
-constructor and :meth:`TruncatedSeries.coefficient` speak ordinary
-coefficients; the conversion happens at that boundary.
+the multiply-accumulate kernel of :mod:`lahbell.exact`, and all the
+coefficients one product, composition or recurrence finishes share one
+exponent vector per distinct monomial, through a key table that lives only
+for that operation.  The constructor and :meth:`TruncatedSeries.coefficient`
+speak ordinary coefficients; the conversion happens at that boundary.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class TruncatedSeries:
 
     def coefficient(self, n: int) -> Coeff:
         """Ordinary coefficient of t^n."""
-        return self.egf_coefficient(n) * Fraction(1, factorial(n))
+        return _as_ring(self.egf_coefficient(n) * Fraction(1, factorial(n)))
 
     def coefficients(self) -> tuple[Coeff, ...]:
         return tuple(self.coefficient(n) for n in range(len(self._egf)))
@@ -125,6 +127,7 @@ class TruncatedSeries:
         poly = _has_poly(a, b)
         support = [i for i, c in enumerate(a) if c != 0]
         b_nonzero = [c != 0 for c in b]
+        keys: dict = {}
         out = []
         for n in range(len(a)):
             acc: dict = {}
@@ -133,7 +136,7 @@ class TruncatedSeries:
                     break
                 if b_nonzero[n - i]:
                     _fma(acc, comb(n, i), a[i], b[n - i])
-            out.append(_finish(acc, poly))
+            out.append(_finish(acc, poly, keys))
         return _from_egf(out)
 
     def scale(self, c: Coeff) -> TruncatedSeries:
@@ -197,6 +200,7 @@ class TruncatedSeries:
         f = self._egf
         poly = _has_poly(f, inner._egf)
         acc: list[dict] = [{} for _ in f]
+        keys: dict = {}
         for k, power in enumerate(_divided_powers(inner)):
             if k == 0 or f[k] == 0:
                 continue
@@ -204,7 +208,7 @@ class TruncatedSeries:
                 p = power._egf[n]
                 if p != 0:
                     _fma(acc[n], 1, f[k], p)
-        return _from_egf([f[0], *(_finish(terms, poly) for terms in acc[1:])])
+        return _from_egf([f[0], *(_finish(terms, poly, keys) for terms in acc[1:])])
 
     def pow(self, exponent: Coeff) -> TruncatedSeries:
         """Symbolic power g = f^e for f with constant term 1, by J.C.P. Miller's recurrence.
@@ -237,6 +241,7 @@ def _first_order(
     poly = _has_poly(b, a, c)
     b_terms = [(i, bi) for i, bi in enumerate(b) if i and bi != 0]
     a_terms = [(i, ai) for i, ai in enumerate(a) if i and ai != 0]
+    keys: dict = {}
     g: list[Coeff] = [g0]
     for m in range(order):
         acc: dict = {}
@@ -250,7 +255,7 @@ def _first_order(
             if i > m:
                 break
             _fma(acc, -comb(m, i), ai, g[m + 1 - i])
-        g.append(_finish(acc, poly))
+        g.append(_finish(acc, poly, keys))
     return _from_egf(g)
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
@@ -15,8 +16,9 @@ import pytest
 
 import lahbell.cli as cli
 from lahbell.dobinski import CertifiedDecimal, PrecisionNotReached
+from lahbell.families import FAMILIES, laguerre_poly, poly_family
 from lahbell.identities import IdentityRecord
-from lahbell.series import GF_NAMES
+from lahbell.series import GF_NAMES, gf_catalog
 from lahbell.triangles import Triangle
 
 
@@ -138,6 +140,23 @@ def test_closed_pipe_exits_1_without_a_traceback():
         env=LAHBELL_ENV,
     ) as proc:
         assert proc.stdout.read(10) == b"1\n0 1\n0 2 "
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gf", "laguerre_weighted", "--order", "40"], ["poly", "laguerre", "200"], ["seq", "lah_bell", "600"]],
+)
+def test_streamed_answer_to_a_closed_pipe_exits_1_without_a_traceback(argv):
+    # Each answer is several times a pipe buffer, so a write fails after the
+    # reader has gone.
+    with subprocess.Popen(
+        lahbell_command(*argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=LAHBELL_ENV
+    ) as proc:
+        assert len(proc.stdout.read(1)) == 1
         proc.stdout.close()
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
@@ -288,6 +307,148 @@ def test_gf_order_0_is_the_constant_term(capsys, name):
     code, out, err = run(capsys, ["gf", name, "--order", "0", "--format", "json"])
     assert code == 0 and err == ""
     assert json.loads(out) == {"command": "gf", "egf_coefficients": ["1"], "name": name, "order": 0}
+
+
+# Golden sha256 of the streamed `gf` and `poly` answers, recorded from the
+# list-and-join rendering before they were streamed.  Each digest covers
+# the stdout of every size in turn, in one format.
+GF_ORDERS = (0, 1, 7, 24, 40)
+POLY_NS = (0, 1, 9, 60)
+STREAMED_SHA256 = {
+    ("gf", "lah_bell", GF_ORDERS, "text"): "322dcdf993fb205c28f4cf5440c9a46417b16cdec08f671d0be3821508188ab7",
+    ("gf", "lah_bell", GF_ORDERS, "json"): "fc9f223ce6d3ed355cc0f8fc249b66ef46a812223515d466ed33dcbfa71d41c8",
+    ("gf", "lah_bell_poly", GF_ORDERS, "text"): "eb0a915559b244d675aa30221cc61eabbe7ba0ce07abc863c0277c5a8ba6ad29",
+    ("gf", "lah_bell_poly", GF_ORDERS, "json"): "e1c4915bf249f3d4c3782653e9c990dd71f99ea3b459b11c50efe85f9b1ecb9b",
+    ("gf", "bell", GF_ORDERS, "text"): "9b02a20a77eecb32842d3c040fb277f8fa8c8594a8f70c9ef65f84db74fa1cf6",
+    ("gf", "bell", GF_ORDERS, "json"): "07c89fa5fd868f6433e06b4989a5f2b2cfb8280c0ea7ce03c76d5e0e027924d7",
+    ("gf", "bell_poly", GF_ORDERS, "text"): "473f14eb0210e5991adc05b0db8b9124e1fdbb407655b05c6373c4bc987ff865",
+    ("gf", "bell_poly", GF_ORDERS, "json"): "1520277b3dd7ea7094fc3a73a05a7611f474db7dc5c43c46ef341271a6ce2129",
+    ("gf", "bivariate_bell", GF_ORDERS, "text"): "92f1fd8bcbc29ec24c3fe005f7c4f2b1343f7f3615e548481709ddd163d9f052",
+    ("gf", "bivariate_bell", GF_ORDERS, "json"): "c3387968c89d9625f34d899aace76bd0ff23a3c444662f929f8366f7c60030bb",
+    ("gf", "bivariate_lah_bell", GF_ORDERS, "text"): "009f23b04e10f083a50ecb3a77ed8248b89ff320b44e97f930bb4cefcffe8232",
+    ("gf", "bivariate_lah_bell", GF_ORDERS, "json"): "ef96e84fe25623eb93fc048fceaae7d7c80c965de371a0621ae9d4846654e9f6",
+    ("gf", "degenerate_lah_bell", GF_ORDERS, "text"): "5bbb6e273a4406dd9798d5c8c986f60e1d2b094ad7ef2ff9796c5e2f8249ce8c",
+    ("gf", "degenerate_lah_bell", GF_ORDERS, "json"): "e2465deabe8223278b2d713b431295b3b89f1049fcc5c2804387448e1ae52d4f",
+    ("gf", "degenerate_bell", GF_ORDERS, "text"): "e88a2753468a495b29594aa18364717619250d3044a008b62e769c094a47acf0",
+    ("gf", "degenerate_bell", GF_ORDERS, "json"): "64a7cf46f56de08ccea04a086763f94ac9da6b1f33cb79bf956d65ab2776f87b",
+    ("gf", "laguerre_weighted", GF_ORDERS, "text"): "28207f18aca42e5d08444c5ee9ecfe99e1fbf22a3b9d0143ab1c97a2d9945246",
+    ("gf", "laguerre_weighted", GF_ORDERS, "json"): "3d7ebda32b4c6a3b38400ce7ed2af3c781b622cb9520c1b49643bf46c7e1972d",
+    ("poly", "bell", POLY_NS, "text"): "20c1ce42adf65112f6cd4e0ae6a71969725232c18addb0c8fefb3e87c5365f82",
+    ("poly", "bell", POLY_NS, "json"): "f0a56db4d3615bdfd7d39031481394588912d2e2b80b45d0c30cb0ed38c7bf98",
+    ("poly", "lah_bell", POLY_NS, "text"): "041beff307859e7ce0518562d35fdbc891b5d989fbaf45eaa18f4211529f9911",
+    ("poly", "lah_bell", POLY_NS, "json"): "ef40da0ed6f0ae61e25ac3d9339f977a8f663ac8678f3e8d4dc8557faa9e7171",
+    ("poly", "bivariate_bell", POLY_NS, "text"): "e3f6769b2712659a08d36b609a7121988eb3e0f234d6758907d20da7b0af58b6",
+    ("poly", "bivariate_bell", POLY_NS, "json"): "1e05f164975c631859849ccb2d2ed4f005aae636c88779a25b512e1b5812303a",
+    ("poly", "bivariate_lah_bell", POLY_NS, "text"): "ae34197e833319be3af2773140044d8b6df10d4c19277439cde22932756c1a63",
+    ("poly", "bivariate_lah_bell", POLY_NS, "json"): "a4f9e198c53cfd27ac5acf2b5e8c33a0a26713aa0adbb3929835d151bfee2fb6",
+    ("poly", "degenerate_bell", POLY_NS, "text"): "d9fa4df67629780acaa5956cfe807a3afa2f013d3512d86cb5966c8d1d9d1a7f",
+    ("poly", "degenerate_bell", POLY_NS, "json"): "d227de5ad764116721a48ba8a41580fee3183d61b1529c7364874a86874db62b",
+    ("poly", "degenerate_lah_bell", POLY_NS, "text"): "24b1122512010bb78ac39c263cb454350c677b971d7f8547636d5cda8a48e8bf",
+    ("poly", "degenerate_lah_bell", POLY_NS, "json"): "f5e11eb82da88987e889dad8bc22ba816b7f290e96324fb69a91bbfbaafb7c21",
+    ("poly", "laguerre", POLY_NS, "text"): "2247a8684af62e422e90aa85f6dbcebd1202c16bd903367e566db86c52f70cb2",
+    ("poly", "laguerre", POLY_NS, "json"): "c36042ffc505bbfab59f7b84da1919ea058c9fb63e0b816e0b804d41d7b3c249",
+    ("poly", "laguerre", (300,), "text"): "a24e7ebc8e119db3491a1b566b7cfc579957c27ff8afb018356eaf1cbe497318",
+    ("poly", "laguerre", (300,), "json"): "cd99f743ccf751e6213308d7b101c3a8ef14e09ee1fac410b140e789393bc107",
+}
+
+
+def stream_argv(command, name, size, fmt):
+    if command == "gf":
+        return ["gf", name, "--order", str(size), "--format", fmt]
+    return [command, name, str(size), "--format", fmt]
+
+
+@pytest.mark.parametrize("command, name, sizes, fmt", sorted(STREAMED_SHA256))
+def test_streamed_answers_match_golden_digests(monkeypatch, command, name, sizes, fmt):
+    stdout = Sha256Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    for size in sizes:
+        assert cli.main(stream_argv(command, name, size, fmt)) == 0
+    assert stdout.sha256.hexdigest() == STREAMED_SHA256[command, name, sizes, fmt]
+
+
+# Golden sha256 of `seq KIND N --format FMT` for FMT in text, csv, json and
+# N in 0, 1, 300, 1000, in that order, recorded like the digests above.  A
+# fresh process runs them: `seq lah_bell 1000` fills the triangle memo to
+# about 260 MB, which must not stay in the test process.
+SEQ_STREAMED_SHA256 = {
+    "bell": "be827b9aa93227ba6648320ee8bc83efe0986b44f2ae7fc43a1bbcbaa38e717a",
+    "lah_bell": "765748a110f6b9368c331f1771162ef5b6fda7a523eb047755ac203787c609c5",
+}
+SEQ_DRIVER = """
+import sys
+from lahbell.cli import main
+for fmt in ("text", "csv", "json"):
+    for n in (0, 1, 300, 1000):
+        if main(["seq", sys.argv[1], str(n), "--format", fmt]) != 0:
+            sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("kind", sorted(SEQ_STREAMED_SHA256))
+def test_streamed_seq_matches_golden_digest(kind):
+    done = subprocess.run(
+        [sys.executable, "-c", SEQ_DRIVER, kind], capture_output=True, env=LAHBELL_ENV, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == SEQ_STREAMED_SHA256[kind]
+
+
+def old_payload(command, name, size):
+    """The JSON payload `gf`, `poly` and `seq` built whole before they streamed."""
+    if command == "gf":
+        series = gf_catalog(name, size)
+        coefficients = [str(series.egf_coefficient(n)) for n in range(size + 1)]
+        return {"command": "gf", "name": name, "order": size, "egf_coefficients": coefficients}
+    if command == "poly":
+        return {"command": "poly", "family": name, "n": size, "value": str(poly_family(name, size))}
+    values = [cli._SEQ_KINDS[name](n) for n in range(size + 1)]
+    return {"command": "seq", "kind": name, "nmax": size, "values": values}
+
+
+@pytest.mark.parametrize(
+    "command, names", [("gf", GF_NAMES), ("poly", FAMILIES), ("seq", sorted(cli._SEQ_KINDS))]
+)
+def test_streamed_json_is_the_canonical_dump_of_the_old_payload(capsys, command, names):
+    for name in names:
+        for size in (0, 1, 2, 7):
+            code, out, err = run(capsys, stream_argv(command, name, size, "json"))
+            assert (code, err) == (0, "")
+            payload = old_payload(command, name, size)
+            assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class CountingStdout(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poly_is_written_in_a_fraction_of_its_size(monkeypatch, fmt):
+    # Joined into one string and printed, the answer cost several times its
+    # own size; streamed, only one term's text is alive at a time.
+    poly = laguerre_poly(150)
+    monkeypatch.setattr(cli, "poly_family", lambda family, n: poly)
+    argv = ["poly", "laguerre", "150", "--format", fmt]
+    monkeypatch.setattr(sys, "stdout", CountingStdout())
+    assert cli.main(argv) == 0  # imports and caches fill before the measure
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert stdout.size > 10**6
+    assert peak < stdout.size / 4
 
 
 def test_verify_text(capsys):

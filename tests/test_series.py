@@ -300,7 +300,36 @@ def test_ordinary_coefficients_at_the_boundary():
     s = TruncatedSeries([Fraction(1, 2), 3, X])
     assert s.egf_coefficient(2) == 2 * X
     assert s.coefficients() == (Fraction(1, 2), 3, X)
-    assert type(s.coefficient(1)) is Fraction
+    assert [type(c) for c in s.coefficients()] == [Fraction, int, MultiPoly]
+
+
+def test_ordinary_coefficients_store_integers_as_int():
+    # n! * a_n / n! with an integral a_n comes back as an int, never as
+    # Fraction(a_n, 1), as everywhere else in the library.
+    assert type(TruncatedSeries([1, 1, 1]).coefficient(2)) is int
+    coefficients = gf_catalog("lah_bell", 3).coefficients()
+    assert coefficients == (1, 1, Fraction(3, 2), Fraction(13, 6))
+    assert [type(c) for c in coefficients] == [int, int, Fraction, Fraction]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gf_catalog("laguerre_weighted", 16),
+        # A polynomial inner series: its products make new exponent vectors.
+        lambda: degenerate_exponential(12).compose(exp_t_minus_one(12).scale(X * LAM)),
+        lambda: gf_catalog("bivariate_bell", 16),
+    ],
+    ids=["product", "compose", "first-order"],
+)
+def test_one_operation_keeps_one_key_per_monomial(build):
+    # Every coefficient an operation finishes shares the exponent vectors of
+    # the others: one tuple object per distinct monomial, not one per term.
+    s = build()
+    polys = [s.egf_coefficient(n) for n in range(s.order + 1)]
+    keys = [exps for p in polys if isinstance(p, MultiPoly) for exps, _ in p.terms()]
+    assert len(keys) > len(set(keys))
+    assert len({id(exps) for exps in keys}) == len(set(keys))
 
 
 def test_scalar_coefficients_follow_the_multipoly_rule():

@@ -1,5 +1,6 @@
 """Start-up cost: what importing the package loads, and `python -m lahbell`."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -71,3 +72,10 @@ def test_python_dash_m_matches_the_console_entry(argv):
     assert via_module.returncode == via_entry.returncode
     assert via_module.stdout == via_entry.stdout
     assert via_module.stderr == via_entry.stderr
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "lahbell").glob("*.py")), ids=lambda path: path.name)
+def test_modules_parse_as_python_3_10(path):
+    # pyproject.toml promises Python 3.10; the interpreter running the tests
+    # may be newer and would accept later syntax.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
