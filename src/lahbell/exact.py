@@ -342,14 +342,7 @@ def _finish(
     """
     if not poly:
         return _as_coeff(out.get(_ZERO_EXP, 0))
-    if keys is None:  # a ring operation: one sum, nothing to share
-        return _from_canonical(
-            {
-                exps: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                for exps, c in out.items()
-                if c
-            }
-        )
+    keys = {} if keys is None else keys
     share = keys.setdefault
     return _from_canonical(
         {

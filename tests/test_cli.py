@@ -432,7 +432,8 @@ class CountingStdout(io.TextIOBase):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_poly_is_written_in_a_fraction_of_its_size(monkeypatch, fmt):
     # Joined into one string and printed, the answer cost several times its
-    # own size; streamed, only one term's text is alive at a time.
+    # own size; streamed, only one term's text is alive at a time.  Its 11476
+    # terms also exceed the monomial cache, which they would only churn.
     poly = laguerre_poly(150)
     monkeypatch.setattr(cli, "poly_family", lambda family, n: poly)
     argv = ["poly", "laguerre", "150", "--format", fmt]
