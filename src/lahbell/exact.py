@@ -255,7 +255,8 @@ class MultiPoly:
             yield "0"
             return
         # Each monomial appears once in a polynomial, so one with more terms
-        # than the cache holds would only evict its own entries: it skips it.
+        # than the cache holds would only evict its own entries, and the
+        # cache's table would be rebuilt as they churn: it skips the cache.
         monomial = _monomial if len(self._terms) <= _MONOMIALS else _monomial.__wrapped__
         first = True
         for exps, coeff in self.terms():
