@@ -19,10 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
-from operator import ne
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .dobinski import lah_bell_dobinski
+from .dobinski import CertifiedDecimal, lah_bell_dobinski
 from .enumeration import (
     ENUMERATION_BOUNDS,
     count_ordered_partitions,
@@ -73,8 +72,8 @@ _NUMERIC_EPS = Fraction(1, 10**20)
 _DOBINSKI_ARGS = (Fraction(1, 2), Fraction(1), Fraction(3))
 
 Counterexample = Optional[dict[str, str]]
-Check = Callable[[int], Counterexample]
 Cases = Iterable[tuple[dict, object, object]]
+Check = Callable[[int], Cases]
 
 
 class IdentityRecord(NamedTuple):
@@ -108,38 +107,51 @@ def _fail(**kwargs: object) -> dict[str, str]:
     return {key: str(value) for key, value in kwargs.items()}
 
 
-def _first_mismatch(
-    cases: Cases,
-    differ: Callable[[object, object], bool] = ne,
-    keys: tuple[str, str] = ("lhs", "rhs"),
-) -> Counterexample:
-    """The first (labels, left, right) case with differ(left, right), as a counterexample.
+def _first_mismatch(cases: Cases) -> Counterexample:
+    """The first (labels, left, right) case whose sides disagree, as a counterexample.
 
-    The two sides are reported under keys.  Checkers yield their cases lazily in
-    increasing n and build each family value when a case first needs it, so no
-    value past the first mismatch is built and the counterexample carries the
-    smallest failing n.
+    A certified enclosure on the left disagrees when it misses the exact value
+    on the right, and the two are reported as enclosure/exact; any other pair
+    disagrees when unequal, and is reported as lhs/rhs.  Checkers yield their
+    cases lazily in increasing n and build each family value when a case first
+    needs it, so no value past the first mismatch is built and the
+    counterexample carries the smallest failing n.
     """
-    left_key, right_key = keys
     for labels, left, right in cases:
-        if differ(left, right):
-            return _fail(**labels, **{left_key: left, right_key: right})
+        if isinstance(left, CertifiedDecimal):
+            if not left.contains(right):
+                return _fail(**labels, enclosure=left, exact=right)
+        elif left != right:
+            return _fail(**labels, lhs=left, rhs=right)
     return None
 
 
 # -- checker factories ------------------------------------------------------
-# Rows reach families, row sums, counters and gf_catalog through lambdas or
-# function bodies, so every call goes through the module-level name at check
-# time and anything that rebinds those names (a test double, a tracer) sees it.
-# Family values are built through _built, keyed by the builder as that name
-# resolves, so checks that need the same family share one build.  _run clears
-# it, so no value outlives the triangle memo it was built from.
+# A check maps its cap to its (labels, left, right) cases, in increasing n;
+# _run alone judges them, through _first_mismatch.  Rows reach families, row
+# sums, factorials, counters and gf_catalog through lambdas or function
+# bodies, so every call goes through the module-level name at check time and
+# anything that rebinds those names (a test double, a tracer) sees it.  Family
+# values and the factorials (x)_n, <x>_n are built through _built, keyed by
+# the builder as that name resolves, so checks that need the same value share
+# one build.  _run clears it, so no value outlives the triangle memo it was
+# built from.
 
 
 @lru_cache(maxsize=None)
 def _built(build: Callable[[int], PolyLike], n: int) -> PolyLike:
     """build(n), built once per run."""
     return build(n)
+
+
+def _falling(n: int) -> MultiPoly:
+    """(x)_n, the run's shared falling factorial."""
+    return falling_factorial(_X, n)
+
+
+def _rising(n: int) -> MultiPoly:
+    """<x>_n, the run's shared rising factorial."""
+    return rising_factorial(_X, n)
 
 
 class _Sum(NamedTuple):
@@ -162,7 +174,7 @@ def _sums(*routes: _Sum) -> Check:
                 rhs = triangle_sum(n, route.triangle, bases, route.sign)
                 yield {"n": n, **(route.label or {})}, route.lhs(n), rhs
 
-    return lambda cap: _first_mismatch(cases(cap))
+    return cases
 
 
 def _gf(name: str, family: Callable[[int], PolyLike]) -> Check:
@@ -172,7 +184,7 @@ def _gf(name: str, family: Callable[[int], PolyLike]) -> Check:
         gf = gf_catalog(name, cap)
         return (({"n": n}, gf.egf_coefficient(n), family(n)) for n in range(cap + 1))
 
-    return lambda cap: _first_mismatch(cases(cap))
+    return cases
 
 
 def _powers(base: Callable[[int], TruncatedSeries], triangle: Callable[[int, int], int]) -> Check:
@@ -183,12 +195,12 @@ def _powers(base: Callable[[int], TruncatedSeries], triangle: Callable[[int, int
             for n in range(k, cap + 1):
                 yield {"n": n, "k": k}, power.egf_coefficient(n), triangle(n, k)
 
-    return lambda cap: _first_mismatch(cases(cap))
+    return cases
 
 
 def _entrywise(left: Callable[[int, int], int], right: Callable[[int, int], int]) -> Check:
     """left(n,k) equals right(n,k), for k <= n."""
-    return lambda cap: _first_mismatch(
+    return lambda cap: (
         ({"n": n, "k": k}, left(n, k), right(n, k)) for n in range(cap + 1) for k in range(n + 1)
     )
 
@@ -209,9 +221,7 @@ def _enclosure(family: Callable[[int], PolyLike], xs: tuple[Fraction, ...] = ())
                 exact = value.evaluate({"x": x}).as_rational()
                 yield {"n": n, "x": x}, lah_bell_dobinski(n, x, _NUMERIC_EPS), exact
 
-    return lambda cap: _first_mismatch(
-        cases(cap), lambda enclosure, value: not enclosure.contains(value), ("enclosure", "exact")
-    )
+    return cases
 
 
 def _oracle(count: Callable[[int], dict[int, int]], entry: Callable[[int, int], int]) -> Check:
@@ -220,7 +230,7 @@ def _oracle(count: Callable[[int], dict[int, int]], entry: Callable[[int, int], 
     The row total (BL_n, B_n) needs no check of its own: it is the sum of the
     same memo row whose nonzero entries have just matched.
     """
-    return lambda cap: _first_mismatch(
+    return lambda cap: (
         ({"n": n}, count(n), {k: value for k in range(n + 1) if (value := entry(n, k)) != 0})
         for n in range(cap + 1)
     )
@@ -229,40 +239,37 @@ def _oracle(count: Callable[[int], dict[int, int]], entry: Callable[[int, int], 
 # -- bespoke checkers, for identities of their own shape -------------------
 
 
-def _check_eq11_eq16(cap: int) -> Counterexample:
-    def cases() -> Cases:
-        forms = (
-            ("product form", lah_product_form),
-            ("binomial form", lah_binomial_form),
-            ("ratio form", lah_ratio_form),
-        )
-        for n in range(1, cap + 1):
-            for k in range(1, n + 1):
-                reference = lah(n, k)
-                for label, form in forms:
-                    yield {"n": n, "k": k, "form": label}, form(n, k), reference
-
-    return _first_mismatch(cases())
+def _check_eq11_eq16(cap: int) -> Cases:
+    forms = (
+        ("product form", lah_product_form),
+        ("binomial form", lah_binomial_form),
+        ("ratio form", lah_ratio_form),
+    )
+    for n in range(1, cap + 1):
+        for k in range(1, n + 1):
+            reference = lah(n, k)
+            for label, form in forms:
+                yield {"n": n, "k": k, "form": label}, form(n, k), reference
 
 
-def _check_eq17(cap: int) -> Counterexample:
-    return _first_mismatch(
+def _check_eq17(cap: int) -> Cases:
+    return (
         ({"n": n, "k": k}, lah(n, k + 1) * k * (k + 1), (n - k) * lah(n, k))
         for n in range(2, cap + 1)
         for k in range(1, n)
     )
 
 
-def _check_thm9(cap: int) -> Counterexample:
-    return _first_mismatch(
+def _check_thm9(cap: int) -> Cases:
+    return (
         ({"n": n}, lah_bell_recurrence_step(n, [_built(lah_bell_poly, m) for m in range(n + 1)]),
          _built(lah_bell_poly, n + 1))
         for n in range(cap + 1)
     )
 
 
-def _check_thm10(cap: int) -> Counterexample:
-    return _first_mismatch(
+def _check_thm10(cap: int) -> Cases:
+    return (
         ({"n": n}, _built(lah_bell_poly, n).derivative("x"),
          lah_bell_derivative(n, [_built(lah_bell_poly, m) for m in range(n)]))
         for n in range(1, cap + 1)
@@ -275,29 +282,25 @@ _check_eq48_sum = _sums(
 )
 
 
-def _check_eq48(cap: int) -> Counterexample:
+def _check_eq48(cap: int) -> Cases:
     order = min(cap, 12)
     composed = gf_catalog("degenerate_bell", order).compose(neg_log_one_minus_t(order))
     direct = gf_catalog("degenerate_lah_bell", order)
-    return _first_mismatch(
-        ({"n": n, "part": "series composition"}, composed.coefficient(n), direct.coefficient(n))
-        for n in range(order + 1)
-    ) or _check_eq48_sum(cap)
+    for n in range(order + 1):
+        yield {"n": n, "part": "series composition"}, composed.coefficient(n), direct.coefficient(n)
+    yield from _check_eq48_sum(cap)
 
 
-def _check_laguerre_conv(cap: int) -> Counterexample:
-    def cases() -> Cases:
-        alpha = MultiPoly.var("alpha")
-        for n in range(cap + 1):
-            acc: dict = {}
-            for m in range(n + 1):
-                _fma(acc, comb(n, m), _built(lah_bell_poly, m), _built(laguerre_poly, n - m))
-            total = _finish(acc)
-            # The target is free of x, so a surviving x is always a mismatch.
-            labels = {"n": n, "issue": "x does not cancel"} if total.degree("x") != 0 else {"n": n}
-            yield labels, total, rising_factorial(alpha + 1, n)
-
-    return _first_mismatch(cases())
+def _check_laguerre_conv(cap: int) -> Cases:
+    alpha = MultiPoly.var("alpha")
+    for n in range(cap + 1):
+        acc: dict = {}
+        for m in range(n + 1):
+            _fma(acc, comb(n, m), _built(lah_bell_poly, m), _built(laguerre_poly, n - m))
+        total = _finish(acc)
+        # The target is free of x, so a surviving x is always a mismatch.
+        labels = {"n": n, "issue": "x does not cancel"} if total.degree("x") != 0 else {"n": n}
+        yield labels, total, rising_factorial(alpha + 1, n)
 
 
 class _Entry(NamedTuple):
@@ -314,7 +317,7 @@ class _Entry(NamedTuple):
 _CATALOG: tuple[_Entry, ...] = (
     _Entry(
         "eq3", "x^n = sum_{k=0..n} S2(n,k) (x)_k", 20,
-        _sums(_Sum(lambda n: _X**n, stirling2, lambda k: falling_factorial(_X, k))),
+        _sums(_Sum(lambda n: _X**n, stirling2, _falling)),
     ),
     _Entry(
         "eq4", "(e^t - 1)^k / k! = sum_{n>=k} S2(n,k) t^n/n!", 15,
@@ -322,7 +325,7 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "eq8", "(x)_n = sum_{k=0..n} S1(n,k) x^k", 20,
-        _sums(_Sum(lambda n: falling_factorial(_X, n), stirling1_signed, lambda k: _X**k)),
+        _sums(_Sum(lambda n: _built(_falling, n), stirling1_signed, lambda k: _X**k)),
     ),
     _Entry(
         "eq9", "(log(1+t))^k / k! = sum_{n>=k} S1(n,k) t^n/n!", 15,
@@ -336,11 +339,11 @@ _CATALOG: tuple[_Entry, ...] = (
     _Entry("eq17", "L(n,k+1) k(k+1) = (n-k) L(n,k)", 30, _check_eq17, "1 <= k < n <= {cap}"),
     _Entry(
         "eq13", "<x>_n = sum_{k=0..n} L(n,k) (x)_k", 15,
-        _sums(_Sum(lambda n: rising_factorial(_X, n), lah, lambda k: falling_factorial(_X, k))),
+        _sums(_Sum(lambda n: _built(_rising, n), lah, _falling)),
     ),
     _Entry(
         "eq14", "(x)_n = sum_{k=0..n} (-1)^(n-k) L(n,k) <x>_k", 15,
-        _sums(_Sum(lambda n: falling_factorial(_X, n), lah, lambda k: rising_factorial(_X, k), -1)),
+        _sums(_Sum(lambda n: _built(_falling, n), lah, _rising, -1)),
     ),
     _Entry(
         "lemma1", "exp(1/(1-t) - 1) = sum_n BL_n t^n/n!", 20,
@@ -474,7 +477,8 @@ def _run(entries: Iterable[_Entry], max_n: int) -> list[IdentityRecord]:
     try:
         for entry in entries:
             cap = min(entry.default_max, max_n)
-            records.append(_record(entry.id, entry.anchor, entry.range_text(cap), entry.check(cap)))
+            counterexample = _first_mismatch(entry.check(cap))
+            records.append(_record(entry.id, entry.anchor, entry.range_text(cap), counterexample))
     finally:
         _built.cache_clear()
     return records

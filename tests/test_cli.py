@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -733,3 +734,23 @@ def test_invalid_env_format_rejected(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+def _readme_examples():
+    """(argv, stdout) for each `$ lahbell ...` command in the README's CLI examples."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("Examples:", 1)[1].split("```sh\n", 1)[1]
+    examples = []
+    for chunk in block.split("```", 1)[0].strip().split("\n\n"):
+        command, *output = chunk.split("\n")
+        assert command.startswith("$ lahbell "), command
+        examples.append((command.split()[2:], "".join(line + "\n" for line in output)))
+    return examples
+
+
+def test_readme_cli_examples_print_what_they_show(capsys, monkeypatch):
+    monkeypatch.delenv("LAHBELL_FORMAT", raising=False)
+    examples = _readme_examples()
+    assert len(examples) == 6
+    for argv, expected in examples:
+        assert run(capsys, argv) == (0, expected, ""), argv

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lahbell import families, identities, triangles
+from lahbell.series import exp_t_minus_one
 from lahbell.identities import (
     _CATALOG,
     _ORACLES,
@@ -173,6 +174,36 @@ def test_thm10_builds_each_lah_bell_polynomial_once(monkeypatch):
         monkeypatch.setattr(module, "lah_bell_poly", lambda n, build=build: calls.append(n) or build(n))
     assert all(record.passed() for record in run_suite(["thm10"], 20))
     assert sorted(calls) == list(range(21))
+
+
+def test_each_factorial_is_built_once_per_run(monkeypatch):
+    # eq3, eq8, eq13 and eq14 share (x)_k and <x>_k through the run memo;
+    # laguerre-conv's <alpha+1>_n are factorials of another argument.
+    calls = []
+    for name in ("falling_factorial", "rising_factorial"):
+        build = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name,
+            lambda p, n, build=build, name=name: calls.append((name, str(p), n)) or build(p, n),
+        )
+    assert all(record.passed() for record in run_suite("all", 30))
+    assert len(calls) == len(set(calls))
+    assert sorted((name, n) for name, p, n in calls if p == "x") == sorted(
+        [("falling_factorial", n) for n in range(21)] + [("rising_factorial", n) for n in range(16)]
+    )
+
+
+def test_eq48_composition_half_fails_first(monkeypatch):
+    # The triangle faults all fail the coefficient-sum half.  A wrong inner
+    # series fails the composition half, which runs first and needs no
+    # family value: e^t - 1 and -log(1-t) agree up to t^2/2.
+    calls = _record_builds(monkeypatch)
+    monkeypatch.setattr(identities, "neg_log_one_minus_t", exp_t_minus_one)
+    (record,) = run_suite(["eq48-corrected"], 15)
+    assert record.status == "fail"
+    assert record.counterexample["n"] == "3"
+    assert record.counterexample["part"] == "series composition"
+    assert calls == []
 
 
 def test_record_json_shape():

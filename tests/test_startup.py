@@ -79,3 +79,17 @@ def test_modules_parse_as_python_3_10(path):
     # pyproject.toml promises Python 3.10; the interpreter running the tests
     # may be newer and would accept later syntax.
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "lahbell").glob("*.py")), ids=lambda path: path.name)
+def test_modules_import_only_the_standard_library(path):
+    # Relative imports stay inside the package; every other import must ship
+    # with the interpreter.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    assert {name.split(".")[0] for name in names} - sys.stdlib_module_names == set()
