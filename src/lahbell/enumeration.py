@@ -21,12 +21,18 @@ generated exactly once.  The walk mutates one list of blocks in place and
 yields that live list for every structure; a caller copies what it keeps.
 :func:`iter_set_partitions` and :func:`iter_ordered_partitions` yield
 copies as tuples of tuples.
+
+The counts come from a second walk, :func:`_count_walk`, which builds the
+same structures from the same stack, :func:`_prefixes`, and yields none of
+them.  On the way to n the walk builds every structure on {1..m}, m < n, so
+it tallies each one by its size and block count, and one walk counts every
+size up to n.  Counts depend on n alone, so each kind keeps its longest walk
+for the life of the process.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "ENUMERATION_BOUNDS",
@@ -51,7 +57,7 @@ Blocks = list[list[int]]
 
 
 def _check_bound(n: int, which: str) -> None:
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"element count must be a nonnegative integer, got {n!r}")
     bound = ENUMERATION_BOUNDS[which]
     if n > bound:
@@ -70,39 +76,19 @@ def _places(blocks: Blocks, m: int, first: Optional[int]) -> Iterator[tuple[list
     yield blocks, len(blocks), [m]
 
 
-def _walk(n: int, which: str, first: Optional[int]) -> Iterator[Blocks]:
-    """Every structure on {1..n} under one insertion rule, as one live list of blocks.
+def _prefixes(blocks: Blocks, n: int, first: Optional[int]) -> Iterator[int]:
+    """Every structure on {1..m}, m < n, built in place in blocks; yields m for each.
 
-    first is None for set blocks (m only at the end), else the least position
-    m may take in a block.  Elements 1..n-1 are placed from an explicit stack
-    of place iterators, with an undo stack of their placements; the inner
-    loop places n, so each structure costs one insert, one yield and one
-    delete.
+    The root (m = 0) comes first, then each placement in walk order.
+    Elements are placed from an explicit stack of place iterators, with an
+    undo stack of their placements.  A caller places n itself, and must
+    leave blocks as it found it before asking for the next structure.
     """
-    _check_bound(n, which)
-    blocks: Blocks = []
-    if n == 0:
-        yield blocks
-        return
+    yield 0
     choices: list[Iterator[tuple[list, int, object]]] = []
     placed: list[tuple[list, int]] = []
     while True:
-        if len(choices) == n - 1:
-            # The places of n, as _places gives them, inlined: each is one structure.
-            for block in blocks:
-                if first is None:
-                    block.append(n)
-                    yield blocks
-                    block.pop()
-                    continue
-                for pos in range(first, len(block) + 1):
-                    block.insert(pos, n)
-                    yield blocks
-                    del block[pos]
-            blocks.append([n])
-            yield blocks
-            blocks.pop()
-        else:
+        if len(choices) < n - 1:
             choices.append(_places(blocks, len(choices) + 1, first))
         while choices:
             if len(placed) == len(choices):
@@ -117,6 +103,80 @@ def _walk(n: int, which: str, first: Optional[int]) -> Iterator[Blocks]:
         target, pos, item = place
         target.insert(pos, item)
         placed.append((target, pos))
+        yield len(placed)
+
+
+def _walk(n: int, which: str, first: Optional[int]) -> Iterator[Blocks]:
+    """Every structure on {1..n} under one insertion rule, as one live list of blocks.
+
+    first is None for set blocks (m only at the end), else the least position
+    m may take in a block.  An inner loop places n on each structure on
+    {1..n-1}, so each structure costs one insert, one yield and one delete.
+    """
+    _check_bound(n, which)
+    blocks: Blocks = []
+    if n == 0:
+        yield blocks
+        return
+    for m in _prefixes(blocks, n, first):
+        if m != n - 1:
+            continue
+        # The places of n, as _places gives them, inlined: each is one structure.
+        for block in blocks:
+            for pos in range(len(block) if first is None else first, len(block) + 1):
+                block.insert(pos, n)
+                yield blocks
+                del block[pos]
+        blocks.append([n])
+        yield blocks
+        blocks.pop()
+
+
+def _count_walk(n: int, first: Optional[int]) -> list[list[int]]:
+    """counts[m][k]: the structures on {1..m} with k blocks, for every m <= n, from one walk.
+
+    _walk's structures, built the same way, but nothing is yielded: each
+    structure on {1..m}, m < n, is tallied as it is built, and the inner loop
+    inserts n, tallies the structure and deletes n.
+    """
+    counts = [[0] * (m + 1) for m in range(n + 1)]
+    last = counts[n]
+    blocks: Blocks = []
+    for m in _prefixes(blocks, n, first):
+        counts[m][len(blocks)] += 1
+        if m != n - 1:
+            continue
+        for block in blocks:
+            if first is None:  # a set block's one place is its end: append beats insert
+                block.append(n)
+                last[len(blocks)] += 1
+                block.pop()
+                continue
+            for pos in range(first, len(block) + 1):
+                block.insert(pos, n)
+                last[len(blocks)] += 1
+                del block[pos]
+        blocks.append([n])
+        last[len(blocks)] += 1
+        blocks.pop()
+    return counts
+
+
+# The longest counting walk made so far, per kind.  Enumeration reads no
+# triangle, so no fault elsewhere can make these rows stale.
+_WALKS: dict[str, list[list[int]]] = {}
+
+
+def _counts(n: int, which: str, first: Optional[int]) -> dict[int, int]:
+    """Counts by block count k of the structures on {1..n}, in increasing k.
+
+    Answered from the longest walk of this kind so far; a walk to n is made
+    only when none reaches n.
+    """
+    _check_bound(n, which)
+    if len(_WALKS.get(which, ())) <= n:
+        _WALKS[which] = _count_walk(n, first)
+    return {k: count for k, count in enumerate(_WALKS[which][n]) if count}
 
 
 def iter_set_partitions(n: int) -> Iterator[Partition]:
@@ -129,19 +189,14 @@ def iter_ordered_partitions(n: int) -> Iterator[Partition]:
     return (tuple(map(tuple, blocks)) for blocks in _walk(n, "ordered_partitions", 0))
 
 
-def _tally(ks: Iterable[int]) -> dict[int, int]:
-    """Counts by key k, in increasing k."""
-    return dict(sorted(Counter(ks).items()))
-
-
 def count_set_partitions(n: int) -> dict[int, int]:
     """Counts by block count; entry k is the number of k-block partitions."""
-    return _tally(map(len, _walk(n, "set_partitions", None)))
+    return _counts(n, "set_partitions", None)
 
 
 def count_ordered_partitions(n: int) -> dict[int, int]:
     """Counts by block count over ordered-block partitions."""
-    return _tally(map(len, _walk(n, "ordered_partitions", 0)))
+    return _counts(n, "ordered_partitions", 0)
 
 
 def cycle_count(perm: tuple[int, ...]) -> int:
@@ -161,4 +216,4 @@ def cycle_count(perm: tuple[int, ...]) -> int:
 
 def count_permutations_by_cycles(n: int) -> dict[int, int]:
     """Counts of permutations of n elements by number of cycles, each built in cycle notation."""
-    return _tally(map(len, _walk(n, "permutation_cycles", 1)))
+    return _counts(n, "permutation_cycles", 1)

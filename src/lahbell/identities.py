@@ -228,12 +228,17 @@ def _oracle(count: Callable[[int], dict[int, int]], entry: Callable[[int, int], 
     """The brute-force counts by k equal the nonzero entries of triangle row n.
 
     The row total (BL_n, B_n) needs no check of its own: it is the sum of the
-    same memo row whose nonzero entries have just matched.
+    same memo row whose nonzero entries have just matched.  count(cap) comes
+    first, so one walk to cap answers every smaller n.
     """
-    return lambda cap: (
-        ({"n": n}, count(n), {k: value for k in range(n + 1) if (value := entry(n, k)) != 0})
-        for n in range(cap + 1)
-    )
+
+    def cases(cap: int) -> Cases:
+        top = count(cap)
+        for n in range(cap + 1):
+            row = {k: value for k in range(n + 1) if (value := entry(n, k)) != 0}
+            yield {"n": n}, top if n == cap else count(n), row
+
+    return cases
 
 
 # -- bespoke checkers, for identities of their own shape -------------------

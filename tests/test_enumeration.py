@@ -1,6 +1,7 @@
 """Brute-force enumeration oracles: counts, canonical order, duplicate freedom."""
 
 import hashlib
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -8,6 +9,7 @@ import pytest
 
 from lahbell.enumeration import (
     ENUMERATION_BOUNDS,
+    _count_walk,
     _walk,
     count_ordered_partitions,
     count_permutations_by_cycles,
@@ -120,13 +122,23 @@ GOLDEN_SHA256 = [
      "176ca68dcf1be05dab36ddea745834fbe3a24a2ab837cafd5020181d13b81a03"),
     (lambda: [count_permutations_by_cycles(n) for n in range(10)],
      "64c17e8f538490ea526099dc0c9a1b42a13c9a172c83932587f949e7b0f92c85"),
+    # Largest n first, so each smaller n is answered from the walk already made.
+    (lambda: [count_ordered_partitions(n) for n in reversed(range(9))][::-1],
+     "e78b62d8f670b08ea8d829b71c15022e26865c64dae7b16470c23f052fe6b8de"),
+    (lambda: [count_set_partitions(n) for n in reversed(range(11))][::-1],
+     "176ca68dcf1be05dab36ddea745834fbe3a24a2ab837cafd5020181d13b81a03"),
+    (lambda: [count_permutations_by_cycles(n) for n in reversed(range(10))][::-1],
+     "64c17e8f538490ea526099dc0c9a1b42a13c9a172c83932587f949e7b0f92c85"),
 ]
 
 
 @pytest.mark.parametrize(
     "build, digest",
     GOLDEN_SHA256,
-    ids=["ordered-8", "set-10", "count-ordered", "count-set", "count-cycles"],
+    ids=[
+        "ordered-8", "set-10", "count-ordered", "count-set", "count-cycles",
+        "count-ordered-reversed", "count-set-reversed", "count-cycles-reversed",
+    ],
 )
 def test_enumeration_matches_golden_digest(build, digest):
     assert hashlib.sha256(repr(build()).encode()).hexdigest() == digest
@@ -155,12 +167,33 @@ def test_cycle_rule_builds_every_permutation_once(n):
     assert sorted(seen) == list(permutations(range(n)))
 
 
+@pytest.mark.parametrize(
+    "which, first, cap",
+    [("ordered_partitions", 0, 8), ("set_partitions", None, 10), ("permutation_cycles", 1, 9)],
+)
+def test_count_walk_tallies_what_walk_yields(which, first, cap):
+    # Up to the `verify --oracle` default ranges: the walk to n counts, at
+    # every size m <= n, exactly the structures the yielding walk builds on {1..m}.
+    reference = [Counter(map(len, _walk(m, which, first))) for m in range(cap + 1)]
+    for n in range(cap + 1):
+        counts = _count_walk(n, first)
+        assert len(counts) == n + 1
+        for m, row in enumerate(counts):
+            assert row == [reference[m][k] for k in range(m + 1)], (n, m)
+
+
 def test_bounds_are_enforced():
     assert ENUMERATION_BOUNDS == {
         "ordered_partitions": 10,
         "set_partitions": 12,
         "permutation_cycles": 9,
     }
+
+    def after_a_walk_to_the_bound(n):
+        # The walk to 9 is kept, so a bad n must be refused before it is read.
+        count_permutations_by_cycles(9)
+        return count_permutations_by_cycles(n)
+
     cases = [
         (lambda: next(iter_ordered_partitions(11)),
          "ordered_partitions enumeration is capped at n = 10, got 11"),
@@ -177,6 +210,13 @@ def test_bounds_are_enforced():
         (lambda: count_permutations_by_cycles(-2),
          "element count must be a nonnegative integer, got -2"),
         (lambda: count_set_partitions(2.5), "element count must be a nonnegative integer, got 2.5"),
+        (lambda: next(iter_set_partitions(True)),
+         "element count must be a nonnegative integer, got True"),
+        (lambda: count_set_partitions(True), "element count must be a nonnegative integer, got True"),
+        (lambda: after_a_walk_to_the_bound(10),
+         "permutation_cycles enumeration is capped at n = 9, got 10"),
+        (lambda: after_a_walk_to_the_bound(-1),
+         "element count must be a nonnegative integer, got -1"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as raised:

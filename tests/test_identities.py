@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lahbell import families, identities, triangles
+from lahbell import enumeration, families, identities, triangles
 from lahbell.series import exp_t_minus_one
 from lahbell.identities import (
     _CATALOG,
@@ -257,6 +257,37 @@ def test_oracle_records_pass():
     assert [r.id for r in records] == list(ORACLE_IDS)
     for record in records:
         assert record.passed()
+
+
+def test_each_oracle_is_one_walk(monkeypatch):
+    # Every n of an oracle row is answered from one walk to its cap, while the
+    # count functions are still called once per n and return every structure.
+    walks = []
+    monkeypatch.setattr(enumeration, "_WALKS", {})
+    count_walk = enumeration._count_walk
+    monkeypatch.setattr(
+        enumeration, "_count_walk", lambda n, first: walks.append(n) or count_walk(n, first)
+    )
+    calls = {}
+    structures = []
+    for name in ("count_ordered_partitions", "count_set_partitions", "count_permutations_by_cycles"):
+        count = getattr(identities, name)
+
+        def recorded(n, name=name, count=count):
+            calls[name] = calls.get(name, 0) + 1
+            counts = count(n)
+            structures.append(sum(counts.values()))
+            return counts
+
+        monkeypatch.setattr(identities, name, recorded)
+    assert all(record.passed() for record in oracle_records(30))
+    assert walks == [8, 10, 9]
+    assert calls == {
+        "count_ordered_partitions": 9,
+        "count_set_partitions": 11,
+        "count_permutations_by_cycles": 10,
+    }
+    assert sum(structures) == 988161
 
 
 _SIDES = {"lhs", "rhs"}
