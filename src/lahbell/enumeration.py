@@ -44,8 +44,11 @@ __all__ = [
     "cycle_count",
 ]
 
-# Per-enumerator caps keep a full run in the seconds range; structure counts
-# grow faster than factorially beyond them.
+# Per-enumerator caps; structure counts grow faster than factorially beyond
+# them.  The largest, ordered partitions of 10 elements, is 58,941,091
+# structures: count_ordered_partitions(10) took 14-19 s in one fresh process
+# (Python 3.11, 2 vCPUs); set partitions of 12 took 1-2 s, permutations of 9
+# about 0.1 s.
 ENUMERATION_BOUNDS = {
     "ordered_partitions": 10,
     "set_partitions": 12,
@@ -81,7 +84,7 @@ def _prefixes(blocks: Blocks, n: int, first: Optional[int]) -> Iterator[int]:
 
     The root (m = 0) comes first, then each placement in walk order.
     Elements are placed from an explicit stack of place iterators, with an
-    undo stack of their placements.  A caller places n itself, and must
+    undo stack of their placements.  A caller may place n itself, and must
     leave blocks as it found it before asking for the next structure.
     """
     yield 0
@@ -110,34 +113,23 @@ def _walk(n: int, which: str, first: Optional[int]) -> Iterator[Blocks]:
     """Every structure on {1..n} under one insertion rule, as one live list of blocks.
 
     first is None for set blocks (m only at the end), else the least position
-    m may take in a block.  An inner loop places n on each structure on
-    {1..n-1}, so each structure costs one insert, one yield and one delete.
+    m may take in a block.  The structures on {1..n} are the deepest nodes of
+    the walk to n + 1.
     """
     _check_bound(n, which)
     blocks: Blocks = []
-    if n == 0:
-        yield blocks
-        return
-    for m in _prefixes(blocks, n, first):
-        if m != n - 1:
-            continue
-        # The places of n, as _places gives them, inlined: each is one structure.
-        for block in blocks:
-            for pos in range(len(block) if first is None else first, len(block) + 1):
-                block.insert(pos, n)
-                yield blocks
-                del block[pos]
-        blocks.append([n])
-        yield blocks
-        blocks.pop()
+    for m in _prefixes(blocks, n + 1, first):
+        if m == n:
+            yield blocks
 
 
 def _count_walk(n: int, first: Optional[int]) -> list[list[int]]:
     """counts[m][k]: the structures on {1..m} with k blocks, for every m <= n, from one walk.
 
     _walk's structures, built the same way, but nothing is yielded: each
-    structure on {1..m}, m < n, is tallied as it is built, and the inner loop
-    inserts n, tallies the structure and deletes n.
+    structure on {1..m}, m < n, is tallied as it is built, and an inner loop
+    (the places of n, as _places gives them, inlined) inserts n, tallies the
+    structure and deletes n.
     """
     counts = [[0] * (m + 1) for m in range(n + 1)]
     last = counts[n]

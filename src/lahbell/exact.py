@@ -179,15 +179,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = MultiPoly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(MultiPoly.const(1), self, exponent)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
@@ -293,6 +285,22 @@ def _from_canonical(terms: dict[tuple[int, int, int, int], Scalar]) -> MultiPoly
     poly = MultiPoly.__new__(MultiPoly)
     poly._terms = terms
     return poly
+
+
+def _power(one, base, e: int):
+    """one * base**e by square-and-multiply, for MultiPoly and TruncatedSeries.
+
+    The ring's own * does every product, and base is squared only while
+    bits of e remain, so e = 2^j costs j squarings and one product with one.
+    """
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 # -- the multiply-accumulate kernel ----------------------------------------

@@ -28,7 +28,7 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import MultiPoly, _as_coeff, _finish, _fma
+from .exact import MultiPoly, _as_coeff, _finish, _fma, _power
 
 __all__ = [
     "TruncatedSeries",
@@ -147,15 +147,7 @@ class TruncatedSeries:
     def __pow__(self, k: int) -> TruncatedSeries:
         if not isinstance(k, int) or k < 0:
             raise ValueError("series power must be a nonnegative integer")
-        result = ser_one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(ser_one(self.order), self, k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic: canonical form, ring axioms, factorials, rendering."""
 
 import operator
+import random
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from lahbell.exact import (
     generalized_falling,
     rising_factorial,
 )
+from lahbell.series import TruncatedSeries
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -104,6 +107,62 @@ def test_fma_accumulates_in_place(a, b, c, start):
     _fma(scalars, c, Fraction(2), Fraction(1, 2))
     value = _finish(scalars, poly=False)
     assert value == c and (type(value) is int or value.denominator != 1)
+
+
+# -- a kernel reference outside the kernel ----------------------------------
+# Every ring product goes through _fma, and so do substitute and evaluate, so
+# a fault in _fma that is itself a ring homomorphism (dropping every term of
+# alpha-degree >= 5 is reduction mod alpha^5) keeps every identity and ring
+# axiom true.  Plain-int evaluation at integer points, read off terms(),
+# sees it: a value is a product of powers, with no _fma in between.
+
+POINTS = [(2, -1, 3, -2), (-3, 2, 1, 5), (1, -2, -3, 2)]
+
+
+def at(poly, point):
+    """poly at an integer point, from its terms alone: no _fma, no substitute."""
+    total = 0
+    for exps, coeff in poly.terms():
+        for value, e in zip(point, exps):
+            coeff *= value**e
+        total += coeff
+    return total
+
+
+def sparse_poly(rng):
+    """About 20 terms with exponents up to 10 in each indeterminate."""
+    terms = {}
+    for _ in range(20):
+        exps = tuple(rng.randint(0, 10) for _ in INDETERMINATES)
+        terms[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
+    poly = MultiPoly(terms)
+    assert all(poly.degree(name) >= 8 for name in INDETERMINATES)
+    return poly
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_products_and_sums_match_plain_evaluation(seed):
+    rng = random.Random(seed)
+    a, b = sparse_poly(rng), sparse_poly(rng)
+    for point in POINTS:
+        assert at(a * b, point) == at(a, point) * at(b, point)
+        assert at(a + b, point) == at(a, point) + at(b, point)
+
+
+def test_series_product_matches_plain_evaluation():
+    rng = random.Random(4)
+    order = 5
+    f = TruncatedSeries([sparse_poly(rng) for _ in range(order + 1)])
+    g = TruncatedSeries([sparse_poly(rng) for _ in range(order + 1)])
+    product = f * g
+    for point in POINTS:
+        for n in range(order + 1):
+            # egf coefficients: c_n = sum_i C(n, i) f_i g_{n-i}
+            expected = sum(
+                comb(n, i) * at(f.egf_coefficient(i), point) * at(g.egf_coefficient(n - i), point)
+                for i in range(n + 1)
+            )
+            assert at(product.egf_coefficient(n), point) == expected
 
 
 def test_partial_evaluation():

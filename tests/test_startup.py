@@ -1,12 +1,16 @@
-"""Start-up cost: what importing the package loads, and `python -m lahbell`."""
+"""Start-up cost: what importing the package loads, its namespace, and `python -m lahbell`."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import lahbell
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENTRY = "import sys; from lahbell.cli import main; sys.exit(main())"
@@ -35,6 +39,70 @@ def test_import_loads_only_what_a_default_request_needs(module):
     added = set(result.stdout.split())
     assert module in added
     assert added & NOT_AT_IMPORT == set()
+
+
+# The public namespace, name for name and in order, as the package exported
+# it when every submodule was imported eagerly.
+PUBLIC = [
+    "__version__",
+    "Rational", "MultiPoly", "INDETERMINATES", "falling_factorial", "rising_factorial",
+    "generalized_falling",
+    "Triangle", "TRIANGLE_KINDS", "iter_rows", "lah", "stirling1_signed", "stirling2",
+    "bell_number", "lah_bell_number", "lah_via_stirling", "stirling2_via_lah",
+    "TruncatedSeries", "GF_NAMES", "gf_catalog", "identity_t", "ser_one",
+    "geometric_minus_one", "exp_t_minus_one", "neg_log_one_minus_t", "degenerate_exponential",
+    "FAMILIES", "poly_family", "bell_poly", "lah_bell_poly", "bivariate_bell_poly",
+    "bivariate_lah_bell_poly", "degenerate_bell_poly", "degenerate_lah_bell_poly",
+    "laguerre_poly", "lah_bell_recurrence_step", "lah_bell_derivative",
+    "ENUMERATION_BOUNDS", "iter_set_partitions", "iter_ordered_partitions",
+    "count_set_partitions", "count_ordered_partitions", "count_permutations_by_cycles",
+    "CertifiedDecimal", "PrecisionNotReached", "DOBINSKI_FAMILIES", "lah_bell_dobinski",
+    "bell_dobinski",
+    "IdentityRecord", "CATALOG_IDS", "ORACLE_IDS", "run_suite", "oracle_records",
+]
+SUBMODULES = ["exact", "triangles", "series", "families", "enumeration", "dobinski", "identities"]
+
+
+def test_bare_import_loads_no_submodule():
+    result = fresh("-c", ADDED.format("lahbell"))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert [name for name in result.stdout.split() if name.startswith("lahbell")] == ["lahbell"]
+
+
+def test_all_is_the_public_namespace_in_order():
+    assert len(PUBLIC) == 53
+    assert lahbell.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC[1:])
+def test_each_name_is_the_object_its_module_defines(name):
+    home = f"lahbell.{lahbell._HOME[name]}"
+    namespace = {}
+    exec(f"from lahbell import {name}", namespace)
+    obj = namespace[name]
+    assert obj is getattr(importlib.import_module(home), name)
+    if name == "Rational":  # the stdlib type, exported under the package's name
+        assert obj is Fraction
+    elif callable(obj):
+        assert obj.__module__ == home
+
+
+def test_submodules_resolve_after_a_bare_import():
+    run = (
+        "import sys, lahbell; print(*(getattr(lahbell, name).__name__ for name in sys.argv[1:])); "
+        "from lahbell import *; print(*sorted(m for m in sys.modules if m.startswith('lahbell.')))"
+    )
+    result = fresh("-c", run, *SUBMODULES)
+    assert (result.returncode, result.stderr) == (0, "")
+    resolved, loaded = result.stdout.splitlines()
+    assert resolved.split() == [f"lahbell.{name}" for name in SUBMODULES]
+    assert loaded.split() == sorted(f"lahbell.{name}" for name in SUBMODULES)
+
+
+def test_unknown_names_raise_and_dir_lists_every_export():
+    with pytest.raises(AttributeError, match="module 'lahbell' has no attribute 'nope'"):
+        lahbell.nope
+    assert set(PUBLIC) <= set(dir(lahbell))
 
 
 @pytest.mark.parametrize(
