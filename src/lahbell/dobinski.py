@@ -78,6 +78,11 @@ class CertifiedDecimal(_Certificate):
             raise ValueError("error bound exceeds the requested precision")
         return super().__new__(cls, value, error_bound, requested_eps, series_terms, exp_terms)
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CertifiedDecimal:
+        """The tuple helper, through __new__, so it and _replace keep the checks."""
+        return cls(*iterable)
+
     @property
     def low(self) -> Fraction:
         return self.value - self.error_bound
@@ -233,7 +238,7 @@ def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedD
 
 
 def _validated(n: int, x: RationalLike, eps: RationalLike) -> tuple[Fraction, Fraction]:
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"index must be a nonnegative integer, got {n!r}")
     x = Fraction(x)
     eps = Fraction(eps)

@@ -179,7 +179,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        return _power(MultiPoly.const(1), self, exponent)
+        return _power(self, exponent) if exponent else MultiPoly.const(1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
@@ -287,19 +287,21 @@ def _from_canonical(terms: dict[tuple[int, int, int, int], Scalar]) -> MultiPoly
     return poly
 
 
-def _power(one, base, e: int):
-    """one * base**e by square-and-multiply, for MultiPoly and TruncatedSeries.
+def _power(base, e: int):
+    """base**e for e >= 1 by square-and-multiply, for MultiPoly and TruncatedSeries.
 
-    The ring's own * does every product, and base is squared only while
-    bits of e remain, so e = 2^j costs j squarings and one product with one.
+    The ring's own * does every product.  The result starts as base squared
+    up to e's lowest set bit, so no product is taken with one, and e costs
+    e.bit_length() + bin(e).count("1") - 2 products.
     """
-    result = one
-    while e:
+    while not e & 1:
+        base = base * base
+        e >>= 1
+    result = base
+    while e := e >> 1:
+        base = base * base
         if e & 1:
             result = result * base
-        e >>= 1
-        if e:
-            base = base * base
     return result
 
 

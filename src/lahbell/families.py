@@ -42,7 +42,7 @@ _ALPHA = MultiPoly.var("alpha")
 
 
 def _require_index(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"family index must be a nonnegative integer, got {n!r}")
 
 
@@ -126,7 +126,7 @@ def lah_bell_derivative(n: int, values: Sequence[MultiPoly]) -> MultiPoly:
 
     sum_{m=0..n-1} C(n,m) (n-m)! p_m.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"derivative expansion needs n >= 1, got {n!r}")
     if len(values) != n:
         raise ValueError(f"need values for indices 0..{n - 1}, got {len(values)} entries")

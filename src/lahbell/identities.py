@@ -177,14 +177,18 @@ def _sums(*routes: _Sum) -> Check:
     return cases
 
 
+def _each(left: Callable[[int], object], right: Callable[[int], object], first: int = 0) -> Check:
+    """left(n) equals right(n), or encloses it, for first <= n <= cap."""
+    return lambda cap: (({"n": n}, left(n), right(n)) for n in range(first, cap + 1))
+
+
 def _gf(name: str, family: Callable[[int], PolyLike]) -> Check:
-    """The egf coefficients of gf_catalog(name) equal family(n)."""
+    """The egf coefficients of gf_catalog(name) equal family(n).
 
-    def cases(cap: int) -> Cases:
-        gf = gf_catalog(name, cap)
-        return (({"n": n}, gf.egf_coefficient(n), family(n)) for n in range(cap + 1))
-
-    return cases
+    The series is built once, when the check is called, and read through its
+    bound egf_coefficient.
+    """
+    return lambda cap: _each(gf_catalog(name, cap).egf_coefficient, family)(cap)
 
 
 def _powers(base: Callable[[int], TruncatedSeries], triangle: Callable[[int, int], int]) -> Check:
@@ -203,25 +207,6 @@ def _entrywise(left: Callable[[int, int], int], right: Callable[[int, int], int]
     return lambda cap: (
         ({"n": n, "k": k}, left(n, k), right(n, k)) for n in range(cap + 1) for k in range(n + 1)
     )
-
-
-def _enclosure(family: Callable[[int], PolyLike], xs: tuple[Fraction, ...] = ()) -> Check:
-    """lah_bell_dobinski(n, x) encloses family(n) at x, for each x in xs (labelled) or at x = 1.
-
-    family(n) is built once per n.  With xs it is a polynomial in x, evaluated
-    at each x; without, it is the number itself.
-    """
-
-    def cases(cap: int) -> Cases:
-        for n in range(cap + 1):
-            value = family(n)
-            if not xs:
-                yield {"n": n}, lah_bell_dobinski(n, 1, _NUMERIC_EPS), value
-            for x in xs:
-                exact = value.evaluate({"x": x}).as_rational()
-                yield {"n": n, "x": x}, lah_bell_dobinski(n, x, _NUMERIC_EPS), exact
-
-    return cases
 
 
 def _oracle(count: Callable[[int], dict[int, int]], entry: Callable[[int, int], int]) -> Check:
@@ -265,20 +250,13 @@ def _check_eq17(cap: int) -> Cases:
     )
 
 
-def _check_thm9(cap: int) -> Cases:
-    return (
-        ({"n": n}, lah_bell_recurrence_step(n, [_built(lah_bell_poly, m) for m in range(n + 1)]),
-         _built(lah_bell_poly, n + 1))
-        for n in range(cap + 1)
-    )
-
-
-def _check_thm10(cap: int) -> Cases:
-    return (
-        ({"n": n}, _built(lah_bell_poly, n).derivative("x"),
-         lah_bell_derivative(n, [_built(lah_bell_poly, m) for m in range(n)]))
-        for n in range(1, cap + 1)
-    )
+def _check_thm6(cap: int) -> Cases:
+    """BL_n(x) is built once per n and evaluated at each x in _DOBINSKI_ARGS."""
+    for n in range(cap + 1):
+        value = _built(lah_bell_poly, n)
+        for x in _DOBINSKI_ARGS:
+            exact = value.evaluate({"x": x}).as_rational()
+            yield {"n": n, "x": x}, lah_bell_dobinski(n, x, _NUMERIC_EPS), exact
 
 
 _check_eq48_sum = _sums(
@@ -361,7 +339,8 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "thm3", "BL_n = e^(-1) sum_{k>=0} <k>_n / k!  (certified enclosure)", 12,
-        _enclosure(lambda n: _built(lah_bell_number, n)),
+        _each(lambda n: lah_bell_dobinski(n, 1, _NUMERIC_EPS),
+              lambda n: _built(lah_bell_number, n)),
     ),
     _Entry(
         "lemma4", "exp(x (1/(1-t) - 1)) = sum_n BL_n(x) t^n/n!", 15,
@@ -374,7 +353,7 @@ _CATALOG: tuple[_Entry, ...] = (
     ),
     _Entry(
         "thm6", "BL_n(x) = e^(-x) sum_{k>=0} <k>_n x^k / k!  (certified enclosure)", 12,
-        _enclosure(lambda n: _built(lah_bell_poly, n), _DOBINSKI_ARGS),
+        _check_thm6,
         "n <= {cap}, x in {{1/2, 1, 3}}",
     ),
     _Entry(
@@ -390,10 +369,18 @@ _CATALOG: tuple[_Entry, ...] = (
         "eq30", "L(n,k) = sum_{l=k..n} (-1)^(n-l) S1(n,l) S2(l,k)", 25,
         _entrywise(lah_via_stirling, lah), "k <= n <= {cap}",
     ),
-    _Entry("thm9", "BL_{n+1}(x) = x sum_{m=0..n} C(n,m) (n-m+1)! BL_m(x)", 20, _check_thm9),
+    _Entry(
+        "thm9", "BL_{n+1}(x) = x sum_{m=0..n} C(n,m) (n-m+1)! BL_m(x)", 20,
+        _each(
+            lambda n: lah_bell_recurrence_step(n, [_built(lah_bell_poly, m) for m in range(n + 1)]),
+            lambda n: _built(lah_bell_poly, n + 1),
+        ),
+    ),
     _Entry(
         "thm10", "d/dx BL_n(x) = sum_{m=0..n-1} C(n,m) (n-m)! BL_m(x)", 20,
-        _check_thm10, "1 <= n <= {cap}",
+        _each(lambda n: _built(lah_bell_poly, n).derivative("x"),
+              lambda n: lah_bell_derivative(n, [_built(lah_bell_poly, m) for m in range(n)]), 1),
+        "1 <= n <= {cap}",
     ),
     _Entry(
         "eq37", "(1 + y(e^t - 1))^x = sum_n B_n(x,y) t^n/n!", 12,

@@ -147,7 +147,7 @@ class TruncatedSeries:
     def __pow__(self, k: int) -> TruncatedSeries:
         if not isinstance(k, int) or k < 0:
             raise ValueError("series power must be a nonnegative integer")
-        return _power(ser_one(self.order), self, k)
+        return _power(self, k) if k else ser_one(self.order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -25,3 +25,15 @@ def count_products():
         return calls
 
     return count
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the run time of the fault table, which is meant to stay under 10 s."""
+    seconds = sum(
+        getattr(report, "duration", 0)
+        for reports in terminalreporter.stats.values()
+        for report in reports
+        if getattr(report, "nodeid", "").startswith("tests/test_faults.py")
+    )
+    if seconds:
+        terminalreporter.write_line(f"tests/test_faults.py ran in {seconds:.2f} s")

@@ -1,5 +1,7 @@
 """Certified series evaluation: enclosures, refinement, rendering, validation."""
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from math import prod
@@ -153,6 +155,24 @@ def test_certificate_invariants_enforced():
         CertifiedDecimal(Fraction(1), Fraction(-1), Fraction(1), 1, 1)
     with pytest.raises(ValueError, match="^error bound exceeds the requested precision$"):
         CertifiedDecimal(Fraction(1), Fraction(1), Fraction(1, 2), 1, 1)
+
+
+def test_certificate_helpers_keep_the_invariants():
+    got = lah_bell_dobinski(3, Fraction(1, 2), EPS20)
+    with pytest.raises(ValueError, match="^error bound exceeds the requested precision$"):
+        got._replace(error_bound=Fraction(1))
+    with pytest.raises(ValueError, match="^error bound must be nonnegative$"):
+        CertifiedDecimal._make((Fraction(1), Fraction(-1), Fraction(1), 1, 1))
+    assert got._replace(series_terms=99) == (*got[:3], 99, got.exp_terms)
+    assert type(CertifiedDecimal._make(got)) is CertifiedDecimal
+    for twin in (pickle.loads(pickle.dumps(got)), copy.copy(got), copy.deepcopy(got)):
+        assert type(twin) is CertifiedDecimal and twin == got
+
+
+@pytest.mark.parametrize("evaluate", [lah_bell_dobinski, bell_dobinski])
+def test_bool_index_rejected(evaluate):
+    with pytest.raises(ValueError, match="^index must be a nonnegative integer, got True$"):
+        evaluate(True, 1, EPS20)
 
 
 def test_record_repr_is_stable():

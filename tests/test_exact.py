@@ -255,6 +255,35 @@ def test_power():
         X ** (-1)
 
 
+def test_powers_take_no_product_with_one(count_products, monkeypatch):
+    # The square-and-multiply chain starts from the base squared up to e's
+    # lowest set bit, so no product is spent on the ring's one.
+    def chain(e):
+        return e.bit_length() + bin(e).count("1") - 2
+
+    assert count_products(lambda: X**0) == 0
+    for e in range(1, 65):
+        assert count_products(lambda: (X + 1) ** e) == chain(e), e
+        assert [c for _, c in ((X + 1) ** e).terms()] == [comb(e, k) for k in range(e + 1)]
+
+    calls = 0
+    multiply = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    one_plus_t = TruncatedSeries([1, 1], order=6)
+    assert one_plus_t**0 == TruncatedSeries([1], order=6) and calls == 0
+    for e in range(1, 65):
+        calls = 0
+        power = one_plus_t**e
+        assert calls == chain(e), e
+        assert power.coefficients() == tuple(comb(e, n) for n in range(7))
+
+
 def test_integer_polynomials_keep_int_coefficients():
     p = (X + 1) ** 5
     assert [c for _, c in p.terms()] == [1, 5, 10, 10, 5, 1]

@@ -66,6 +66,18 @@ def test_negative_index_rejected():
             fn(-1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: lah_bell_poly(True), lambda: laguerre_poly(True),
+     lambda: lah_bell_recurrence_step(True, [1, X])],
+    ids=["lah_bell_poly", "laguerre_poly", "lah_bell_recurrence_step"],
+)
+def test_bool_index_rejected(call):
+    # True is an int to isinstance, but not the index the message asks for.
+    with pytest.raises(ValueError, match="^family index must be a nonnegative integer, got True$"):
+        call()
+
+
 def test_poly_family_dispatch():
     assert set(FAMILIES) == {
         "bell",
@@ -150,6 +162,11 @@ def test_derivative_index_validation():
     for short_or_long in (values[:2], values + [lah_bell_poly(3)]):
         with pytest.raises(ValueError):
             lah_bell_derivative(3, short_or_long)
+
+
+def test_derivative_rejects_a_bool_index():
+    with pytest.raises(ValueError, match="^derivative expansion needs n >= 1, got True$"):
+        lah_bell_derivative(True, [lah_bell_poly(0)])
 
 
 def test_triangle_sum_takes_exactly_n_plus_one_bases():
