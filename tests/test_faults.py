@@ -3,8 +3,8 @@
 Each fault wraps one module-level name, the one its callers resolve when they
 run, and the table pins the sorted ids of the records that fail under it in
 `run_suite("all", 30) + oracle_records(30)`.  The caches that outlive a run
-(the gf catalog and the kept enumeration walks) are emptied before and after
-each run, so no value built with or without the fault serves the other.
+(the gf catalog and the kept enumeration walks) start empty for each faulty
+run, and nothing that run builds is kept after it.
 The module's run time is printed in the test summary (tests/conftest.py).
 """
 
