@@ -67,46 +67,42 @@ def _check_bound(n: int, which: str) -> None:
         raise ValueError(f"{which} enumeration is capped at n = {bound}, got {n}")
 
 
-def _places(blocks: Blocks, m: int, first: Optional[int]) -> Iterator[tuple[list, int, object]]:
-    """Every (target, position, item) that places m: in a block, then as a new block.
+def _extend(blocks: Blocks, m: int, first: Optional[int]) -> Iterator[None]:
+    """Place m in each of its places in turn, in a block and then as a new block.
 
-    Blocks are read when the iterator reaches them, so the walk must have
-    undone every later placement before it asks for the next place.
+    Each placement is made just before the generator yields and undone when it
+    is resumed, so blocks is as it was once the generator is exhausted.  Blocks
+    are read when the generator reaches them: every later placement must be
+    undone before it is resumed.
     """
     for block in blocks:
         for pos in range(len(block) if first is None else first, len(block) + 1):
-            yield block, pos, m
-    yield blocks, len(blocks), [m]
+            block.insert(pos, m)
+            yield
+            del block[pos]
+    blocks.append([m])
+    yield
+    blocks.pop()
 
 
 def _prefixes(blocks: Blocks, n: int, first: Optional[int]) -> Iterator[int]:
     """Every structure on {1..m}, m < n, built in place in blocks; yields m for each.
 
-    The root (m = 0) comes first, then each placement in walk order.
-    Elements are placed from an explicit stack of place iterators, with an
-    undo stack of their placements.  A caller may place n itself, and must
-    leave blocks as it found it before asking for the next structure.
+    The root (m = 0) comes first, then each placement in walk order.  Element
+    m is placed by the m-th generator of one stack of :func:`_extend`
+    generators, each of which undoes its own placements.  A caller may place
+    n itself, and must leave blocks as it found it before asking for the next
+    structure.
     """
     yield 0
-    choices: list[Iterator[tuple[list, int, object]]] = []
-    placed: list[tuple[list, int]] = []
-    while True:
-        if len(choices) < n - 1:
-            choices.append(_places(blocks, len(choices) + 1, first))
-        while choices:
-            if len(placed) == len(choices):
-                target, pos = placed.pop()
-                del target[pos]
-            place = next(choices[-1], None)
-            if place is not None:
-                break
-            choices.pop()
-        else:
-            return
-        target, pos, item = place
-        target.insert(pos, item)
-        placed.append((target, pos))
-        yield len(placed)
+    stack = [_extend(blocks, 1, first)] if n > 1 else []
+    while stack:
+        if next(stack[-1], False) is False:
+            stack.pop()
+            continue
+        yield len(stack)
+        if len(stack) < n - 1:
+            stack.append(_extend(blocks, len(stack) + 1, first))
 
 
 def _walk(n: int, which: str, first: Optional[int]) -> Iterator[Blocks]:
@@ -128,7 +124,7 @@ def _count_walk(n: int, first: Optional[int]) -> list[list[int]]:
 
     _walk's structures, built the same way, but nothing is yielded: each
     structure on {1..m}, m < n, is tallied as it is built, and an inner loop
-    (the places of n, as _places gives them, inlined) inserts n, tallies the
+    (the places of n, as _extend makes them, inlined) inserts n, tallies the
     structure and deletes n.
     """
     counts = [[0] * (m + 1) for m in range(n + 1)]

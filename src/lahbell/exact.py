@@ -177,7 +177,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> MultiPoly:
-        if not isinstance(exponent, int) or exponent < 0:
+        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         return _power(self, exponent) if exponent else MultiPoly.const(1)
 

@@ -145,7 +145,7 @@ class TruncatedSeries:
         return _from_egf(_as_ring(c * coeff) for coeff in self._egf)
 
     def __pow__(self, k: int) -> TruncatedSeries:
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError("series power must be a nonnegative integer")
         return _power(self, k) if k else ser_one(self.order)
 
@@ -345,7 +345,7 @@ GF_NAMES = (
 
 
 # One entry per name: a `verify all` run asks each name at a single order.
-@lru_cache(maxsize=len(GF_NAMES))
+@lru_cache(maxsize=len(GF_NAMES), typed=True)
 def gf_catalog(name: str, order: int) -> TruncatedSeries:
     """Named exponential generating functions of the number/polynomial families.
 
@@ -353,7 +353,7 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
     egf coefficients reproduce the matching closed-form family exactly, which
     the identity suite checks.  All family parameters stay symbolic.
     """
-    if order < 0:
+    if isinstance(order, bool) or order < 0:
         raise ValueError("order must be nonnegative")
     x = MultiPoly.var("x")
     y = MultiPoly.var("y")

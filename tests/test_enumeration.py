@@ -10,6 +10,7 @@ import pytest
 from lahbell.enumeration import (
     ENUMERATION_BOUNDS,
     _count_walk,
+    _prefixes,
     _walk,
     count_ordered_partitions,
     count_permutations_by_cycles,
@@ -180,6 +181,20 @@ def test_count_walk_tallies_what_walk_yields(which, first, cap):
         assert len(counts) == n + 1
         for m, row in enumerate(counts):
             assert row == [reference[m][k] for k in range(m + 1)], (n, m)
+
+
+@pytest.mark.parametrize("first", [0, None, 1], ids=["ordered", "set", "cycles"])
+@pytest.mark.parametrize("n", range(7))
+def test_prefixes_leave_blocks_as_they_found_them(n, first):
+    # At each m the walk yields, blocks hold exactly 1..m in nonempty blocks
+    # ordered by least element: every deeper placement has been undone.
+    blocks = []
+    for m in _prefixes(blocks, n, first):
+        assert all(blocks)
+        assert sorted(x for block in blocks for x in block) == list(range(1, m + 1))
+        leaders = [min(block) for block in blocks]
+        assert leaders == sorted(leaders)
+    assert blocks == []
 
 
 def test_bounds_are_enforced():

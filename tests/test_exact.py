@@ -255,6 +255,11 @@ def test_power():
         X ** (-1)
 
 
+def test_power_rejects_a_bool_exponent():
+    with pytest.raises(ValueError, match="polynomial exponent must be a nonnegative integer"):
+        X**True
+
+
 def test_powers_take_no_product_with_one(count_products, monkeypatch):
     # The square-and-multiply chain starts from the base squared up to e's
     # lowest set bit, so no product is spent on the ring's one.

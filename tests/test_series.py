@@ -112,6 +112,22 @@ def test_preconditions_rejected():
         identity_t(4) * identity_t(3)
 
 
+def test_power_rejects_a_bool_exponent():
+    with pytest.raises(ValueError, match="series power must be a nonnegative integer"):
+        TruncatedSeries([1, 1]) ** True
+
+
+def test_catalog_rejects_a_bool_order():
+    gf_catalog("bell", 1)  # a cached order-1 entry must not answer for True
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        gf_catalog("bell", True)
+
+
+def test_log1p_inverts_exp_minus_one():
+    # log(1 + (e^t - 1)) = t, with a c-term at every order of log1p's recurrence.
+    assert exp_t_minus_one(12).log1p() == identity_t(12)
+
+
 def test_series_are_unhashable():
     with pytest.raises(TypeError):
         hash(identity_t(2))
