@@ -28,10 +28,19 @@ them.  On the way to n the walk builds every structure on {1..m}, m < n, so
 it tallies each one by its size and block count, and one walk counts every
 size up to n.  Counts depend on n alone, so each kind keeps its longest walk
 for the life of the process.
+
+:func:`_walk_side_by_side` makes several kinds' walks at once: this process
+makes one, and each other runs in a forked child that sends its counts back
+through a pipe.  Every process runs the same :func:`_count_walk`, so every
+structure is still built and counted one at a time.  Without ``os.fork``, or
+with a second thread running, the walks run here one after another.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import threading
 from typing import Iterator, Optional
 
 __all__ = [
@@ -53,6 +62,14 @@ ENUMERATION_BOUNDS = {
     "ordered_partitions": 10,
     "set_partitions": 12,
     "permutation_cycles": 9,
+}
+
+# The insertion rule of each kind: the least position m may take in a block,
+# None for a set block (m only at its end).
+_FIRST: dict[str, Optional[int]] = {
+    "ordered_partitions": 0,
+    "set_partitions": None,
+    "permutation_cycles": 1,
 }
 
 Partition = tuple[tuple[int, ...], ...]
@@ -155,7 +172,7 @@ def _count_walk(n: int, first: Optional[int]) -> list[list[int]]:
 _WALKS: dict[str, list[list[int]]] = {}
 
 
-def _counts(n: int, which: str, first: Optional[int]) -> dict[int, int]:
+def _counts(n: int, which: str) -> dict[int, int]:
     """Counts by block count k of the structures on {1..n}, in increasing k.
 
     Answered from the longest walk of this kind so far; a walk to n is made
@@ -163,8 +180,81 @@ def _counts(n: int, which: str, first: Optional[int]) -> dict[int, int]:
     """
     _check_bound(n, which)
     if len(_WALKS.get(which, ())) <= n:
-        _WALKS[which] = _count_walk(n, first)
+        _WALKS[which] = _count_walk(n, _FIRST[which])
     return {k: count for k, count in enumerate(_WALKS[which][n]) if count}
+
+
+def _fork_walk(n: int, first: Optional[int]) -> tuple[int, int]:
+    """Start a child that makes the walk to n and writes its counts, marshalled, to a pipe.
+
+    Returns the child's pid and the pipe's read end.  The child writes to
+    nothing else and leaves with os._exit: status 0 once every byte is
+    written, 1 if anything raised.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(_count_walk(n, first)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _reap(pid: int, read: int) -> Optional[bytes]:
+    """Read a child's pipe to its end and reap the child; the bytes if it exited with 0."""
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data if status == 0 else None
+
+
+def _walk_side_by_side(caps: dict[str, int]) -> None:
+    """Make, at once, the walk to caps[which] of each kind that no kept walk reaches.
+
+    This process makes the first missing walk, and each other runs in a
+    forked child whose counts are kept exactly as an in-process walk's.
+    Every child is reaped before this returns or raises, and when something
+    raises, the children left are waited for, not killed: each makes one
+    bounded walk.  A child that fails makes this raise, and nothing of it
+    is kept.  Without os.fork, or with
+    a second thread running (forking then is unsafe), the walks run here one
+    after another.
+    """
+    for which, n in caps.items():
+        _check_bound(n, which)
+    missing = [(which, n) for which, n in caps.items() if len(_WALKS.get(which, ())) <= n]
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        here, away = missing[:1], missing[1:]
+    else:
+        here, away = missing, []
+    children: list[tuple[str, int, int]] = []
+    try:
+        for which, n in away:
+            children.append((which, *_fork_walk(n, _FIRST[which])))
+        for which, n in here:
+            _WALKS[which] = _count_walk(n, _FIRST[which])
+        while children:
+            which, pid, read = children.pop(0)
+            data = _reap(pid, read)
+            if data is None:
+                raise RuntimeError(f"the {which} count walk failed in a child process")
+            _WALKS[which] = marshal.loads(data)
+    finally:
+        for _, pid, read in children:  # left only when something raised
+            _reap(pid, read)
 
 
 def iter_set_partitions(n: int) -> Iterator[Partition]:
@@ -179,12 +269,12 @@ def iter_ordered_partitions(n: int) -> Iterator[Partition]:
 
 def count_set_partitions(n: int) -> dict[int, int]:
     """Counts by block count; entry k is the number of k-block partitions."""
-    return _counts(n, "set_partitions", None)
+    return _counts(n, "set_partitions")
 
 
 def count_ordered_partitions(n: int) -> dict[int, int]:
     """Counts by block count over ordered-block partitions."""
-    return _counts(n, "ordered_partitions", 0)
+    return _counts(n, "ordered_partitions")
 
 
 def cycle_count(perm: tuple[int, ...]) -> int:
@@ -204,4 +294,4 @@ def cycle_count(perm: tuple[int, ...]) -> int:
 
 def count_permutations_by_cycles(n: int) -> dict[int, int]:
     """Counts of permutations of n elements by number of cycles, each built in cycle notation."""
-    return _counts(n, "permutation_cycles", 1)
+    return _counts(n, "permutation_cycles")

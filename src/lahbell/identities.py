@@ -24,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .dobinski import CertifiedDecimal, lah_bell_dobinski
 from .enumeration import (
     ENUMERATION_BOUNDS,
+    _walk_side_by_side,
     count_ordered_partitions,
     count_permutations_by_cycles,
     count_set_partitions,
@@ -454,17 +455,23 @@ _ORACLES: tuple[_Entry, ...] = (
         ),
     ),
 )
+# The enumeration kind each oracle row walks, in _ORACLES order.
+_ORACLE_KINDS = ("ordered_partitions", "set_partitions", "permutation_cycles")
 
 CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry in _CATALOG)
 ORACLE_IDS: tuple[str, ...] = tuple(entry.id for entry in _ORACLES)
 
 
-def _run(entries: Iterable[_Entry], max_n: int) -> list[IdentityRecord]:
-    """One record per entry, each over its default range capped at max_n; _built lasts one run."""
+def _check_max_n(max_n: int) -> None:
     if isinstance(max_n, bool) or not isinstance(max_n, int):
         raise ValueError(f"max_n must be an int, got {max_n!r}")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+
+
+def _run(entries: Iterable[_Entry], max_n: int) -> list[IdentityRecord]:
+    """One record per entry, each over its default range capped at max_n; _built lasts one run."""
+    _check_max_n(max_n)
     records = []
     try:
         for entry in entries:
@@ -491,5 +498,13 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
 
 
 def oracle_records(max_n: int) -> list[IdentityRecord]:
-    """Compare the brute-force enumerators against the triangle rows."""
+    """Compare the brute-force enumerators against the triangle rows.
+
+    The three count walks are made side by side first, so each row's
+    count(cap) is answered from a kept walk.
+    """
+    _check_max_n(max_n)
+    _walk_side_by_side(
+        {kind: min(entry.default_max, max_n) for kind, entry in zip(_ORACLE_KINDS, _ORACLES)}
+    )
     return _run(_ORACLES, max_n)

@@ -353,7 +353,7 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
     egf coefficients reproduce the matching closed-form family exactly, which
     the identity suite checks.  All family parameters stay symbolic.
     """
-    if isinstance(order, bool) or order < 0:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
         raise ValueError("order must be nonnegative")
     x = MultiPoly.var("x")
     y = MultiPoly.var("y")

@@ -1,17 +1,22 @@
 """Brute-force enumeration oracles: counts, canonical order, duplicate freedom."""
 
 import hashlib
+import os
+import threading
+import warnings
 from collections import Counter
 from itertools import permutations
 from math import factorial
 
 import pytest
 
+from lahbell import enumeration
 from lahbell.enumeration import (
     ENUMERATION_BOUNDS,
     _count_walk,
     _prefixes,
     _walk,
+    _walk_side_by_side,
     count_ordered_partitions,
     count_permutations_by_cycles,
     count_set_partitions,
@@ -237,3 +242,114 @@ def test_bounds_are_enforced():
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value) == message
+
+
+# The `verify --oracle` default caps, and each kind's insertion rule.
+_ORACLE_CAPS = {"ordered_partitions": 8, "set_partitions": 10, "permutation_cycles": 9}
+_FIRST = {"ordered_partitions": 0, "set_partitions": None, "permutation_cycles": 1}
+
+
+@pytest.fixture
+def walk_log(monkeypatch, tmp_path):
+    """Start with no kept walks, and log "pid n" for every _count_walk, children's too.
+
+    Returns a function that reads the log as a list of (pid, n) pairs.
+    """
+    log = tmp_path / "walks"
+    log.touch()
+    monkeypatch.setattr(enumeration, "_WALKS", {})
+
+    def logged(n, first):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {n}\n")
+        return _count_walk(n, first)
+
+    monkeypatch.setattr(enumeration, "_count_walk", logged)
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_process_walks():
+    return {which: _count_walk(n, _FIRST[which]) for which, n in _ORACLE_CAPS.items()}
+
+
+def test_side_by_side_walks_keep_what_in_process_walks_give(walk_log, capfd):
+    _walk_side_by_side(_ORACLE_CAPS)
+    _assert_no_child_left()
+    assert enumeration._WALKS == _in_process_walks()
+    # The first walk is made here, and each other in a child of its own.
+    pids = dict((n, pid) for pid, n in walk_log())
+    assert sorted(pids) == [8, 9, 10]
+    assert pids[8] == os.getpid()
+    assert len({pids[8], pids[9], pids[10]}) == 3
+    assert capfd.readouterr() == ("", "")
+    # Kept walks are not made again, and a shorter cap is answered from them.
+    _walk_side_by_side({"set_partitions": 7, "permutation_cycles": 9})
+    assert len(walk_log()) == 3
+
+
+def test_a_walk_that_fails_in_a_child_makes_the_parent_raise(walk_log, monkeypatch, capfd):
+    logged = enumeration._count_walk
+
+    def set_walk_breaks(n, first):
+        if first is None:
+            raise RuntimeError("set walk broke")
+        return logged(n, first)
+
+    monkeypatch.setattr(enumeration, "_count_walk", set_walk_breaks)
+    with pytest.raises(RuntimeError, match="the set_partitions count walk failed in a child process"):
+        _walk_side_by_side(_ORACLE_CAPS)
+    _assert_no_child_left()
+    assert "set_partitions" not in enumeration._WALKS
+    assert enumeration._WALKS["ordered_partitions"] == _count_walk(8, 0)
+    # The child died without a word: no traceback reached stdout or stderr.
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_walk_that_fails_here_still_reaps_every_child(walk_log, monkeypatch):
+    logged = enumeration._count_walk
+
+    def ordered_walk_breaks(n, first):
+        if first == 0:
+            raise RuntimeError("ordered walk broke")
+        return logged(n, first)
+
+    monkeypatch.setattr(enumeration, "_count_walk", ordered_walk_breaks)
+    with pytest.raises(RuntimeError, match="ordered walk broke"):
+        _walk_side_by_side(_ORACLE_CAPS)
+    _assert_no_child_left()
+    assert enumeration._WALKS == {}
+
+
+def test_without_fork_the_walks_run_here(walk_log, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    _walk_side_by_side(_ORACLE_CAPS)
+    assert enumeration._WALKS == _in_process_walks()
+    assert sorted(walk_log()) == [(os.getpid(), 8), (os.getpid(), 9), (os.getpid(), 10)]
+
+
+def test_with_a_second_thread_the_walks_run_here_without_a_warning(walk_log):
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _walk_side_by_side(_ORACLE_CAPS)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert enumeration._WALKS == _in_process_walks()
+    assert sorted(walk_log()) == [(os.getpid(), 8), (os.getpid(), 9), (os.getpid(), 10)]
+
+
+def test_side_by_side_caps_are_checked_before_any_walk(walk_log):
+    with pytest.raises(ValueError, match="set_partitions enumeration is capped at n = 12, got 13"):
+        _walk_side_by_side({"ordered_partitions": 8, "set_partitions": 13})
+    assert walk_log() == []
+    assert enumeration._WALKS == {}

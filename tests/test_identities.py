@@ -259,15 +259,20 @@ def test_oracle_records_pass():
         assert record.passed()
 
 
-def test_each_oracle_is_one_walk(monkeypatch):
+def test_each_oracle_is_one_walk(monkeypatch, tmp_path):
     # Every n of an oracle row is answered from one walk to its cap, while the
     # count functions are still called once per n and return every structure.
-    walks = []
+    # Walks may run in forked children, so each walk's size goes to a file.
+    log = tmp_path / "walks"
     monkeypatch.setattr(enumeration, "_WALKS", {})
     count_walk = enumeration._count_walk
-    monkeypatch.setattr(
-        enumeration, "_count_walk", lambda n, first: walks.append(n) or count_walk(n, first)
-    )
+
+    def logged(n, first):
+        with open(log, "a") as out:
+            out.write(f"{n}\n")
+        return count_walk(n, first)
+
+    monkeypatch.setattr(enumeration, "_count_walk", logged)
     calls = {}
     structures = []
     for name in ("count_ordered_partitions", "count_set_partitions", "count_permutations_by_cycles"):
@@ -281,7 +286,7 @@ def test_each_oracle_is_one_walk(monkeypatch):
 
         monkeypatch.setattr(identities, name, recorded)
     assert all(record.passed() for record in oracle_records(30))
-    assert walks == [8, 10, 9]
+    assert sorted(map(int, log.read_text().split())) == [8, 9, 10]
     assert calls == {
         "count_ordered_partitions": 9,
         "count_set_partitions": 11,

@@ -123,6 +123,12 @@ def test_catalog_rejects_a_bool_order():
         gf_catalog("bell", True)
 
 
+@pytest.mark.parametrize("order", [2.5, 2.0, "3", None], ids=repr)
+def test_catalog_rejects_an_order_that_is_not_an_int(order):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        gf_catalog("bell", order)
+
+
 def test_log1p_inverts_exp_minus_one():
     # log(1 + (e^t - 1)) = t, with a c-term at every order of log1p's recurrence.
     assert exp_t_minus_one(12).log1p() == identity_t(12)
