@@ -226,12 +226,11 @@ def _walk_side_by_side(caps: dict[str, int]) -> None:
 
     This process makes the first missing walk, and each other runs in a
     forked child whose counts are kept exactly as an in-process walk's.
-    Every child is reaped before this returns or raises, and when something
-    raises, the children left are waited for, not killed: each makes one
-    bounded walk.  A child that fails makes this raise, and nothing of it
-    is kept.  Without os.fork, or with
-    a second thread running (forking then is unsafe), the walks run here one
-    after another.
+    Every child is reaped before this returns or raises; when something
+    raises, the children left are waited for, not killed, since each makes
+    one bounded walk.  A child that fails makes this raise, and nothing of
+    it is kept.  Without os.fork, or with a second thread running (forking
+    then is unsafe), the walks run here one after another.
     """
     for which, n in caps.items():
         _check_bound(n, which)

@@ -13,6 +13,7 @@ import pytest
 from lahbell import enumeration
 from lahbell.enumeration import (
     ENUMERATION_BOUNDS,
+    _FIRST,
     _count_walk,
     _prefixes,
     _walk,
@@ -244,9 +245,8 @@ def test_bounds_are_enforced():
         assert str(raised.value) == message
 
 
-# The `verify --oracle` default caps, and each kind's insertion rule.
+# The `verify --oracle` default caps.
 _ORACLE_CAPS = {"ordered_partitions": 8, "set_partitions": 10, "permutation_cycles": 9}
-_FIRST = {"ordered_partitions": 0, "set_partitions": None, "permutation_cycles": 1}
 
 
 @pytest.fixture
@@ -282,7 +282,7 @@ def test_side_by_side_walks_keep_what_in_process_walks_give(walk_log, capfd):
     _assert_no_child_left()
     assert enumeration._WALKS == _in_process_walks()
     # The first walk is made here, and each other in a child of its own.
-    pids = dict((n, pid) for pid, n in walk_log())
+    pids = {n: pid for pid, n in walk_log()}
     assert sorted(pids) == [8, 9, 10]
     assert pids[8] == os.getpid()
     assert len({pids[8], pids[9], pids[10]}) == 3
