@@ -8,9 +8,16 @@ the fixed, ordered indeterminate set ``("x", "y", "lam", "alpha")``.
 A :class:`MultiPoly` stores a map from exponent vectors to nonzero exact
 coefficients.  Integer input stays integer, so integer polynomials never pay
 for a gcd; a ``Fraction`` with denominator 1, given or computed, is stored as
-its ``int``::
+its ``int``.  Each exponent vector is packed into one int of five
+``_WIDTH``-bit fields, the total degree on top, then x, y, lam and alpha
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007)::
 
-    x^2*y + 3  ->  {(2, 1, 0, 0): 1, (0, 0, 0, 0): 3}
+    x^2*y + 3  ->  {3 << 64 | 2 << 48 | 1 << 32: 1, 0: 3}
+
+so a monomial product is one int add, and descending int order is the
+rendering order.  The public surface speaks exponent tuples and packs them at
+the boundary.  A total degree past :data:`MAX_DEGREE` raises ``ValueError``.
 
 The zero polynomial is the empty map.  Two polynomials are equal iff their
 term maps are equal, so canonical-form equality is decidable and cheap.
@@ -26,6 +33,7 @@ from typing import Iterator, Mapping, Union
 __all__ = [
     "Rational",
     "INDETERMINATES",
+    "MAX_DEGREE",
     "MultiPoly",
     "falling_factorial",
     "rising_factorial",
@@ -41,7 +49,15 @@ INDETERMINATES = ("x", "y", "lam", "alpha")
 
 _VAR_INDEX = {name: i for i, name in enumerate(INDETERMINATES)}
 _NVARS = len(INDETERMINATES)
-_ZERO_EXP = (0,) * _NVARS
+
+# The packed layout.  The total degree bounds every exponent, so while it fits
+# its field no field can carry, and a carry out of any field shows in the top
+# one: every key of a valid vector is below _LIMIT.
+_WIDTH = 16
+MAX_DEGREE = (1 << _WIDTH) - 1
+_SHIFTS = tuple(_WIDTH * i for i in reversed(range(_NVARS)))  # x highest
+_DEGREE = _WIDTH * _NVARS
+_LIMIT = 1 << (_DEGREE + _WIDTH)
 
 Scalar = Union[int, Fraction]
 PolyLike = Union["MultiPoly", int, Fraction]
@@ -55,8 +71,21 @@ def _var_index(name: str) -> int:
         raise ValueError(message) from None
 
 
+def _pack(exps: tuple[int, ...]) -> int:
+    """The key of an exponent vector, or -1 if it is not one."""
+    exps = tuple(exps)
+    if len(exps) != _NVARS or any(type(e) is not int or e < 0 for e in exps):
+        return -1
+    key = sum(exps) << _DEGREE
+    return sum((e << s for e, s in zip(exps, _SHIFTS)), key) if key < _LIMIT else -1
+
+
+def _unpack(key: int) -> tuple[int, int, int, int]:
+    return tuple((key >> s) & MAX_DEGREE for s in _SHIFTS)
+
+
 def _as_coeff(value: Scalar) -> Scalar:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
@@ -69,15 +98,14 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        canonical: dict[tuple[int, int, int, int], Scalar] = {}
+        canonical: dict[int, Scalar] = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != _NVARS or any(type(e) is not int or e < 0 for e in exps):
-                    raise ValueError(f"bad exponent vector: {exps!r}")
+                if (key := _pack(exps)) < 0:
+                    raise ValueError(f"bad exponent vector: {exps!r} (degree limit {MAX_DEGREE})")
                 c = _as_coeff(coeff)
                 if c != 0:
-                    canonical[exps] = c
+                    canonical[key] = c
         self._terms = canonical
 
     # -- constructors ------------------------------------------------------
@@ -88,20 +116,16 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> MultiPoly:
-        return cls({_ZERO_EXP: value})
+        return cls({(0,) * _NVARS: value})
 
     @classmethod
     def var(cls, name: str) -> MultiPoly:
         """The polynomial consisting of the single indeterminate `name`."""
-        exps = [0] * _NVARS
-        exps[_var_index(name)] = 1
-        return cls({tuple(exps): 1})
+        return _from_canonical({1 << _DEGREE | 1 << _SHIFTS[_var_index(name)]: 1})
 
     @classmethod
     def _coerce(cls, value: PolyLike) -> MultiPoly:
-        if isinstance(value, MultiPoly):
-            return value
-        return cls.const(value)
+        return value if isinstance(value, MultiPoly) else cls.const(value)
 
     # -- queries -----------------------------------------------------------
 
@@ -112,30 +136,25 @@ class MultiPoly:
     def terms(self) -> Iterator[tuple[tuple[int, int, int, int], Scalar]]:
         """Iterate terms in the deterministic rendering order: descending total
         degree, then lexicographic with x > y > lam > alpha."""
-        # Two stable sorts of the bare exponent vectors hold one list slot
-        # (and one degree) per term, where a (degree, exps) key would hold a
-        # tuple per term; vectors are distinct, so the order is the same.
-        order = sorted(self._terms, reverse=True)
-        order.sort(key=sum, reverse=True)
         terms = self._terms
-        return ((exps, terms[exps]) for exps in order)
+        return ((_unpack(key), terms[key]) for key in sorted(terms, reverse=True))
 
     def coefficient(self, exps: tuple[int, ...]) -> Scalar:
-        return self._terms.get(tuple(exps), 0)
+        return self._terms.get(_pack(exps), 0)
 
     def degree(self, name: str) -> int:
         """Degree in one indeterminate; zero polynomial has degree 0 by convention."""
-        i = _var_index(name)
-        return max((exps[i] for exps in self._terms), default=0)
+        shift = _SHIFTS[_var_index(name)]
+        return max((key >> shift & MAX_DEGREE for key in self._terms), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(exps) for exps in self._terms), default=0)
+        return max(self._terms, default=0) >> _DEGREE
 
     def is_constant(self) -> bool:
-        return all(exps == _ZERO_EXP for exps in self._terms)
+        return not any(self._terms)
 
     def constant_term(self) -> Scalar:
-        return self._terms.get(_ZERO_EXP, 0)
+        return self._terms.get(0, 0)
 
     def as_rational(self) -> Fraction:
         """The value of a constant polynomial; error if any indeterminate survives."""
@@ -144,9 +163,11 @@ class MultiPoly:
         return Fraction(self.constant_term())
 
     # -- ring operations ---------------------------------------------------
+    # A bool is no exact scalar here: the ring operations refuse it as they
+    # refuse a float.
 
     def __add__(self, other: PolyLike) -> MultiPoly:
-        if not isinstance(other, (MultiPoly, int, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
         out = dict(self._terms)
         _fma(out, 1, other, 1)
@@ -155,10 +176,10 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return _from_canonical({exps: -c for exps, c in self._terms.items()})
+        return _from_canonical({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: PolyLike) -> MultiPoly:
-        if not isinstance(other, (MultiPoly, int, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
         out = dict(self._terms)
         _fma(out, -1, other, 1)
@@ -168,9 +189,9 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other: PolyLike) -> MultiPoly:
-        if not isinstance(other, (MultiPoly, int, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        out: dict[tuple[int, int, int, int], Scalar] = {}
+        out: dict[int, Scalar] = {}
         _fma(out, 1, self, other)
         return _finish(out)
 
@@ -182,11 +203,9 @@ class MultiPoly:
         return _power(self, exponent) if exponent else MultiPoly.const(1)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, MultiPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == MultiPoly.const(other)._terms
-        return NotImplemented
+        if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
+            return NotImplemented
+        return self._terms == MultiPoly._coerce(other)._terms
 
     __hash__ = None  # mutable-looking container semantics; not used as dict key
 
@@ -198,19 +217,17 @@ class MultiPoly:
         Unbound indeterminates pass through unchanged, so a partial binding
         yields another polynomial and a full binding yields a constant one.
         """
-        bound = {_var_index(n): MultiPoly._coerce(v) for n, v in bindings.items()}
-        out: dict[tuple[int, int, int, int], Scalar] = {}
-        for exps, coeff in self._terms.items():
-            residual = [0] * _NVARS
+        bound = {_SHIFTS[_var_index(n)]: MultiPoly._coerce(v) for n, v in bindings.items()}
+        out: dict[int, Scalar] = {}
+        for key, coeff in self._terms.items():
+            residual = key
             factor: PolyLike = 1
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i in bound:
-                    factor = factor * bound[i] ** e
-                else:
-                    residual[i] = e
-            _fma(out, coeff, factor, _from_canonical({tuple(residual): 1}))
+            for shift, value in bound.items():
+                e = key >> shift & MAX_DEGREE
+                if e:
+                    factor = factor * value**e
+                    residual -= e << shift | e << _DEGREE
+            _fma(out, coeff, factor, _from_canonical({residual: 1}))
         return _finish(out)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> MultiPoly:
@@ -219,15 +236,13 @@ class MultiPoly:
 
     def derivative(self, name: str = "x") -> MultiPoly:
         """Formal partial derivative with respect to one indeterminate."""
-        i = _var_index(name)
-        out: dict[tuple[int, int, int, int], Scalar] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            lowered = list(exps)
-            lowered[i] = e - 1
-            out[tuple(lowered)] = coeff * e
+        shift = _SHIFTS[_var_index(name)]
+        step = 1 << shift | 1 << _DEGREE
+        out: dict[int, Scalar] = {}
+        for key, coeff in self._terms.items():
+            e = key >> shift & MAX_DEGREE
+            if e:
+                out[key - step] = coeff * e
         return _finish(out)
 
     # -- rendering ---------------------------------------------------------
@@ -243,16 +258,20 @@ class MultiPoly:
         "0".  Joined by single spaces they are ``str(self)``, so a large
         polynomial can be written out without its whole text existing at once.
         """
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             yield "0"
             return
         # Each monomial appears once in a polynomial, so one with more terms
         # than the cache holds would only evict its own entries, and the
         # cache's table would be rebuilt as they churn: it skips the cache.
-        monomial = _monomial if len(self._terms) <= _MONOMIALS else _monomial.__wrapped__
+        monomial = _monomial if len(terms) <= _MONOMIALS else _monomial.__wrapped__
         first = True
-        for exps, coeff in self.terms():
-            mono = monomial(exps)
+        # Descending keys are the rendering order, and the sorted list holds
+        # one slot per term and no new object.
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
+            mono = monomial(key)
             mag = abs(coeff)
             if not mono:
                 body = str(mag)
@@ -274,13 +293,14 @@ _MONOMIALS = 1 << 13
 
 
 @lru_cache(maxsize=_MONOMIALS)
-def _monomial(exps: tuple[int, int, int, int]) -> str:
+def _monomial(key: int) -> str:
     # The rendering of one exponent vector ("x^2*lam", "" for the constant),
     # made once: the coefficients of one series share most of their monomials.
-    return "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(INDETERMINATES, exps) if e > 0)
+    fields = zip(INDETERMINATES, _SHIFTS)
+    return "*".join(f"{v}^{e}" if e > 1 else v for v, s in fields if (e := key >> s & MAX_DEGREE))
 
 
-def _from_canonical(terms: dict[tuple[int, int, int, int], Scalar]) -> MultiPoly:
+def _from_canonical(terms: dict[int, Scalar]) -> MultiPoly:
     # Callers pass only canonical coefficients; outside input goes through __init__.
     poly = MultiPoly.__new__(MultiPoly)
     poly._terms = terms
@@ -308,60 +328,57 @@ def _power(base, e: int):
 # -- the multiply-accumulate kernel ----------------------------------------
 # Every sum of products in the library (ring products, series recurrences,
 # family sums) accumulates into one plain term dict with _fma, in place, and
-# canonicalizes once with _finish.  A scalar lands on the constant exponent
-# vector, so one dict serves scalar and polynomial sums alike.
+# canonicalizes once with _finish.  A scalar lands on the constant key 0, so
+# one dict serves scalar and polynomial sums alike.
 
 
-def _fma(out: dict[tuple[int, int, int, int], Scalar], c: Scalar, a: PolyLike, b: PolyLike) -> None:
+def _fma(out: dict[int, Scalar], c: Scalar, a: PolyLike, b: PolyLike) -> None:
     """out += c*a*b in place, for a scalar c and scalar or MultiPoly a, b.
 
-    Zero and integral-Fraction coefficients may appear in out until _finish.
+    Zero and integral-Fraction coefficients may appear in out until _finish,
+    and so may keys past the degree limit, which _finish refuses.
     """
     get = out.get
     if type(a) is not MultiPoly:
         if type(b) is not MultiPoly:
-            out[_ZERO_EXP] = get(_ZERO_EXP, 0) + c * a * b
+            out[0] = get(0, 0) + c * a * b
             return
         a, b = b, a
     if type(b) is not MultiPoly:
         c = c * b
-        for exps, ca in a._terms.items():
-            out[exps] = get(exps, 0) + c * ca
+        for key, ca in a._terms.items():
+            out[key] = get(key, 0) + c * ca
         return
     if len(a._terms) > len(b._terms):
         a, b = b, a
-    for (a0, a1, a2, a3), ca in a._terms.items():
+    b = b._terms
+    for ka, ca in a._terms.items():
         ca = c * ca
-        for (b0, b1, b2, b3), cb in b._terms.items():
-            exps = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-            out[exps] = get(exps, 0) + ca * cb
+        for kb, cb in b.items():
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
 
 
-def _finish(
-    out: dict[tuple[int, int, int, int], Scalar],
-    poly: bool = True,
-    keys: dict[tuple[int, int, int, int], tuple[int, int, int, int]] | None = None,
-) -> PolyLike:
+def _finish(out: dict[int, Scalar], poly: bool = True, keys: dict[int, int] | None = None) -> PolyLike:
     """The canonical value of an _fma accumulation: zero terms dropped and
     integral Fractions stored as ints.
 
-    A MultiPoly, or with poly false the scalar on the constant exponent
-    vector (the caller knows no polynomial entered the sum).  An operation
-    that finishes many sums can pass one keys table for all of them, so its
-    results share one exponent-vector object per distinct monomial; the
-    table lives only as long as the caller keeps it.
+    A MultiPoly, or with poly false the scalar on the constant key (the
+    caller knows no polynomial entered the sum).  A key past the degree limit
+    raises ValueError: the top field holds the total degree, so a carry out
+    of any field lands there.  An operation that finishes many sums can pass
+    one keys table for all of them, so its results share one key object per
+    distinct monomial; the table lives only as long as the caller keeps it.
     """
     if not poly:
-        return _as_coeff(out.get(_ZERO_EXP, 0))
-    keys = {} if keys is None else keys
-    share = keys.setdefault
-    return _from_canonical(
-        {
-            share(exps, exps): c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for exps, c in out.items()
-            if c
-        }
-    )
+        return _as_coeff(out.get(0, 0))
+    if out and max(out) >= _LIMIT:
+        raise ValueError(f"polynomial total degree past {MAX_DEGREE}")
+    share = ({} if keys is None else keys).setdefault
+    return _from_canonical({
+        share(key, key): c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for key, c in out.items() if c
+    })
 
 
 def falling_factorial(p: PolyLike, n: int) -> MultiPoly:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact import MultiPoly, _as_coeff, _finish, _fma, _power
@@ -235,6 +235,7 @@ def _first_order(
     a_terms = [(i, ai) for i, ai in enumerate(a) if i and ai != 0]
     keys: dict = {}
     g: list[Coeff] = [g0]
+    row = [1]  # C(m, 0..m), each row made from the last by additions
     for m in range(order):
         acc: dict = {}
         if c:
@@ -242,12 +243,13 @@ def _first_order(
         for i, bi in b_terms:
             if i > m + 1:
                 break
-            _fma(acc, comb(m, i - 1), bi, g[m + 1 - i])
+            _fma(acc, row[i - 1], bi, g[m + 1 - i])
         for i, ai in a_terms:
             if i > m:
                 break
-            _fma(acc, -comb(m, i), ai, g[m + 1 - i])
+            _fma(acc, -row[i], ai, g[m + 1 - i])
         g.append(_finish(acc, poly, keys))
+        row = [1, *map(add, row, row[1:]), 1]
     return _from_egf(g)
 
 

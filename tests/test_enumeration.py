@@ -348,6 +348,33 @@ def test_with_a_second_thread_the_walks_run_here_without_a_warning(walk_log):
     assert sorted(walk_log()) == [(os.getpid(), 8), (os.getpid(), 9), (os.getpid(), 10)]
 
 
+def test_only_large_walks_are_forked(walk_log, monkeypatch):
+    # A fork and reap cost more than a small walk, so walks to n < 8 are made
+    # here; of the large ones, the first is made here and each other forked.
+    forks = 0
+    fork = os.fork
+
+    def counted():
+        nonlocal forks
+        forks += 1  # counted in this process, before the child exists
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    for cap in range(5):
+        monkeypatch.setattr(enumeration, "_WALKS", {})
+        _walk_side_by_side(dict.fromkeys(_ORACLE_CAPS, cap))
+    assert forks == 0
+    assert {pid for pid, _ in walk_log()} == {os.getpid()}
+    monkeypatch.setattr(enumeration, "_WALKS", {})
+    _walk_side_by_side({"ordered_partitions": 8, "set_partitions": 7, "permutation_cycles": 9})
+    assert forks == 1
+    monkeypatch.setattr(enumeration, "_WALKS", {})
+    _walk_side_by_side(_ORACLE_CAPS)
+    assert forks == 3
+    _assert_no_child_left()
+    assert enumeration._WALKS == _in_process_walks()
+
+
 def test_side_by_side_caps_are_checked_before_any_walk(walk_log):
     with pytest.raises(ValueError, match="set_partitions enumeration is capped at n = 12, got 13"):
         _walk_side_by_side({"ordered_partitions": 8, "set_partitions": 13})

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lahbell.exact import (
     INDETERMINATES,
+    MAX_DEGREE,
     MultiPoly,
     _falling_prefixes,
     _finish,
@@ -163,6 +164,140 @@ def test_series_product_matches_plain_evaluation():
                 for i in range(n + 1)
             )
             assert at(product.egf_coefficient(n), point) == expected
+
+
+# -- the packed layout against a tuple-keyed reference ----------------------
+# The reference below keeps plain exponent tuples, as the layout's own tests
+# must not: a carry from one packed field into the next would show as a term
+# the reference does not have.  Exponents are drawn up to and across the
+# degree limit.
+
+small_or_huge = st.one_of(
+    st.integers(0, 3), st.integers(MAX_DEGREE // 2 - 2, MAX_DEGREE // 2 + 2),
+    st.integers(MAX_DEGREE - 2, MAX_DEGREE + 1),
+)
+wide_exponents = st.tuples(small_or_huge, small_or_huge, small_or_huge, small_or_huge)
+valid_exponents = wide_exponents.filter(lambda exps: sum(exps) <= MAX_DEGREE)
+references = st.dictionaries(valid_exponents, st.integers(-3, 3).filter(bool), max_size=4)
+
+
+def reference_sum(a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def reference_product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(map(operator.add, ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return out
+
+
+def reference_image(exps, coeff, i, scale, j, power):
+    """The term coeff*exps with indeterminate i bound to scale * (indeterminate j)^power."""
+    e = exps[i]
+    image = list(exps)
+    image[i] = 0
+    image[j] += power * e
+    return tuple(image), coeff * scale**e
+
+
+def matches(poly, reference):
+    return dict(poly.terms()) == {exps: c for exps, c in reference.items() if c}
+
+
+def test_exponent_vectors_past_the_degree_limit_are_refused():
+    top = (0, 0, 0, MAX_DEGREE)
+    assert MultiPoly({top: 1}).degree("alpha") == MAX_DEGREE
+    for exps in [(0, 0, 0, MAX_DEGREE + 1), (1, 0, 0, MAX_DEGREE), (MAX_DEGREE, 1, 0, 0)]:
+        with pytest.raises(ValueError, match=f"bad exponent vector: .* limit {MAX_DEGREE}"):
+            MultiPoly({exps: 1})
+        assert MultiPoly({top: 1}).coefficient(exps) == 0
+    assert MultiPoly({top: 1}).coefficient((0, 0, 0)) == 0
+
+
+def test_a_product_at_the_field_limit_carries_into_no_other_field():
+    # alpha is the lowest field: at its limit one more alpha must raise, not
+    # become a lam.
+    below = MultiPoly({(0, 0, 0, MAX_DEGREE - 1): 1, (0, 0, 1, 0): 2})
+    product = below * ALPHA
+    assert list(product.terms()) == [((0, 0, 0, MAX_DEGREE), 1), ((0, 0, 1, 1), 2)]
+    assert product.degree("lam") == 1 and product.total_degree() == MAX_DEGREE
+    for overflowing in (lambda: product * ALPHA, lambda: product * (LAM - 1),
+                        lambda: X ** (MAX_DEGREE + 1), lambda: product.substitute({"alpha": X**2})):
+        with pytest.raises(ValueError, match=f"polynomial total degree past {MAX_DEGREE}"):
+            overflowing()
+    assert X**MAX_DEGREE == MultiPoly({(MAX_DEGREE, 0, 0, 0): 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(references, references)
+def test_sums_and_products_match_a_tuple_keyed_reference(a, b):
+    pa, pb = MultiPoly(a), MultiPoly(b)
+    assert matches(pa + pb, reference_sum(a, b))
+    assert matches(pa - pb, reference_sum(a, {exps: -c for exps, c in b.items()}))
+    product = reference_product(a, b)
+    if any(sum(exps) > MAX_DEGREE for exps in product):
+        with pytest.raises(ValueError, match="total degree past"):
+            pa * pb
+    else:
+        assert matches(pa * pb, product)
+
+
+@settings(max_examples=150, deadline=None)
+@given(references, st.integers(0, 3))
+def test_derivatives_match_a_tuple_keyed_reference(a, i):
+    expected = {}
+    for exps, c in a.items():
+        if exps[i]:
+            lowered = list(exps)
+            lowered[i] -= 1
+            expected[tuple(lowered)] = c * exps[i]
+    assert matches(MultiPoly(a).derivative(INDETERMINATES[i]), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    references, st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, -1, 2]),
+    st.integers(0, 2),
+)
+def test_substitution_matches_a_tuple_keyed_reference(a, i, j, scale, power):
+    # Bind indeterminate i to scale * (indeterminate j)^power: a power past 1
+    # can carry a term's total degree across the limit.
+    value = scale * MultiPoly.var(INDETERMINATES[j]) ** power
+    images = [reference_image(exps, c, i, scale, j, power) for exps, c in a.items()]
+    if any(sum(exps) > MAX_DEGREE for exps, _ in images):
+        with pytest.raises(ValueError, match="total degree past"):
+            MultiPoly(a).substitute({INDETERMINATES[i]: value})
+        return
+    expected = reference_sum({}, {})
+    for exps, c in images:
+        expected = reference_sum(expected, {exps: c})
+    assert matches(MultiPoly(a).substitute({INDETERMINATES[i]: value}), expected)
+
+
+def test_a_bool_is_no_exact_scalar():
+    # A bool is an int to Python, but not a coefficient here: it gets the
+    # TypeError of any other inexact scalar, wherever it enters.
+    for value in (True, False):
+        for build in (
+            lambda: MultiPoly.const(value),
+            lambda: MultiPoly({(1, 0, 0, 0): value}),
+            lambda: X.evaluate({"x": value}),
+            lambda: TruncatedSeries([1, value]),
+            lambda: TruncatedSeries([1, 1]).scale(value),
+            lambda: X + value,
+            lambda: value - X,
+            lambda: X * value,
+        ):
+            with pytest.raises(TypeError):
+                build()
+    assert MultiPoly.const(1) != True  # noqa: E712 - the comparison is the point
+    assert MultiPoly.const(1) == 1
 
 
 def test_partial_evaluation():

@@ -166,9 +166,9 @@ def fma_drops_alpha_degree_5(patch):
     def faulty(out, c, a, b):
         part: dict = {}
         fma(part, c, a, b)
-        for exps, coeff in part.items():
-            if exps[3] < 5:
-                out[exps] = out.get(exps, 0) + coeff
+        for key, coeff in part.items():
+            if exact._unpack(key)[3] < 5:
+                out[key] = out.get(key, 0) + coeff
 
     for module in (exact, series, families, identities):
         patch.setattr(module, "_fma", faulty)

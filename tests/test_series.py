@@ -345,13 +345,37 @@ def test_ordinary_coefficients_store_integers_as_int():
     ids=["product", "compose", "first-order"],
 )
 def test_one_operation_keeps_one_key_per_monomial(build):
-    # Every coefficient an operation finishes shares the exponent vectors of
-    # the others: one tuple object per distinct monomial, not one per term.
+    # Every coefficient an operation finishes shares the packed exponent
+    # vectors of the others: one int object per distinct monomial, not one
+    # per term.
     s = build()
     polys = [s.egf_coefficient(n) for n in range(s.order + 1)]
-    keys = [exps for p in polys if isinstance(p, MultiPoly) for exps, _ in p.terms()]
+    keys = [key for p in polys if isinstance(p, MultiPoly) for key in p._terms]
     assert len(keys) > len(set(keys))
     assert len({id(exps) for exps in keys}) == len(set(keys))
+
+
+def test_first_order_makes_its_binomials_by_additions(monkeypatch):
+    # Each step of the first-order recurrence makes its row C(m, .) from the
+    # last one, so exp, log1p and pow call no comb.
+    calls = 0
+    binomial = series.comb
+
+    def counted(n, k):
+        nonlocal calls
+        calls += 1
+        return binomial(n, k)
+
+    monkeypatch.setattr(series, "comb", counted)
+    gf_catalog.cache_clear()
+    try:
+        bell = gf_catalog("bell", 200)
+        assert calls == 0
+        assert bell.egf_coefficient(200) == bell_number(200)
+        s = TruncatedSeries([0, Fraction(1, 2), 3, 0, Fraction(-2, 7), 1], order=12)
+        assert (s.exp() - ser_one(12)).log1p() == s and calls == 0
+    finally:
+        gf_catalog.cache_clear()
 
 
 def test_scalar_coefficients_follow_the_multipoly_rule():
