@@ -31,9 +31,10 @@ for the life of the process.
 
 :func:`_walk_side_by_side` makes several kinds' walks at once: this process
 makes the small ones and one large one, and each other large one runs in a
-forked child that sends its counts back through a pipe.  Every process runs the same :func:`_count_walk`, so every
-structure is still built and counted one at a time.  Without ``os.fork``, or
-with a second thread running, the walks run here one after another.
+forked child that sends its counts back through a pipe.  Every process runs
+the same :func:`_count_walk`, so every structure is still built and counted
+one at a time.  Without ``os.fork``, or with a second thread running, the
+walks run here one after another.
 """
 
 from __future__ import annotations

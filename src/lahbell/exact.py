@@ -351,10 +351,9 @@ def _fma(out: dict[int, Scalar], c: Scalar, a: PolyLike, b: PolyLike) -> None:
         return
     if len(a._terms) > len(b._terms):
         a, b = b, a
-    b = b._terms
     for ka, ca in a._terms.items():
         ca = c * ca
-        for kb, cb in b.items():
+        for kb, cb in b._terms.items():
             key = ka + kb
             out[key] = get(key, 0) + ca * cb
 

@@ -238,6 +238,8 @@ def test_a_product_at_the_field_limit_carries_into_no_other_field():
 @given(references, references)
 def test_sums_and_products_match_a_tuple_keyed_reference(a, b):
     pa, pb = MultiPoly(a), MultiPoly(b)
+    # Rendering order: descending total degree, then lex with x > y > lam > alpha.
+    assert [exps for exps, _ in pa.terms()] == sorted(a, key=lambda e: (sum(e), e), reverse=True)
     assert matches(pa + pb, reference_sum(a, b))
     assert matches(pa - pb, reference_sum(a, {exps: -c for exps, c in b.items()}))
     product = reference_product(a, b)
@@ -448,3 +450,6 @@ def test_rendering_is_deterministic():
     assert str(MultiPoly.const(Fraction(-3, 4))) == "-3/4"
     assert str(falling_factorial(X, 3)) == "x^3 - 3*x^2 + 2*x"
     assert str(X * Y**2 + X**2 - LAM) == "x*y^2 + x^2 - lam"
+    assert str(LAM * ALPHA + Y**2 + ALPHA * X + X * LAM + X * Y) == (
+        "x*y + x*lam + x*alpha + y^2 + lam*alpha"
+    )
