@@ -276,9 +276,9 @@ def test_substitution_matches_a_tuple_keyed_reference(a, i, j, scale, power):
         with pytest.raises(ValueError, match="total degree past"):
             MultiPoly(a).substitute({INDETERMINATES[i]: value})
         return
-    expected = reference_sum({}, {})
+    expected = {}
     for exps, c in images:
-        expected = reference_sum(expected, {exps: c})
+        expected[exps] = expected.get(exps, 0) + c
     assert matches(MultiPoly(a).substitute({INDETERMINATES[i]: value}), expected)
 
 
