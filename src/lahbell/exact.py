@@ -358,7 +358,7 @@ def _fma(out: dict[int, Scalar], c: Scalar, a: PolyLike, b: PolyLike) -> None:
             out[key] = get(key, 0) + ca * cb
 
 
-def _finish(out: dict[int, Scalar], poly: bool = True, keys: dict[int, int] | None = None) -> PolyLike:
+def _finish(out: dict[int, Scalar], poly: bool = True, keys: dict | None = None) -> PolyLike:
     """The canonical value of an _fma accumulation: zero terms dropped and
     integral Fractions stored as ints.
 
