@@ -25,6 +25,8 @@ from itertools import chain
 from math import floor, log10, prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
+from .exact import _index
+
 __all__ = [
     "CertifiedDecimal",
     "PrecisionNotReached",
@@ -238,8 +240,7 @@ def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedD
 
 
 def _validated(n: int, x: RationalLike, eps: RationalLike) -> tuple[Fraction, Fraction]:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {n!r}")
+    _index(n, "index")
     x = Fraction(x)
     eps = Fraction(eps)
     if x <= 0:

@@ -6,8 +6,8 @@ ground truth the triangle recurrences are checked against.
 
 One walk, :func:`_walk`, builds all three kinds on {1..n} by insertion:
 element m joins an existing block at any position ``>= first``, or opens a
-new block after all blocks holding smaller elements.  Three rules cover the
-three kinds:
+new block after all blocks holding smaller elements.  Three rules, the
+entries of ``_FIRST``, cover the three kinds:
 
 - a set block takes m only at its end, so it stays ascending;
 - an ordered list takes m at any position (``first = 0``);
@@ -34,7 +34,8 @@ makes the small ones and one large one, and each other large one runs in a
 forked child that sends its counts back through a pipe.  Every process runs
 the same :func:`_count_walk`, so every structure is still built and counted
 one at a time.  Without ``os.fork``, or with a second thread running, the
-walks run here one after another.
+walks run here one after another.  The count functions ask it for their walk
+too, so every count walk is made there.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ import marshal
 import os
 import threading
 from typing import Iterator, Optional
+
+from .exact import _index
 
 __all__ = [
     "ENUMERATION_BOUNDS",
@@ -78,8 +81,7 @@ Blocks = list[list[int]]
 
 
 def _check_bound(n: int, which: str) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"element count must be a nonnegative integer, got {n!r}")
+    _index(n, "element count")
     bound = ENUMERATION_BOUNDS[which]
     if n > bound:
         raise ValueError(f"{which} enumeration is capped at n = {bound}, got {n}")
@@ -123,16 +125,14 @@ def _prefixes(blocks: Blocks, n: int, first: Optional[int]) -> Iterator[int]:
             stack.append(_extend(blocks, len(stack) + 1, first))
 
 
-def _walk(n: int, which: str, first: Optional[int]) -> Iterator[Blocks]:
-    """Every structure on {1..n} under one insertion rule, as one live list of blocks.
+def _walk(n: int, which: str) -> Iterator[Blocks]:
+    """Every structure of one kind on {1..n}, as one live list of blocks.
 
-    first is None for set blocks (m only at the end), else the least position
-    m may take in a block.  The structures on {1..n} are the deepest nodes of
-    the walk to n + 1.
+    The structures on {1..n} are the deepest nodes of the walk to n + 1.
     """
     _check_bound(n, which)
     blocks: Blocks = []
-    for m in _prefixes(blocks, n + 1, first):
+    for m in _prefixes(blocks, n + 1, _FIRST[which]):
         if m == n:
             yield blocks
 
@@ -179,9 +179,7 @@ def _counts(n: int, which: str) -> dict[int, int]:
     Answered from the longest walk of this kind so far; a walk to n is made
     only when none reaches n.
     """
-    _check_bound(n, which)
-    if len(_WALKS.get(which, ())) <= n:
-        _WALKS[which] = _count_walk(n, _FIRST[which])
+    _walk_side_by_side({which: n})
     return {k: count for k, count in enumerate(_WALKS[which][n]) if count}
 
 
@@ -266,12 +264,12 @@ def _walk_side_by_side(caps: dict[str, int]) -> None:
 
 def iter_set_partitions(n: int) -> Iterator[Partition]:
     """All partitions of {1..n} into nonempty unordered blocks, ascending inside."""
-    return (tuple(map(tuple, blocks)) for blocks in _walk(n, "set_partitions", None))
+    return (tuple(map(tuple, blocks)) for blocks in _walk(n, "set_partitions"))
 
 
 def iter_ordered_partitions(n: int) -> Iterator[Partition]:
     """All partitions of {1..n} into nonempty internally ordered blocks."""
-    return (tuple(map(tuple, blocks)) for blocks in _walk(n, "ordered_partitions", 0))
+    return (tuple(map(tuple, blocks)) for blocks in _walk(n, "ordered_partitions"))
 
 
 def count_set_partitions(n: int) -> dict[int, int]:

@@ -84,6 +84,16 @@ def _unpack(key: int) -> tuple[int, int, int, int]:
     return tuple((key >> s) & MAX_DEGREE for s in _SHIFTS)
 
 
+def _index(value: int, what: str) -> int:
+    """value, if it is a nonnegative int; else ValueError naming what it is.
+
+    The type must be int itself: a bool, or any other subclass of int, is refused.
+    """
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def _as_coeff(value: Scalar) -> Scalar:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -198,9 +208,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> MultiPoly:
-        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
-        return _power(self, exponent) if exponent else MultiPoly.const(1)
+        if _index(exponent, "polynomial exponent"):
+            return _power(self, exponent)
+        return MultiPoly.const(1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
@@ -358,6 +368,11 @@ def _fma(out: dict[int, Scalar], c: Scalar, a: PolyLike, b: PolyLike) -> None:
             out[key] = get(key, 0) + ca * cb
 
 
+# Never filled: its get(key, key) is each key itself, so a _finish without a
+# keys table builds no table of its own.
+_KEEP_KEYS: dict = {}
+
+
 def _finish(out: dict[int, Scalar], poly: bool = True, keys: dict | None = None) -> PolyLike:
     """The canonical value of an _fma accumulation: zero terms dropped and
     integral Fractions stored as ints.
@@ -373,7 +388,7 @@ def _finish(out: dict[int, Scalar], poly: bool = True, keys: dict | None = None)
         return _as_coeff(out.get(0, 0))
     if out and max(out) >= _LIMIT:
         raise ValueError(f"polynomial total degree past {MAX_DEGREE}")
-    share = ({} if keys is None else keys).setdefault
+    share = _KEEP_KEYS.get if keys is None else keys.setdefault
     return _from_canonical({
         share(key, key): c.numerator if type(c) is Fraction and c.denominator == 1 else c
         for key, c in out.items() if c
@@ -396,9 +411,7 @@ def generalized_falling(p: PolyLike, n: int, step: PolyLike) -> MultiPoly:
     A step of 1 gives the falling factorial, -1 the rising factorial, and a
     symbolic step the degenerate falling factorial with that parameter.
     """
-    if n < 0:
-        raise ValueError("factorial length must be nonnegative")
-    for last in _falling_prefixes(p, n, step):
+    for last in _falling_prefixes(p, _index(n, "factorial length"), step):
         pass  # keep only the last prefix, not all n+1
     return last
 

@@ -16,7 +16,7 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .exact import MultiPoly, PolyLike, _falling_prefixes, _finish, _fma
+from .exact import MultiPoly, PolyLike, _falling_prefixes, _finish, _fma, _index
 from .exact import generalized_falling  # unused; bench/tracer.py REQUIRED_SITES pins it
 from .triangles import lah, stirling2
 
@@ -41,11 +41,6 @@ _LAM = MultiPoly.var("lam")
 _ALPHA = MultiPoly.var("alpha")
 
 
-def _require_index(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"family index must be a nonnegative integer, got {n!r}")
-
-
 def triangle_sum(
     n: int,
     entry: Callable[[int, int], int],
@@ -62,37 +57,37 @@ def triangle_sum(
 
 def bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) x^k; at x=1 this is the n-th set-partition count."""
-    _require_index(n)
+    _index(n, "family index")
     return triangle_sum(n, stirling2, _falling_prefixes(_X, n, 0))
 
 
 def lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) x^k; at x=1 this is the n-th ordered-list-partition count."""
-    _require_index(n)
+    _index(n, "family index")
     return triangle_sum(n, lah, _falling_prefixes(_X, n, 0))
 
 
 def bivariate_bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) (x)_k y^k, with (x)_k the falling factorial."""
-    _require_index(n)
+    _index(n, "family index")
     return triangle_sum(n, stirling2, _falling_prefixes(_X * _Y, n, _Y))
 
 
 def bivariate_lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) (x)_k y^k."""
-    _require_index(n)
+    _index(n, "family index")
     return triangle_sum(n, lah, _falling_prefixes(_X * _Y, n, _Y))
 
 
 def degenerate_bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) x(x-lam)...(x-(k-1)lam); lam=0 recovers bell_poly."""
-    _require_index(n)
+    _index(n, "family index")
     return triangle_sum(n, stirling2, _falling_prefixes(_X, n, _LAM))
 
 
 def degenerate_lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) x(x-lam)...(x-(k-1)lam); lam=0 recovers lah_bell_poly."""
-    _require_index(n)
+    _index(n, "family index")
     return triangle_sum(n, lah, _falling_prefixes(_X, n, _LAM))
 
 
@@ -104,7 +99,7 @@ def laguerre_poly(n: int) -> MultiPoly:
     sum_k (-1)^k C(n,k) (alpha+k+1)(alpha+k+2)...(alpha+n) x^k, summed here
     over j = n-k, whose weight (alpha+n)(alpha+n-1)...(alpha+n-j+1) grows with j.
     """
-    _require_index(n)
+    _index(n, "family index")
     weights = _falling_prefixes(_ALPHA + n, n, 1)
     powers = list(_falling_prefixes(_X, n, 0))
     return triangle_sum(n, comb, map(mul, weights, reversed(powers)), -1)
@@ -115,7 +110,7 @@ def lah_bell_recurrence_step(n: int, values: Sequence[MultiPoly]) -> MultiPoly:
 
     p_{n+1} = x * sum_{m=0..n} C(n,m) (n-m+1)! p_m.
     """
-    _require_index(n)
+    _index(n, "family index")
     if len(values) != n + 1:
         raise ValueError(f"need values for indices 0..{n}, got {len(values)} entries")
     return _X * triangle_sum(n, lambda _, m: comb(n, m) * factorial(n - m + 1), values)

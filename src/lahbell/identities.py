@@ -214,15 +214,13 @@ def _oracle(count: Callable[[int], dict[int, int]], entry: Callable[[int, int], 
     """The brute-force counts by k equal the nonzero entries of triangle row n.
 
     The row total (BL_n, B_n) needs no check of its own: it is the sum of the
-    same memo row whose nonzero entries have just matched.  count(cap) comes
-    first, so one walk to cap answers every smaller n.
+    same memo row whose nonzero entries have just matched.
     """
 
     def cases(cap: int) -> Cases:
-        top = count(cap)
         for n in range(cap + 1):
             row = {k: value for k in range(n + 1) if (value := entry(n, k)) != 0}
-            yield {"n": n}, top if n == cap else count(n), row
+            yield {"n": n}, count(n), row
 
     return cases
 
@@ -500,8 +498,8 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
 def oracle_records(max_n: int) -> list[IdentityRecord]:
     """Compare the brute-force enumerators against the triangle rows.
 
-    The three count walks are made side by side first, so each row's
-    count(cap) is answered from a kept walk.
+    The three count walks are made side by side first, so every count(n) of
+    a row is answered from one kept walk.
     """
     _check_max_n(max_n)
     _walk_side_by_side(

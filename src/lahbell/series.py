@@ -28,7 +28,7 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import MultiPoly, _as_coeff, _finish, _fma, _power
+from .exact import MultiPoly, _as_coeff, _finish, _fma, _index, _power
 
 __all__ = [
     "TruncatedSeries",
@@ -71,9 +71,7 @@ class TruncatedSeries:
             if not coeffs:
                 raise ValueError("series needs at least the constant coefficient")
             order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
-        if len(coeffs) > order + 1:
+        if len(coeffs) > _index(order, "series order") + 1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
         coeffs.extend([0] * (order + 1 - len(coeffs)))
         self._egf = tuple(_as_ring(factorial(n) * c) for n, c in enumerate(coeffs))
@@ -145,9 +143,7 @@ class TruncatedSeries:
         return _from_egf(_as_ring(c * coeff) for coeff in self._egf)
 
     def __pow__(self, k: int) -> TruncatedSeries:
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise ValueError("series power must be a nonnegative integer")
-        return _power(self, k) if k else ser_one(self.order)
+        return _power(self, k) if _index(k, "series power") else ser_one(self.order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -281,9 +277,7 @@ def _from_egf(egf: Iterable[Coeff]) -> TruncatedSeries:
 
 
 def _stock(order: int, egf: Callable[[int], Coeff]) -> TruncatedSeries:
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
-    return _from_egf(egf(n) for n in range(order + 1))
+    return _from_egf(egf(n) for n in range(_index(order, "series order") + 1))
 
 
 def identity_t(order: int) -> TruncatedSeries:
@@ -333,17 +327,29 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
 
 # -- the generating-function catalog --------------------------------------
 
-GF_NAMES = (
-    "lah_bell",
-    "lah_bell_poly",
-    "bell",
-    "bell_poly",
-    "bivariate_bell",
-    "bivariate_lah_bell",
-    "degenerate_lah_bell",
-    "degenerate_bell",
-    "laguerre_weighted",
-)
+_X, _Y, _ALPHA = map(MultiPoly.var, ("x", "y", "alpha"))
+
+_GF_BUILDERS: dict[str, Callable[[int], TruncatedSeries]] = {
+    "lah_bell": lambda order: geometric_minus_one(order).exp(),
+    "lah_bell_poly": lambda order: geometric_minus_one(order).scale(_X).exp(),
+    "bell": lambda order: exp_t_minus_one(order).exp(),
+    "bell_poly": lambda order: exp_t_minus_one(order).scale(_X).exp(),
+    "bivariate_bell": lambda order: (ser_one(order) + exp_t_minus_one(order).scale(_Y)).pow(_X),
+    "bivariate_lah_bell": (
+        lambda order: (ser_one(order) + geometric_minus_one(order).scale(_Y)).pow(_X)
+    ),
+    "degenerate_lah_bell": (
+        lambda order: degenerate_exponential(order).compose(geometric_minus_one(order))
+    ),
+    "degenerate_bell": lambda order: degenerate_exponential(order).compose(exp_t_minus_one(order)),
+    # (1-t)^(-alpha-1) * exp(x * t/(t-1)); t/(t-1) = -(1/(1-t) - 1).
+    "laguerre_weighted": lambda order: (
+        (ser_one(order) - identity_t(order)).pow(-_ALPHA - 1)
+        * geometric_minus_one(order).scale(-_X).exp()
+    ),
+}
+
+GF_NAMES = tuple(_GF_BUILDERS)
 
 
 # One entry per name: a `verify all` run asks each name at a single order.
@@ -355,30 +361,10 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
     egf coefficients reproduce the matching closed-form family exactly, which
     the identity suite checks.  All family parameters stay symbolic.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-        raise ValueError("order must be nonnegative")
-    x = MultiPoly.var("x")
-    y = MultiPoly.var("y")
-    alpha = MultiPoly.var("alpha")
-
-    if name == "lah_bell":
-        return geometric_minus_one(order).exp()
-    if name == "lah_bell_poly":
-        return geometric_minus_one(order).scale(x).exp()
-    if name == "bell":
-        return exp_t_minus_one(order).exp()
-    if name == "bell_poly":
-        return exp_t_minus_one(order).scale(x).exp()
-    if name == "bivariate_bell":
-        return (ser_one(order) + exp_t_minus_one(order).scale(y)).pow(x)
-    if name == "bivariate_lah_bell":
-        return (ser_one(order) + geometric_minus_one(order).scale(y)).pow(x)
-    if name == "degenerate_lah_bell":
-        return degenerate_exponential(order).compose(geometric_minus_one(order))
-    if name == "degenerate_bell":
-        return degenerate_exponential(order).compose(exp_t_minus_one(order))
-    if name == "laguerre_weighted":
-        # (1-t)^(-alpha-1) * exp(x * t/(t-1)); t/(t-1) = -(1/(1-t) - 1).
-        weight = (ser_one(order) - identity_t(order)).pow(-alpha - 1)
-        return weight * geometric_minus_one(order).scale(-x).exp()
-    raise ValueError(f"unknown generating function {name!r}, expected one of {GF_NAMES}")
+    _index(order, "order")
+    try:
+        build = _GF_BUILDERS[name]
+    except KeyError:
+        message = f"unknown generating function {name!r}, expected one of {GF_NAMES}"
+        raise ValueError(message) from None
+    return build(order)

@@ -15,6 +15,8 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterator
 
+from .exact import _index
+
 __all__ = [
     "Triangle",
     "TRIANGLE_KINDS",
@@ -64,8 +66,7 @@ def iter_rows(kind: str, nmax: int, one=1) -> Iterator[tuple]:
     under a context that cannot round gives the exact rows in base 10.
     """
     _checked_kind(kind)
-    if nmax < 0:
-        raise ValueError("row index must be nonnegative")
+    _index(nmax, "row index")
     row = (one,)
     yield row
     for _ in range(nmax):
@@ -92,17 +93,13 @@ class Triangle:
             rows[m:m + 1] = [_next_row(self.kind, rows[m - 1])]
 
     def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("triangle indices must be nonnegative")
-        if k > n:
+        if _index(n, "triangle index") < _index(k, "triangle index"):
             return 0
         self._extend_to(n)
         return self._rows[n][k]
 
     def row(self, n: int) -> tuple[int, ...]:
-        if n < 0:
-            raise ValueError("row index must be nonnegative")
-        self._extend_to(n)
+        self._extend_to(_index(n, "row index"))
         return self._rows[n]
 
 

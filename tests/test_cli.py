@@ -128,7 +128,12 @@ def lahbell_command(*argv):
     return [sys.executable, "-m", "lahbell.cli", *argv]
 
 
-LAHBELL_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+# Made at import, before any fixture clears LAHBELL_FORMAT, so it leaves the
+# variable out itself: the child processes must print the text default.
+LAHBELL_ENV = {
+    **{name: value for name, value in os.environ.items() if name != "LAHBELL_FORMAT"},
+    "PYTHONPATH": os.pathsep.join(sys.path),
+}
 
 
 def test_closed_pipe_exits_1_without_a_traceback():

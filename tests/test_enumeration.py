@@ -166,7 +166,7 @@ def test_cycle_rule_builds_every_permutation_once(n):
     # distinct permutation, so together they are all n! of them; its block
     # count is its cycle count by the definition.
     seen = []
-    for blocks in _walk(n, "permutation_cycles", 1):
+    for blocks in _walk(n, "permutation_cycles"):
         perm = _one_line(blocks)
         assert cycle_count(perm) == len(blocks)
         seen.append(perm)
@@ -181,7 +181,7 @@ def test_cycle_rule_builds_every_permutation_once(n):
 def test_count_walk_tallies_what_walk_yields(which, first, cap):
     # Up to the `verify --oracle` default ranges: the walk to n counts, at
     # every size m <= n, exactly the structures the yielding walk builds on {1..m}.
-    reference = [Counter(map(len, _walk(m, which, first))) for m in range(cap + 1)]
+    reference = [Counter(map(len, _walk(m, which))) for m in range(cap + 1)]
     for n in range(cap + 1):
         counts = _count_walk(n, first)
         assert len(counts) == n + 1

@@ -2,8 +2,10 @@
 
 import operator
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import comb
 
 import pytest
@@ -21,7 +23,11 @@ from lahbell.exact import (
     generalized_falling,
     rising_factorial,
 )
-from lahbell.series import TruncatedSeries
+from lahbell.dobinski import bell_dobinski, lah_bell_dobinski
+from lahbell.enumeration import count_permutations_by_cycles, iter_ordered_partitions
+from lahbell.families import FAMILIES, lah_bell_recurrence_step, poly_family
+from lahbell.series import TruncatedSeries, gf_catalog, identity_t
+from lahbell.triangles import Triangle, bell_number, iter_rows, lah
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -108,6 +114,22 @@ def test_fma_accumulates_in_place(a, b, c, start):
     _fma(scalars, c, Fraction(2), Fraction(1, 2))
     value = _finish(scalars, poly=False)
     assert value == c and (type(value) is int or value.denominator != 1)
+
+
+def test_a_finish_without_a_keys_table_makes_no_second_table():
+    # The canonical dict is the one table a keyless _finish builds: its peak
+    # is that dict and the slack of its own growth (2.51x the dict when a
+    # throwaway keys table was filled beside it, 1.51x without).
+    out = {}
+    _fma(out, 1, (X + Y + ALPHA + 1) ** 12, 1)
+    tracemalloc.start()
+    try:
+        result = _finish(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result._terms) == 455
+    assert peak < 2 * sys.getsizeof(result._terms)
 
 
 # -- a kernel reference outside the kernel ----------------------------------
@@ -300,6 +322,43 @@ def test_a_bool_is_no_exact_scalar():
                 build()
     assert MultiPoly.const(1) != True  # noqa: E712 - the comparison is the point
     assert MultiPoly.const(1) == 1
+
+
+# Every entry point that takes an index, length, order or exponent: its id,
+# the noun its message names, and a call that passes it the value.
+_INDEX_ENTRIES = [
+    ("MultiPoly.__pow__", "polynomial exponent", lambda v: X**v),
+    ("generalized_falling", "factorial length", lambda v: generalized_falling(X, v, LAM)),
+    ("falling_factorial", "factorial length", lambda v: falling_factorial(X, v)),
+    ("rising_factorial", "factorial length", lambda v: rising_factorial(X, v)),
+    ("TruncatedSeries-order", "series order", lambda v: TruncatedSeries([1], order=v)),
+    ("TruncatedSeries.__pow__", "series power", lambda v: TruncatedSeries([1, 1]) ** v),
+    ("identity_t", "series order", identity_t),
+    ("gf_catalog", "order", partial(gf_catalog, "bell")),
+    *((f"poly_family-{name}", "family index", partial(poly_family, name)) for name in FAMILIES),
+    ("lah_bell_recurrence_step", "family index", lambda v: lah_bell_recurrence_step(v, [])),
+    ("count_permutations_by_cycles", "element count", count_permutations_by_cycles),
+    ("iter_ordered_partitions", "element count", lambda v: next(iter_ordered_partitions(v))),
+    ("lah_bell_dobinski", "index", lambda v: lah_bell_dobinski(v, 1, Fraction(1, 10))),
+    ("bell_dobinski", "index", lambda v: bell_dobinski(v, 1, Fraction(1, 10))),
+    ("iter_rows", "row index", lambda v: next(iter_rows("lah", v))),
+    ("Triangle.value-n", "triangle index", lambda v: lah(v, 0)),
+    ("Triangle.value-k", "triangle index", lambda v: lah(3, v)),
+    ("Triangle.row", "row index", lambda v: Triangle("stirling2").row(v)),
+    ("bell_number", "row index", bell_number),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, -1, "3"], ids=repr)
+@pytest.mark.parametrize(
+    "what, call",
+    [entry[1:] for entry in _INDEX_ENTRIES],
+    ids=[entry[0] for entry in _INDEX_ENTRIES],
+)
+def test_every_index_is_a_nonnegative_int_and_never_a_bool(what, call, value):
+    with pytest.raises(ValueError) as raised:
+        call(value)
+    assert str(raised.value) == f"{what} must be a nonnegative integer, got {value!r}"
 
 
 def test_partial_evaluation():

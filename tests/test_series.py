@@ -119,13 +119,13 @@ def test_power_rejects_a_bool_exponent():
 
 def test_catalog_rejects_a_bool_order():
     gf_catalog("bell", 1)  # a cached order-1 entry must not answer for True
-    with pytest.raises(ValueError, match="order must be nonnegative"):
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
         gf_catalog("bell", True)
 
 
 @pytest.mark.parametrize("order", [2.5, 2.0, "3", None], ids=repr)
 def test_catalog_rejects_an_order_that_is_not_an_int(order):
-    with pytest.raises(ValueError, match="order must be nonnegative"):
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
         gf_catalog("bell", order)
 
 
@@ -461,6 +461,21 @@ def test_catalog_names_and_unknown():
     }
     with pytest.raises(ValueError):
         gf_catalog("zeta", 4)
+
+
+def test_catalog_names_keep_their_order():
+    # `gf`'s choices and its --help list the names in this order.
+    assert GF_NAMES == (
+        "lah_bell",
+        "lah_bell_poly",
+        "bell",
+        "bell_poly",
+        "bivariate_bell",
+        "bivariate_lah_bell",
+        "degenerate_lah_bell",
+        "degenerate_bell",
+        "laguerre_weighted",
+    )
 
 
 def test_catalog_lah_bell_numbers():
