@@ -11,8 +11,12 @@ Every catalog series has integer (or integer-polynomial) egf coefficients.  In
 that form the product is the binomial convolution sum_i C(n,i) a_i b_{n-i},
 exp, log1p, composition and the symbolic power are built from such
 convolutions, and none of them divides, so integer input stays integer and no
-coefficient pays a gcd.  Every convolution sum accumulates in place through
-the multiply-accumulate kernel of :mod:`lahbell.exact`, and all the
+coefficient pays a gcd.  The binomials come from rows made by additions, never
+from math.comb.  A catalog series g whose exponent is rational in t solves
+a g' = b' g for polynomials a and b of degree at most 2, and is solved from
+that equation directly: at most four multiply-accumulates per coefficient, with
+no dense exp, power or product.  Every convolution sum accumulates in place
+through the multiply-accumulate kernel of :mod:`lahbell.exact`, and all the
 coefficients one product, composition or recurrence finishes share one
 exponent vector per distinct monomial, through a key table that lives only
 for that operation.  The constructor and :meth:`TruncatedSeries.coefficient`
@@ -24,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -123,17 +127,19 @@ class TruncatedSeries:
         self._require_same_order(other)
         a, b = self._egf, other._egf
         poly = _has_poly(a, b)
-        support = [i for i, c in enumerate(a) if c != 0]
         b_nonzero = [c != 0 for c in b]
+        # a_i with i past the order minus b's lowest nonzero index meets no b_j.
+        reach = len(b) - b_nonzero.index(True) if True in b_nonzero else 0
+        support = [i for i, c in enumerate(a[:reach]) if c != 0]
         keys: dict = {}
         out = []
-        for n in range(len(a)):
+        for n, row in zip(range(len(a)), _binomial_rows(support[-1] if support else 0)):
             acc: dict = {}
             for i in support:
                 if i > n:
                     break
                 if b_nonzero[n - i]:
-                    _fma(acc, comb(n, i), a[i], b[n - i])
+                    _fma(acc, row[i], a[i], b[n - i])
             out.append(_finish(acc, poly, keys))
         return _from_egf(out)
 
@@ -229,10 +235,10 @@ def _first_order(
     poly = _has_poly(b, a, c)
     b_terms = [(i, bi) for i, bi in enumerate(b) if i and bi != 0]
     a_terms = [(i, ai) for i, ai in enumerate(a) if i and ai != 0]
+    width = max((i for i, _ in a_terms + b_terms), default=0)
     keys: dict = {}
     g: list[Coeff] = [g0]
-    row = [1]  # C(m, 0..m), each row made from the last by additions
-    for m in range(order):
+    for m, row in zip(range(order), _binomial_rows(width)):
         acc: dict = {}
         if c:
             _fma(acc, 1, c[m + 1], 1)
@@ -245,8 +251,23 @@ def _first_order(
                 break
             _fma(acc, -row[i], ai, g[m + 1 - i])
         g.append(_finish(acc, poly, keys))
-        row = [1, *map(add, row, row[1:]), 1]
     return _from_egf(g)
+
+
+def _binomial_rows(width: int) -> Iterator[list[int]]:
+    """C(m, 0..min(m, width)) for m = 0, 1, 2, ..., each row made from the last
+    by additions.
+
+    A row stops at the highest index its reader uses, so an operand that reads
+    only the first few binomials pays O(width) additions per row, not O(m).
+    """
+    row = [1]
+    while True:
+        yield row
+        step = [1, *map(add, row, row[1:])]
+        if len(row) <= width:
+            step.append(1)
+        row = step
 
 
 def _divided_powers(inner: TruncatedSeries) -> Iterator[TruncatedSeries]:
@@ -329,24 +350,37 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
 
 _X, _Y, _ALPHA = map(MultiPoly.var, ("x", "y", "alpha"))
 
+
+def _solves(a: Sequence[Coeff], b: Sequence[Coeff]) -> Callable[[int], TruncatedSeries]:
+    """Builder of the g with g_0 = 1 that solves a g' = b' g, for polynomials
+    a and b in t given by their egf coefficients: O(1) work per coefficient."""
+
+    def build(order: int) -> TruncatedSeries:
+        pad = [0] * order
+        return _first_order(1, b=[*b, *pad][:order + 1], a=[*a, *pad][:order + 1])
+
+    return build
+
+
+_ONE_MINUS_T_SQUARED = (1, -2, 2)  # 1 - 2t + t^2, in egf form
+
 _GF_BUILDERS: dict[str, Callable[[int], TruncatedSeries]] = {
-    "lah_bell": lambda order: geometric_minus_one(order).exp(),
-    "lah_bell_poly": lambda order: geometric_minus_one(order).scale(_X).exp(),
+    # exp(t/(1-t)): g'/g = 1/(1-t)^2, so a = (1-t)^2 and b = t.
+    "lah_bell": _solves(_ONE_MINUS_T_SQUARED, (0, 1)),
+    # exp(x t/(1-t)): g'/g = x/(1-t)^2, so a = (1-t)^2 and b = x t.
+    "lah_bell_poly": _solves(_ONE_MINUS_T_SQUARED, (0, _X)),
     "bell": lambda order: exp_t_minus_one(order).exp(),
     "bell_poly": lambda order: exp_t_minus_one(order).scale(_X).exp(),
     "bivariate_bell": lambda order: (ser_one(order) + exp_t_minus_one(order).scale(_Y)).pow(_X),
-    "bivariate_lah_bell": (
-        lambda order: (ser_one(order) + geometric_minus_one(order).scale(_Y)).pow(_X)
-    ),
+    # (1 + y t/(1-t))^x: g'/g = x y/((1-t)(1-(1-y)t)), so a = (1-t)(1-(1-y)t), b = x y t.
+    "bivariate_lah_bell": _solves((1, _Y - 2, 2 - 2 * _Y), (0, _X * _Y)),
     "degenerate_lah_bell": (
         lambda order: degenerate_exponential(order).compose(geometric_minus_one(order))
     ),
     "degenerate_bell": lambda order: degenerate_exponential(order).compose(exp_t_minus_one(order)),
-    # (1-t)^(-alpha-1) * exp(x * t/(t-1)); t/(t-1) = -(1/(1-t) - 1).
-    "laguerre_weighted": lambda order: (
-        (ser_one(order) - identity_t(order)).pow(-_ALPHA - 1)
-        * geometric_minus_one(order).scale(-_X).exp()
-    ),
+    # (1-t)^(-alpha-1) exp(x t/(t-1)): g'/g = ((alpha+1)(1-t) - x)/(1-t)^2, so
+    # a = (1-t)^2 and b = (alpha+1-x) t - (alpha+1) t^2/2.
+    "laguerre_weighted": _solves(_ONE_MINUS_T_SQUARED, (0, _ALPHA + 1 - _X, -_ALPHA - 1)),
 }
 
 GF_NAMES = tuple(_GF_BUILDERS)
@@ -357,9 +391,12 @@ GF_NAMES = tuple(_GF_BUILDERS)
 def gf_catalog(name: str, order: int) -> TruncatedSeries:
     """Named exponential generating functions of the number/polynomial families.
 
-    Every entry is assembled from the primitive series operations above; its
-    egf coefficients reproduce the matching closed-form family exactly, which
-    the identity suite checks.  All family parameters stay symbolic.
+    Each entry is one row of ``_GF_BUILDERS``: the e^t rows are exp and pow of
+    e^t - 1, the degenerate rows compose the stepped exponential with their
+    inner series, and the rows whose exponent is rational in t solve their
+    first-order equation a g' = b' g directly.  Their egf coefficients
+    reproduce the matching closed-form family exactly, which the identity
+    suite checks.  All family parameters stay symbolic.
     """
     _index(order, "order")
     try:

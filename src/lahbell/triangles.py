@@ -93,10 +93,15 @@ class Triangle:
             rows[m:m + 1] = [_next_row(self.kind, rows[m - 1])]
 
     def value(self, n: int, k: int) -> int:
-        if _index(n, "triangle index") < _index(k, "triangle index"):
-            return 0
-        self._extend_to(n)
-        return self._rows[n][k]
+        if type(n) is type(k) is int and 0 <= k <= n:
+            rows = self._rows
+            if n >= len(rows):
+                self._extend_to(n)
+            return rows[n][k]
+        # Past the diagonal is 0; anything else is a bad index, named by _index.
+        _index(n, "triangle index")
+        _index(k, "triangle index")
+        return 0
 
     def row(self, n: int) -> tuple[int, ...]:
         self._extend_to(_index(n, "row index"))

@@ -306,6 +306,23 @@ def test_gf_deck_top_orders_match_golden_digest(capsys, name, order):
     assert hashlib.sha256(out.encode()).hexdigest() == GF_DECK_TOP_SHA256[name, order]
 
 
+# Golden sha256 of `lahbell gf NAME --order N --format FMT`, recorded while
+# these rows were still the dense exp and pow of t/(1-t) (and a series
+# product for the Laguerre weight), before one first-order solve replaced them.
+GF_SOLVED_SHA256 = {
+    ("lah_bell", 1000, "text"): "591f82549078f2cefb90360a1f7c14c0ec5fd0f9002fbe7eb966d4ce29c9abb4",
+    ("laguerre_weighted", 64, "json"): "9d154da07d54f2d159e8c822f777238c7a643937c9e34fc4335b89e77f46d324",
+}
+
+
+@pytest.mark.parametrize("name, order, fmt", sorted(GF_SOLVED_SHA256))
+def test_gf_solved_rows_match_golden_digest(monkeypatch, name, order, fmt):
+    stdout = Sha256Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["gf", name, "--order", str(order), "--format", fmt]) == 0
+    assert stdout.sha256.hexdigest() == GF_SOLVED_SHA256[name, order, fmt]
+
+
 @pytest.mark.parametrize("name", GF_NAMES)
 def test_gf_order_0_is_the_constant_term(capsys, name):
     code, out, err = run(capsys, ["gf", name, "--order", "0"])

@@ -91,6 +91,25 @@ def series_product_drops_a1_b5(patch):
     patch.setattr(TruncatedSeries, "__mul__", faulty)
 
 
+def solver_reads_c_m_2_as_0_from_5(patch):
+    """_first_order with C(m, 2) read as 0 from m = 5: its a-term at shift 2
+    (and b-term at shift 3) drops out.  The series product keeps true rows."""
+    rows, first_order = series._binomial_rows, series._first_order
+
+    def faulty_rows(width):
+        for m, row in enumerate(rows(width)):
+            yield [*row[:2], 0, *row[3:]] if m >= 5 else row
+
+    def faulty(*args, **kwargs):
+        series._binomial_rows = faulty_rows
+        try:
+            return first_order(*args, **kwargs)
+        finally:
+            series._binomial_rows = rows
+
+    patch.setattr(series, "_first_order", faulty)
+
+
 def triangle_sum_drops_k_equal_n(patch):
     triangle_sum = families.triangle_sum
 
@@ -144,7 +163,8 @@ _FAULT_FAILURES = {
     power_one_product_short_from_5: ["eq3", "eq8", "thm6"],
     symbolic_step_negated: ["eq37", "eq44", "eq45-catalog", "lemma11"],
     divided_powers_top_zeroed: ["eq4", "eq44", "eq45-catalog", "eq9"],
-    series_product_drops_a1_b5: ["eq4", "eq44", "eq45-catalog", "eq48-corrected", "eq49", "eq9"],
+    series_product_drops_a1_b5: ["eq4", "eq44", "eq45-catalog", "eq48-corrected", "eq9"],
+    solver_reads_c_m_2_as_0_from_5: ["eq37", "eq49", "lemma1", "lemma11", "lemma4"],
     triangle_sum_drops_k_equal_n: [
         "eq13", "eq14", "eq3", "eq37", "eq44", "eq45-catalog", "eq47", "eq48-corrected", "eq49",
         "eq8", "laguerre-conv", "lemma11", "lemma4", "thm10", "thm12", "thm2", "thm5", "thm6",

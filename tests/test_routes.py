@@ -1,0 +1,53 @@
+"""The gf rows solved by one first-order recurrence reach no family-side code.
+
+The identities hold each of these rows against a family built from the
+triangles, the family sums or the enumerations, so the two routes must not
+share that code.  Each row is built alone, from an empty gf catalog, under
+``sys.setprofile``, and every Python function it enters is collected by
+module and qualified name.
+"""
+
+import sys
+
+import pytest
+
+from lahbell.series import gf_catalog
+
+SOLVED_ROWS = ("lah_bell", "lah_bell_poly", "bivariate_lah_bell", "laguerre_weighted")
+
+# The modules of the other side: the families, the triangles they read, the
+# checks themselves, the enumerations and the Dobinski sums.
+FAMILY_SIDE = {
+    "lahbell.families",
+    "lahbell.triangles",
+    "lahbell.identities",
+    "lahbell.enumeration",
+    "lahbell.dobinski",
+}
+
+
+def reached(build):
+    """The (module, qualified name) of every Python function build() enters."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            seen.add((frame.f_globals.get("__name__"), getattr(code, "co_qualname", code.co_name)))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+@pytest.mark.parametrize("name", SOLVED_ROWS)
+def test_solved_gf_row_reaches_no_family_side_code(name):
+    gf_catalog.cache_clear()
+    seen = reached(lambda: gf_catalog(name, 12))
+    shared = sorted(f"{module}.{function}" for module, function in seen if module in FAMILY_SIDE)
+    assert shared == []
+    assert ("lahbell.series", "_first_order") in seen

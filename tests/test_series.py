@@ -1,5 +1,6 @@
 """Truncated power series: arithmetic, exp/log, composition, GF catalog."""
 
+import math
 from fractions import Fraction
 from math import factorial
 
@@ -337,7 +338,8 @@ def test_ordinary_coefficients_store_integers_as_int():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: gf_catalog("laguerre_weighted", 16),
+        lambda: (ser_one(16) - identity_t(16)).pow(-ALPHA - 1)
+        * geometric_minus_one(16).scale(-X).exp(),
         # A polynomial inner series: its products make new exponent vectors.
         lambda: degenerate_exponential(12).compose(exp_t_minus_one(12).scale(X * LAM)),
         lambda: gf_catalog("bivariate_bell", 16),
@@ -355,27 +357,81 @@ def test_one_operation_keeps_one_key_per_monomial(build):
     assert len({id(exps) for exps in keys}) == len(set(keys))
 
 
-def test_first_order_makes_its_binomials_by_additions(monkeypatch):
-    # Each step of the first-order recurrence makes its row C(m, .) from the
-    # last one, so exp, log1p and pow call no comb.
+def count_comb(monkeypatch, build):
+    """build() and the number of math.comb calls it made, under any name the
+    series module could call it by."""
     calls = 0
-    binomial = series.comb
+    binomial = math.comb
 
     def counted(n, k):
         nonlocal calls
         calls += 1
         return binomial(n, k)
 
-    monkeypatch.setattr(series, "comb", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "comb", counted)
+        patch.setattr(series, "comb", counted, raising=False)
+        return build(), calls
+
+
+def test_first_order_makes_its_binomials_by_additions(monkeypatch):
+    # Each step of the first-order recurrence makes its row C(m, .) from the
+    # last one, so exp, log1p and pow call no comb.
     gf_catalog.cache_clear()
     try:
-        bell = gf_catalog("bell", 200)
+        bell, calls = count_comb(monkeypatch, lambda: gf_catalog("bell", 200))
         assert calls == 0
         assert bell.egf_coefficient(200) == bell_number(200)
         s = TruncatedSeries([0, Fraction(1, 2), 3, 0, Fraction(-2, 7), 1], order=12)
-        assert (s.exp() - ser_one(12)).log1p() == s and calls == 0
+        round_trip, calls = count_comb(monkeypatch, lambda: (s.exp() - ser_one(12)).log1p())
+        assert round_trip == s and calls == 0
     finally:
         gf_catalog.cache_clear()
+
+
+def test_series_product_makes_its_binomials_by_additions(monkeypatch):
+    # compose makes one series product per divided power, and each product
+    # makes its row C(n, .) from the last one.
+    gf_catalog.cache_clear()
+    try:
+        _, calls = count_comb(monkeypatch, lambda: gf_catalog("degenerate_lah_bell", 60))
+    finally:
+        gf_catalog.cache_clear()
+    assert calls == 0
+    a = TruncatedSeries([Fraction(1, 3), 0, 2, X, 0, 0, 5])
+    b = TruncatedSeries([1, ALPHA, 0, Fraction(-1, 2), 0, 7, X])
+    c = TruncatedSeries([0, 0, 0, ALPHA, 0, 5, 1])
+    for left, right in [(a, b), (a, c), (c, a), (c, c)]:
+        product, calls = count_comb(monkeypatch, lambda: left * right)
+        assert calls == 0
+        for n in range(7):
+            expected = sum(left.coefficient(i) * right.coefficient(n - i) for i in range(n + 1))
+            assert product.coefficient(n) == expected
+
+
+# Each row's g solves a g' = b' g for polynomials a and b in t of degree at
+# most 2, so a coefficient takes at most 4 kernel calls; exp and pow of the
+# dense exponent took O(order) each.
+@pytest.mark.parametrize(
+    "name, order",
+    [("lah_bell", 200), ("lah_bell_poly", 200), ("bivariate_lah_bell", 60), ("laguerre_weighted", 60)],
+)
+def test_rational_exponent_rows_are_one_sparse_solve(monkeypatch, name, order):
+    calls = 0
+    kernel = series._fma
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "_fma", counted)
+    gf_catalog.cache_clear()
+    try:
+        gf_catalog(name, order)
+    finally:
+        gf_catalog.cache_clear()
+    assert 0 < calls <= 4 * order
 
 
 def test_scalar_coefficients_follow_the_multipoly_rule():
@@ -415,8 +471,10 @@ def test_degenerate_catalog_makes_no_horner_products(count_products):
 
 def test_bivariate_catalog_is_one_miller_power(monkeypatch, count_products):
     # exp(x * log1p(f - 1)) ran two O(order^2) recurrences over growing
-    # polynomials; the Miller recurrence makes at most two kernel calls per
-    # nonzero f_i per order, and a linear number of ring operations.
+    # polynomials.  The row now solves its first-order equation directly
+    # (bounded more tightly by the sparse-solve test above), which also stays
+    # within the Miller power's bounds: at most two kernel calls per nonzero
+    # f_i per order, and a linear number of ring operations.
     def refused(self):
         raise AssertionError("the symbolic power must not go through exp or log1p")
 

@@ -57,6 +57,16 @@ def test_negative_indices_rejected():
         Triangle("lah").row(-1)
 
 
+def test_value_is_zero_above_the_diagonal_and_names_a_bad_n_first():
+    assert lah(3, 5) == stirling2(0, 7) == stirling1_signed(4, 9) == 0
+    with pytest.raises(ValueError, match="got -1$"):
+        lah(-1, "x")
+    with pytest.raises(ValueError, match="got 'x'$"):
+        stirling2("x", -1)
+    with pytest.raises(ValueError, match="got -2$"):
+        lah(5, -2)
+
+
 def test_unknown_triangle_kind_rejected():
     with pytest.raises(ValueError):
         Triangle("eulerian")
