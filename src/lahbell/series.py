@@ -11,16 +11,16 @@ Every catalog series has integer (or integer-polynomial) egf coefficients.  In
 that form the product is the binomial convolution sum_i C(n,i) a_i b_{n-i},
 exp, log1p, composition and the symbolic power are built from such
 convolutions, and none of them divides, so integer input stays integer and no
-coefficient pays a gcd.  The binomials come from rows made by additions, never
-from math.comb.  A catalog series g whose exponent is rational in t solves
-a g' = b' g for polynomials a and b of degree at most 2, and is solved from
-that equation directly: at most four multiply-accumulates per coefficient, with
-no dense exp, power or product.  Every convolution sum accumulates in place
-through the multiply-accumulate kernel of :mod:`lahbell.exact`, and all the
-coefficients one product, composition or recurrence finishes share one
-exponent vector per distinct monomial, through a key table that lives only
-for that operation.  The constructor and :meth:`TruncatedSeries.coefficient`
-speak ordinary coefficients; the conversion happens at that boundary.
+coefficient pays a gcd.  A catalog series g whose exponent is rational in t
+solves a g' = b' g for polynomials a and b of degree at most 2, and is solved
+from that equation directly: at most four multiply-accumulates per
+coefficient, with no dense exp, power or product.  Every convolution sum
+accumulates in place through the multiply-accumulate kernel of
+:mod:`lahbell.exact`, and all the coefficients one product, composition or
+recurrence finishes share one exponent vector per distinct monomial, through
+a key table that lives only for that operation.  The constructor and
+:meth:`TruncatedSeries.coefficient` speak ordinary coefficients; the
+conversion happens at that boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial
+from math import comb, factorial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -127,19 +127,17 @@ class TruncatedSeries:
         self._require_same_order(other)
         a, b = self._egf, other._egf
         poly = _has_poly(a, b)
+        support = [i for i, c in enumerate(a) if c != 0]
         b_nonzero = [c != 0 for c in b]
-        # a_i with i past the order minus b's lowest nonzero index meets no b_j.
-        reach = len(b) - b_nonzero.index(True) if True in b_nonzero else 0
-        support = [i for i, c in enumerate(a[:reach]) if c != 0]
         keys: dict = {}
         out = []
-        for n, row in zip(range(len(a)), _binomial_rows(support[-1] if support else 0)):
+        for n in range(len(a)):
             acc: dict = {}
             for i in support:
                 if i > n:
                     break
                 if b_nonzero[n - i]:
-                    _fma(acc, row[i], a[i], b[n - i])
+                    _fma(acc, comb(n, i), a[i], b[n - i])
             out.append(_finish(acc, poly, keys))
         return _from_egf(out)
 
@@ -258,8 +256,8 @@ def _binomial_rows(width: int) -> Iterator[list[int]]:
     """C(m, 0..min(m, width)) for m = 0, 1, 2, ..., each row made from the last
     by additions.
 
-    A row stops at the highest index its reader uses, so an operand that reads
-    only the first few binomials pays O(width) additions per row, not O(m).
+    A row stops at the highest index the recurrence reads, so an equation
+    whose a and b have degree at most 2 pays O(1) additions per row, not O(m).
     """
     row = [1]
     while True:

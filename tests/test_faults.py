@@ -93,7 +93,7 @@ def series_product_drops_a1_b5(patch):
 
 def solver_reads_c_m_2_as_0_from_5(patch):
     """_first_order with C(m, 2) read as 0 from m = 5: its a-term at shift 2
-    (and b-term at shift 3) drops out.  The series product keeps true rows."""
+    (and b-term at shift 3) drops out."""
     rows, first_order = series._binomial_rows, series._first_order
 
     def faulty_rows(width):
