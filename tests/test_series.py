@@ -384,7 +384,12 @@ def test_first_order_makes_its_binomials_by_additions(monkeypatch):
 # dense exponent took O(order) each.
 @pytest.mark.parametrize(
     "name, order",
-    [("lah_bell", 200), ("lah_bell_poly", 200), ("bivariate_lah_bell", 60), ("laguerre_weighted", 60)],
+    [
+        ("lah_bell", 200),
+        ("lah_bell_poly", 200),
+        ("bivariate_lah_bell", 60),
+        ("laguerre_weighted", 60),
+    ],
 )
 def test_rational_exponent_rows_are_one_sparse_solve(monkeypatch, name, order):
     calls = 0
