@@ -4,10 +4,14 @@ Subcommands: table, seq, poly, gf, verify, dobinski.  Output formats are
 text (default), json, and csv (triangles and sequences only).  The default
 format can also be set through the LAHBELL_FORMAT environment variable.
 
-Exit codes: 0 on success, 1 when `verify` finds a failing identity (or a
-certified evaluation cannot reach the requested precision, or the reader of
-stdout closed it early), 2 on usage errors.  Nothing is written to stderr
-on success.
+The library states every argument rule: the handlers pass their arguments
+on and check none the library checks, and each refusal comes before the
+first byte of output.  `main` alone turns the way a request ends into an
+exit code: 0 on success; 1 when `verify` finds a failing identity, a
+certified evaluation cannot reach the requested precision, the reader of
+stdout closed it early or memory ran out; 2 on usage errors, an argument
+the library refuses among them; 130 on an interrupt.  Nothing is written
+to stderr on success, and each other ending writes one line and no traceback.
 
 JSON payloads are canonical: keys sorted, no whitespace, exact values
 rendered as integers or "p/q" strings, never floats.  The same input always
@@ -42,6 +46,7 @@ from .dobinski import (
     bell_dobinski,
     lah_bell_dobinski,
 )
+from .exact import _index
 from .families import FAMILIES, poly_family
 from .identities import oracle_records, run_suite
 from .series import GF_NAMES, gf_catalog
@@ -81,18 +86,12 @@ def _resolve_format(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     return fmt
 
 
-def _nonneg(parser: argparse.ArgumentParser, value: int, name: str) -> int:
-    if value < 0:
-        parser.error(f"{name} must be nonnegative, got {value}")
-    return value
-
-
-def _fraction_arg(parser: argparse.ArgumentParser, text: str, name: str) -> Fraction:
+def _fraction_arg(text: str, name: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"{name} must be an exact number like 3, 1/2 or 1e-20, got {text!r}")
-    raise AssertionError("unreachable")
+        message = f"{name} must be an exact number like 3, 1/2 or 1e-20, got {text!r}"
+        raise ValueError(message) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,22 +200,21 @@ def _write_json(fields: dict, key: str, pieces: Iterable[str]) -> None:
     out.write("}\n")
 
 
-def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
-    nmax = _nonneg(parser, args.nmax, "nmax")
+def _cmd_table(args: argparse.Namespace, fmt: str) -> int:
     separator = " " if fmt == "text" else ","
     with localcontext(_EXACT):
-        rows = iter_rows(_TABLE_KINDS[args.kind], nmax, Decimal(1))
+        rows = iter_rows(_TABLE_KINDS[args.kind], args.nmax, Decimal(1))
         entries = (separator.join(map(str, row)) for row in rows)
         if fmt == "json":
-            fields = {"command": "table", "kind": args.kind, "nmax": nmax}
+            fields = {"command": "table", "kind": args.kind, "nmax": args.nmax}
             _write_json(fields, "rows", _array(f"[{row}]" for row in entries))
         else:
             _write(entries, "\n")
     return 0
 
 
-def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
-    nmax = _nonneg(parser, args.nmax, "nmax")
+def _cmd_seq(args: argparse.Namespace, fmt: str) -> int:
+    nmax = _index(args.nmax, "nmax")  # no library call sees nmax itself
     value = _SEQ_KINDS[args.kind]
     values = (str(value(n)) for n in range(nmax + 1))
     if fmt == "json":
@@ -229,19 +227,18 @@ def _cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str
     return 0
 
 
-def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
-    n = _nonneg(parser, args.n, "n")
-    terms = poly_family(args.family, n).rendered_terms()
+def _cmd_poly(args: argparse.Namespace, fmt: str) -> int:
+    terms = poly_family(args.family, args.n).rendered_terms()
     if fmt == "json":
-        fields = {"command": "poly", "family": args.family, "n": n}
+        fields = {"command": "poly", "family": args.family, "n": args.n}
         _write_json(fields, "value", chain(['"'], _joined(terms, " "), ['"']))
     else:
         _write(terms, " ")
     return 0
 
 
-def _cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
-    order = _nonneg(parser, args.order, "order")
+def _cmd_gf(args: argparse.Namespace, fmt: str) -> int:
+    order = args.order
     series = gf_catalog(args.name, order)
     coefficients = (str(series.egf_coefficient(n)) for n in range(order + 1))
     if fmt == "json":
@@ -252,13 +249,8 @@ def _cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str)
     return 0
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
-    if args.max_n < 1:
-        parser.error(f"--max-n must be at least 1, got {args.max_n}")
-    try:
-        records = run_suite(args.ids, args.max_n)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_verify(args: argparse.Namespace, fmt: str) -> int:
+    records = run_suite(args.ids, args.max_n)
     if args.oracle:
         records.extend(oracle_records(args.max_n))
     lines = []
@@ -275,25 +267,16 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: 
     return 0 if all(record.passed() for record in records) else 1
 
 
-def _cmd_dobinski(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
-    n = _nonneg(parser, args.n, "--n")
-    x = _fraction_arg(parser, args.x, "--x")
-    eps = _fraction_arg(parser, args.eps, "--eps")
-    if x <= 0:
-        parser.error(f"--x must be positive, got {args.x}")
-    if eps <= 0:
-        parser.error(f"--eps must be positive, got {args.eps}")
+def _cmd_dobinski(args: argparse.Namespace, fmt: str) -> int:
+    x = _fraction_arg(args.x, "--x")
+    eps = _fraction_arg(args.eps, "--eps")
     evaluator = lah_bell_dobinski if args.family == "lah_bell" else bell_dobinski
-    try:
-        result = evaluator(n, x, eps)
-    except PrecisionNotReached as exc:
-        print(f"precision not reached: {exc}", file=sys.stderr)
-        return 1
+    result = evaluator(args.n, x, eps)
     value, bound = result.decimal(), result.error_bound_decimal()
     payload = {
         "command": "dobinski",
         "family": args.family,
-        "n": n,
+        "n": args.n,
         "x": str(x),
         "eps": str(eps),
         "value_decimal": value,
@@ -328,25 +311,38 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     fmt = _resolve_format(parser, args)
     try:
-        code = _run(parser, args, fmt)
+        code = _run(args, fmt)
         sys.stdout.flush()  # a closed pipe must raise here, not at exit
+    except ValueError as exc:
+        # The library refused an argument.  Every refusal comes before the
+        # first byte of output, so stdout stays empty.
+        parser.error(str(exc))
+    except PrecisionNotReached as exc:
+        print(f"precision not reached: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader left early (`lahbell table lah 600 | head`).  Point
         # stdout at /dev/null so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except MemoryError:
+        print("lahbell: out of memory", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("lahbell: interrupted", file=sys.stderr)
+        return 130
     return code
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace, fmt: str) -> int:
+def _run(args: argparse.Namespace, fmt: str) -> int:
     if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        return _HANDLERS[args.command](parser, args, fmt)
+        return _HANDLERS[args.command](args, fmt)
     # Exact answers may run past the int/str digit limit; lift it for this
     # request only and leave the caller's setting as it was.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _HANDLERS[args.command](parser, args, fmt)
+        return _HANDLERS[args.command](args, fmt)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -25,7 +25,7 @@ from itertools import chain
 from math import floor, log10, prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
-from .exact import _index
+from .exact import _as_coeff, _index
 
 __all__ = [
     "CertifiedDecimal",
@@ -241,12 +241,12 @@ def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedD
 
 def _validated(n: int, x: RationalLike, eps: RationalLike) -> tuple[Fraction, Fraction]:
     _index(n, "index")
-    x = Fraction(x)
-    eps = Fraction(eps)
+    x = Fraction(_as_coeff(x))
+    eps = Fraction(_as_coeff(eps))
     if x <= 0:
-        raise ValueError("argument x must be positive; the tail bounds need positive terms")
+        raise ValueError(f"x must be positive, as the tail bounds need positive terms, got {x}")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ValueError(f"eps must be positive, got {eps}")
     return x, eps
 
 

@@ -94,12 +94,15 @@ def _index(value: int, what: str) -> int:
     return value
 
 
+def _is_exact(value: object) -> bool:
+    """The exact-scalar rule: an int or a Fraction, and never a bool."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def _as_coeff(value: Scalar) -> Scalar:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"not an exact scalar: {value!r}")
+    if not _is_exact(value):
+        raise TypeError(f"not an exact scalar: {value!r}")
+    return value.numerator if isinstance(value, Fraction) and value.denominator == 1 else value
 
 
 class MultiPoly:
@@ -173,11 +176,11 @@ class MultiPoly:
         return Fraction(self.constant_term())
 
     # -- ring operations ---------------------------------------------------
-    # A bool is no exact scalar here: the ring operations refuse it as they
-    # refuse a float.
+    # An operand is a MultiPoly or an exact scalar (_is_exact): a bool is
+    # refused as a float is.
 
     def __add__(self, other: PolyLike) -> MultiPoly:
-        if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
+        if not (isinstance(other, MultiPoly) or _is_exact(other)):
             return NotImplemented
         out = dict(self._terms)
         _fma(out, 1, other, 1)
@@ -189,7 +192,7 @@ class MultiPoly:
         return _from_canonical({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: PolyLike) -> MultiPoly:
-        if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
+        if not (isinstance(other, MultiPoly) or _is_exact(other)):
             return NotImplemented
         out = dict(self._terms)
         _fma(out, -1, other, 1)
@@ -199,7 +202,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other: PolyLike) -> MultiPoly:
-        if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
+        if not (isinstance(other, MultiPoly) or _is_exact(other)):
             return NotImplemented
         out: dict[int, Scalar] = {}
         _fma(out, 1, self, other)
@@ -213,7 +216,7 @@ class MultiPoly:
         return MultiPoly.const(1)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, bool) or not isinstance(other, (MultiPoly, int, Fraction)):
+        if not (isinstance(other, MultiPoly) or _is_exact(other)):
             return NotImplemented
         return self._terms == MultiPoly._coerce(other)._terms
 

@@ -121,8 +121,8 @@ def lah_bell_derivative(n: int, values: Sequence[MultiPoly]) -> MultiPoly:
 
     sum_{m=0..n-1} C(n,m) (n-m)! p_m.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"derivative expansion needs n >= 1, got {n!r}")
+    if _index(n, "family index") < 1:
+        raise ValueError(f"derivative expansion needs n >= 1, got {n}")
     if len(values) != n:
         raise ValueError(f"need values for indices 0..{n - 1}, got {len(values)} entries")
     return triangle_sum(n - 1, lambda _, m: comb(n, m) * factorial(n - m), values)

@@ -29,7 +29,7 @@ from .enumeration import (
     count_permutations_by_cycles,
     count_set_partitions,
 )
-from .exact import MultiPoly, PolyLike, _finish, _fma, falling_factorial, rising_factorial
+from .exact import MultiPoly, PolyLike, _finish, _fma, _index, falling_factorial, rising_factorial
 from .families import (
     bell_poly,
     bivariate_bell_poly,
@@ -461,15 +461,12 @@ ORACLE_IDS: tuple[str, ...] = tuple(entry.id for entry in _ORACLES)
 
 
 def _check_max_n(max_n: int) -> None:
-    if isinstance(max_n, bool) or not isinstance(max_n, int):
-        raise ValueError(f"max_n must be an int, got {max_n!r}")
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+    if _index(max_n, "max_n") < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
 
 
 def _run(entries: Iterable[_Entry], max_n: int) -> list[IdentityRecord]:
     """One record per entry, each over its default range capped at max_n; _built lasts one run."""
-    _check_max_n(max_n)
     records = []
     try:
         for entry in entries:
@@ -492,6 +489,7 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
     unknown = [i for i in selection if i != "all" and i not in CATALOG_IDS]
     if unknown:
         raise ValueError(f"unknown identity ids {unknown}; valid ids: {', '.join(CATALOG_IDS)}")
+    _check_max_n(max_n)
     return _run((e for e in _CATALOG if "all" in selection or e.id in selection), max_n)
 
 

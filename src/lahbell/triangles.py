@@ -11,7 +11,7 @@ routes and are never used to fill the tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, factorial
 from typing import Iterator
 
@@ -42,7 +42,7 @@ def _checked_kind(kind: str) -> str:
     return kind
 
 
-def _next_row(kind: str, prev: tuple) -> tuple:
+def _next_row(prev: tuple, kind: str) -> tuple:
     """Row m = len(prev) of a triangle from row m - 1, in the number type of prev.
 
     Every kind follows T(m, k) = T(m-1, k-1) + c * T(m-1, k) for k = 1..m,
@@ -64,14 +64,10 @@ def iter_rows(kind: str, nmax: int, one=1) -> Iterator[tuple]:
 
     Every entry is a sum of integer multiples of ``one``, so ``Decimal(1)``
     under a context that cannot round gives the exact rows in base 10.
+    A bad kind or nmax is refused here, before the first row is asked for.
     """
-    _checked_kind(kind)
-    _index(nmax, "row index")
-    row = (one,)
-    yield row
-    for _ in range(nmax):
-        row = _next_row(kind, row)
-        yield row
+    steps = repeat(_checked_kind(kind), _index(nmax, "row index"))
+    return accumulate(steps, _next_row, initial=(one,))
 
 
 class Triangle:
@@ -90,7 +86,7 @@ class Triangle:
         rows = self._rows
         while len(rows) <= n:
             m = len(rows)
-            rows[m:m + 1] = [_next_row(self.kind, rows[m - 1])]
+            rows[m:m + 1] = [_next_row(rows[m - 1], self.kind)]
 
     def value(self, n: int, k: int) -> int:
         if type(n) is type(k) is int and 0 <= k <= n:

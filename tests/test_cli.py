@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -167,6 +168,43 @@ def test_streamed_answer_to_a_closed_pipe_exits_1_without_a_traceback(argv):
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert stderr == b""
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (200 * 2**20, 200 * 2**20))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs an enforced RLIMIT_AS")
+def test_out_of_memory_exits_1_with_one_line():
+    # The row memo of `seq lah_bell 1500` needs far more than 200 MB, so it
+    # runs out of memory partway through the answer.
+    done = subprocess.run(
+        lahbell_command("seq", "lah_bell", "1500"),
+        capture_output=True,
+        env=LAHBELL_ENV,
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, b"lahbell: out of memory\n")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs SIGINT and preexec_fn")
+def test_interrupt_exits_130_with_one_line():
+    # A shell may start a background job with SIGINT ignored, and the child
+    # would keep that; restore the default so the interpreter handles it.
+    with subprocess.Popen(
+        lahbell_command("table", "lah", "3000"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=LAHBELL_ENV,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
+        assert proc.stdout.read(1) == b"1"
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (130, b"lahbell: interrupted\n")
 
 
 # Spawns argv[1:] with stdout on /dev/null and prints its exit code and peak
@@ -716,16 +754,30 @@ def test_dobinski_precision_failure_goes_to_stderr(capsys, monkeypatch):
     assert "precision not reached" in err
 
 
+# Requests refused by argparse or by the library, each before any output.
+REFUSED = (
+    ["table", "lah"],
+    ["table", "eulerian", "3"],
+    ["table", "lah", "-1"],
+    ["seq", "bell", "-2"],
+    ["poly", "lah_bell", "-1"],
+    ["gf", "bell", "--order", "-1"],
+    ["verify", "--max-n", "0"],
+    ["verify", "nope"],
+    ["dobinski", "--n", "2", "--x", "0"],
+    ["dobinski", "--n", "2", "--x", "2/0"],
+    ["dobinski", "--n", "2", "--x", "abc"],
+    ["dobinski", "--n", "-1", "--x", "1"],
+    ["dobinski", "--n", "2", "--x", "1", "--eps", "0"],
+    ["dobinski", "--n", "2", "--x", "1", "--eps", "-1"],
+    ["dobinski", "--n", "True", "--x", "1"],
+)
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
-        ["table", "lah"],
-        ["table", "eulerian", "3"],
-        ["seq", "bell", "-2"],
-        ["gf", "bell", "--order", "-1"],
-        ["dobinski", "--n", "2", "--x", "0"],
-        ["dobinski", "--n", "2", "--x", "2/0"],
-        ["dobinski", "--n", "2", "--x", "abc"],
-        ["dobinski", "--n", "-1", "--x", "1"],
+        *REFUSED,
+        *([*argv, "--format", "json"] for argv in REFUSED),
         ["poly", "lah_bell", "3", "--format", "csv"],
         ["gf", "bell", "--format", "csv"],
         [],
@@ -734,6 +786,7 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert err != ""
+        assert "Traceback" not in err
 
 
 def test_format_env_variable(capsys, monkeypatch):

@@ -170,6 +170,19 @@ def test_certificate_helpers_keep_the_invariants():
 
 
 @pytest.mark.parametrize("evaluate", [lah_bell_dobinski, bell_dobinski])
+@pytest.mark.parametrize(
+    "x, eps",
+    [(True, Fraction(1, 10**5)), (1, 1e-5), (1, "1/100000")],
+    ids=["bool x", "float eps", "string eps"],
+)
+def test_x_and_eps_must_be_exact(evaluate, x, eps):
+    # Fraction() takes each of these: True as 1, 1e-5 as the nearest binary
+    # fraction, and the string.  The ring's exact-scalar rule takes none.
+    with pytest.raises(TypeError, match="^not an exact scalar: "):
+        evaluate(2, x, eps)
+
+
+@pytest.mark.parametrize("evaluate", [lah_bell_dobinski, bell_dobinski])
 def test_bool_index_rejected(evaluate):
     with pytest.raises(ValueError, match="^index must be a nonnegative integer, got True$"):
         evaluate(True, 1, EPS20)

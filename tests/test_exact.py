@@ -25,7 +25,8 @@ from lahbell.exact import (
 )
 from lahbell.dobinski import bell_dobinski, lah_bell_dobinski
 from lahbell.enumeration import count_permutations_by_cycles, iter_ordered_partitions
-from lahbell.families import FAMILIES, lah_bell_recurrence_step, poly_family
+from lahbell.families import FAMILIES, lah_bell_derivative, lah_bell_recurrence_step, poly_family
+from lahbell.identities import oracle_records, run_suite
 from lahbell.series import TruncatedSeries, gf_catalog, identity_t
 from lahbell.triangles import Triangle, bell_number, iter_rows, lah
 
@@ -337,6 +338,9 @@ _INDEX_ENTRIES = [
     ("gf_catalog", "order", partial(gf_catalog, "bell")),
     *((f"poly_family-{name}", "family index", partial(poly_family, name)) for name in FAMILIES),
     ("lah_bell_recurrence_step", "family index", lambda v: lah_bell_recurrence_step(v, [])),
+    ("lah_bell_derivative", "family index", lambda v: lah_bell_derivative(v, [])),
+    ("run_suite", "max_n", lambda v: run_suite(["eq3"], v)),
+    ("oracle_records", "max_n", oracle_records),
     ("count_permutations_by_cycles", "element count", count_permutations_by_cycles),
     ("iter_ordered_partitions", "element count", lambda v: next(iter_ordered_partitions(v))),
     ("lah_bell_dobinski", "index", lambda v: lah_bell_dobinski(v, 1, Fraction(1, 10))),

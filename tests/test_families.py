@@ -165,7 +165,7 @@ def test_derivative_index_validation():
 
 
 def test_derivative_rejects_a_bool_index():
-    with pytest.raises(ValueError, match="^derivative expansion needs n >= 1, got True$"):
+    with pytest.raises(ValueError, match="^family index must be a nonnegative integer, got True$"):
         lah_bell_derivative(True, [lah_bell_poly(0)])
 
 

@@ -95,8 +95,8 @@ def _refuse(cap):
 @pytest.mark.parametrize(
     "max_n, message",
     [
-        (True, "max_n must be an int, got True"),
-        (2.5, "max_n must be an int, got 2.5"),
+        (True, "max_n must be a nonnegative integer, got True"),
+        (2.5, "max_n must be a nonnegative integer, got 2.5"),
         (0, "max_n must be at least 1"),
     ],
     ids=["bool", "float", "zero"],

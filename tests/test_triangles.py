@@ -173,6 +173,13 @@ def test_streamed_rows_equal_the_memo(kind):
     assert all(isinstance(v, Decimal) for row in rows for v in row)
 
 
+def test_iter_rows_refuses_at_the_call():
+    # A caller may write the head of its answer before it asks for row 0.
+    for kind, nmax in (("eulerian", 3), ("lah", -1), ("lah", True)):
+        with pytest.raises(ValueError):
+            iter_rows(kind, nmax)
+
+
 def test_iter_rows_rejects_bad_arguments():
     with pytest.raises(ValueError):
         list(iter_rows("eulerian", 3))
