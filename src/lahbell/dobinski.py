@@ -151,24 +151,28 @@ def _sci_upper(q: Fraction) -> str:
 
 
 class _Cutoff(NamedTuple):
-    """Partial sum and term k over one denominator q^k k!; tail <= 2 term ratio."""
+    """Partial sum and term k over one denominator q^k k!; tail <= 2 term ratio.
+
+    The ratio is an unreduced (numerator, denominator) pair of positive ints.
+    """
 
     k: int
     partial: int
     term: int
     denominator: int
-    ratio: Fraction
+    ratio: tuple[int, int]
 
     def sum(self) -> Fraction:
         return Fraction(self.partial, self.denominator)
 
     def tail(self) -> Fraction:
-        r = self.ratio
-        return Fraction(2 * self.term * r.numerator, self.denominator * r.denominator)
+        num, den = self.ratio
+        return Fraction(2 * self.term * num, self.denominator * den)
 
     def tail_within(self, target: Fraction) -> bool:
-        left = (2 * self.term, self.ratio.numerator, target.denominator)
-        right = (target.numerator, self.denominator, self.ratio.denominator)
+        num, den = self.ratio
+        left = (2 * self.term, num, target.denominator)
+        right = (target.numerator, self.denominator, den)
         # A product of three positive factors has between (sum of their bit
         # lengths) - 2 and that sum bits; clear misses skip the big products.
         if sum(v.bit_length() for v in left) - 2 > sum(v.bit_length() for v in right):
@@ -195,9 +199,9 @@ def _partial_sums(weight: Weight, x: Fraction, first: int) -> Iterator[_Cutoff]:
         w, w_next = w_next, weight(k + 1)
         term = w * power
         partial += term
-        # The ratio is made only once it is known to be at most 1/2.
-        if k >= first and 2 * p * w_next <= q * (k + 1) * w:
-            yield _Cutoff(k, partial, term, denominator, Fraction(p * w_next, q * (k + 1) * w))
+        num, den = p * w_next, q * (k + 1) * w
+        if k >= first and 2 * num <= den:
+            yield _Cutoff(k, partial, term, denominator, (num, den))
 
 
 def _first_within(cutoffs: Iterable[_Cutoff], target: Fraction) -> _Cutoff | None:

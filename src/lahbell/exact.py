@@ -47,7 +47,6 @@ Rational = Fraction
 
 INDETERMINATES = ("x", "y", "lam", "alpha")
 
-_VAR_INDEX = {name: i for i, name in enumerate(INDETERMINATES)}
 _NVARS = len(INDETERMINATES)
 
 # The packed layout.  The total degree bounds every exponent, so while it fits
@@ -55,20 +54,13 @@ _NVARS = len(INDETERMINATES)
 # one: every key of a valid vector is below _LIMIT.
 _WIDTH = 16
 MAX_DEGREE = (1 << _WIDTH) - 1
-_SHIFTS = tuple(_WIDTH * i for i in reversed(range(_NVARS)))  # x highest
+# Each indeterminate's field, by name, in INDETERMINATES order: x highest.
+_SHIFTS = {name: _WIDTH * i for name, i in zip(INDETERMINATES, reversed(range(_NVARS)))}
 _DEGREE = _WIDTH * _NVARS
 _LIMIT = 1 << (_DEGREE + _WIDTH)
 
 Scalar = Union[int, Fraction]
 PolyLike = Union["MultiPoly", int, Fraction]
-
-
-def _var_index(name: str) -> int:
-    try:
-        return _VAR_INDEX[name]
-    except KeyError:
-        message = f"unknown indeterminate {name!r}, expected one of {INDETERMINATES}"
-        raise ValueError(message) from None
 
 
 def _pack(exps: tuple[int, ...]) -> int:
@@ -77,11 +69,11 @@ def _pack(exps: tuple[int, ...]) -> int:
     if len(exps) != _NVARS or any(type(e) is not int or e < 0 for e in exps):
         return -1
     key = sum(exps) << _DEGREE
-    return sum((e << s for e, s in zip(exps, _SHIFTS)), key) if key < _LIMIT else -1
+    return sum((e << s for e, s in zip(exps, _SHIFTS.values())), key) if key < _LIMIT else -1
 
 
 def _unpack(key: int) -> tuple[int, int, int, int]:
-    return tuple((key >> s) & MAX_DEGREE for s in _SHIFTS)
+    return tuple((key >> s) & MAX_DEGREE for s in _SHIFTS.values())
 
 
 def _index(value: int, what: str) -> int:
@@ -92,6 +84,18 @@ def _index(value: int, what: str) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
     return value
+
+
+def _named(table: Mapping, name: str, what: str):
+    """table[name]; else ValueError naming what was asked for and every name in table.
+
+    The one rule for every lookup by name: indeterminates, triangle kinds,
+    generating functions and families.
+    """
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown {what} {name!r}, expected one of {tuple(table)}") from None
 
 
 def _is_exact(value: object) -> bool:
@@ -134,7 +138,7 @@ class MultiPoly:
     @classmethod
     def var(cls, name: str) -> MultiPoly:
         """The polynomial consisting of the single indeterminate `name`."""
-        return _from_canonical({1 << _DEGREE | 1 << _SHIFTS[_var_index(name)]: 1})
+        return _from_canonical({1 << _DEGREE | 1 << _named(_SHIFTS, name, "indeterminate"): 1})
 
     @classmethod
     def _coerce(cls, value: PolyLike) -> MultiPoly:
@@ -157,7 +161,7 @@ class MultiPoly:
 
     def degree(self, name: str) -> int:
         """Degree in one indeterminate; zero polynomial has degree 0 by convention."""
-        shift = _SHIFTS[_var_index(name)]
+        shift = _named(_SHIFTS, name, "indeterminate")
         return max((key >> shift & MAX_DEGREE for key in self._terms), default=0)
 
     def total_degree(self) -> int:
@@ -230,7 +234,9 @@ class MultiPoly:
         Unbound indeterminates pass through unchanged, so a partial binding
         yields another polynomial and a full binding yields a constant one.
         """
-        bound = {_SHIFTS[_var_index(n)]: MultiPoly._coerce(v) for n, v in bindings.items()}
+        bound = {
+            _named(_SHIFTS, n, "indeterminate"): MultiPoly._coerce(v) for n, v in bindings.items()
+        }
         out: dict[int, Scalar] = {}
         for key, coeff in self._terms.items():
             residual = key
@@ -249,7 +255,7 @@ class MultiPoly:
 
     def derivative(self, name: str = "x") -> MultiPoly:
         """Formal partial derivative with respect to one indeterminate."""
-        shift = _SHIFTS[_var_index(name)]
+        shift = _named(_SHIFTS, name, "indeterminate")
         step = 1 << shift | 1 << _DEGREE
         out: dict[int, Scalar] = {}
         for key, coeff in self._terms.items():
@@ -309,7 +315,7 @@ _MONOMIALS = 1 << 13
 def _monomial(key: int) -> str:
     # The rendering of one exponent vector ("x^2*lam", "" for the constant),
     # made once: the coefficients of one series share most of their monomials.
-    fields = zip(INDETERMINATES, _SHIFTS)
+    fields = _SHIFTS.items()
     return "*".join(f"{v}^{e}" if e > 1 else v for v, s in fields if (e := key >> s & MAX_DEGREE))
 
 

@@ -32,7 +32,7 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import MultiPoly, _as_coeff, _finish, _fma, _index, _power
+from .exact import MultiPoly, _as_coeff, _finish, _fma, _index, _named, _power
 
 __all__ = [
     "TruncatedSeries",
@@ -88,7 +88,7 @@ class TruncatedSeries:
 
     def egf_coefficient(self, n: int) -> Coeff:
         """n! times the ordinary coefficient of t^n, as stored."""
-        if not 0 <= n <= self.order:
+        if _index(n, "coefficient index") > self.order:
             raise ValueError(f"coefficient index {n} outside tracked range 0..{self.order}")
         return self._egf[n]
 
@@ -397,9 +397,4 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
     suite checks.  All family parameters stay symbolic.
     """
     _index(order, "order")
-    try:
-        build = _GF_BUILDERS[name]
-    except KeyError:
-        message = f"unknown generating function {name!r}, expected one of {GF_NAMES}"
-        raise ValueError(message) from None
-    return build(order)
+    return _named(_GF_BUILDERS, name, "generating function")(order)

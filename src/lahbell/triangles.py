@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .exact import _index
+from .exact import _index, _named
 
 __all__ = [
     "Triangle",
@@ -33,30 +33,22 @@ __all__ = [
     "lah_ratio_form",
 ]
 
-TRIANGLE_KINDS = ("lah", "stirling1_signed", "stirling2")
+# Row m's factors c_1..c_m in T(m, k) = T(m-1, k-1) + c_k * T(m-1, k).
+_ROW_FACTORS: dict[str, Callable[[int], Iterable[int]]] = {
+    "lah": lambda m: range(m, 2 * m),  # c_k = m - 1 + k
+    "stirling1_signed": lambda m: repeat(1 - m),  # c_k = 1 - m
+    "stirling2": lambda m: range(1, m + 1),  # c_k = k
+}
+
+TRIANGLE_KINDS = tuple(_ROW_FACTORS)
 
 
-def _checked_kind(kind: str) -> str:
-    if kind not in TRIANGLE_KINDS:
-        raise ValueError(f"unknown triangle kind {kind!r}, expected one of {TRIANGLE_KINDS}")
-    return kind
-
-
-def _next_row(prev: tuple, kind: str) -> tuple:
-    """Row m = len(prev) of a triangle from row m - 1, in the number type of prev.
-
-    Every kind follows T(m, k) = T(m-1, k-1) + c * T(m-1, k) for k = 1..m,
-    with c = m - 1 + k (Lah), k (Stirling 2) or 1 - m (signed Stirling 1).
-    """
+def _next_row(prev: tuple, factors: Callable[[int], Iterable[int]]) -> tuple:
+    """Row m = len(prev) of a triangle from row m - 1, in the number type of
+    prev; factors is the triangle's row of _ROW_FACTORS."""
     m = len(prev)
     zero = prev[0] * 0
-    if kind == "lah":
-        factors = range(m, 2 * m)
-    elif kind == "stirling2":
-        factors = range(1, m + 1)
-    else:  # stirling1_signed
-        factors = repeat(1 - m)
-    return (zero, *[left + c * mid for left, mid, c in zip(prev, (*prev[1:], zero), factors)])
+    return (zero, *[left + c * mid for left, mid, c in zip(prev, (*prev[1:], zero), factors(m))])
 
 
 def iter_rows(kind: str, nmax: int, one=1) -> Iterator[tuple]:
@@ -66,7 +58,7 @@ def iter_rows(kind: str, nmax: int, one=1) -> Iterator[tuple]:
     under a context that cannot round gives the exact rows in base 10.
     A bad kind or nmax is refused here, before the first row is asked for.
     """
-    steps = repeat(_checked_kind(kind), _index(nmax, "row index"))
+    steps = repeat(_named(_ROW_FACTORS, kind, "triangle kind"), _index(nmax, "row index"))
     return accumulate(steps, _next_row, initial=(one,))
 
 
@@ -79,14 +71,15 @@ class Triangle:
     """
 
     def __init__(self, kind: str):
-        self.kind = _checked_kind(kind)
+        self._factors = _named(_ROW_FACTORS, kind, "triangle kind")
+        self.kind = kind
         self._rows: list[tuple[int, ...]] = [(1,)]
 
     def _extend_to(self, n: int) -> None:
         rows = self._rows
         while len(rows) <= n:
             m = len(rows)
-            rows[m:m + 1] = [_next_row(rows[m - 1], self.kind)]
+            rows[m:m + 1] = [_next_row(rows[m - 1], self._factors)]
 
     def value(self, n: int, k: int) -> int:
         if type(n) is type(k) is int and 0 <= k <= n:

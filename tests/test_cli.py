@@ -761,6 +761,8 @@ REFUSED = (
     ["table", "lah", "-1"],
     ["seq", "bell", "-2"],
     ["poly", "lah_bell", "-1"],
+    ["poly", "lah_bell", "70000"],
+    ["poly", "bivariate_lah_bell", "40000"],
     ["gf", "bell", "--order", "-1"],
     ["verify", "--max-n", "0"],
     ["verify", "nope"],

@@ -27,8 +27,8 @@ from lahbell.dobinski import bell_dobinski, lah_bell_dobinski
 from lahbell.enumeration import count_permutations_by_cycles, iter_ordered_partitions
 from lahbell.families import FAMILIES, lah_bell_derivative, lah_bell_recurrence_step, poly_family
 from lahbell.identities import oracle_records, run_suite
-from lahbell.series import TruncatedSeries, gf_catalog, identity_t
-from lahbell.triangles import Triangle, bell_number, iter_rows, lah
+from lahbell.series import GF_NAMES, TruncatedSeries, gf_catalog, identity_t
+from lahbell.triangles import TRIANGLE_KINDS, Triangle, bell_number, iter_rows, lah
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -336,6 +336,10 @@ _INDEX_ENTRIES = [
     ("TruncatedSeries.__pow__", "series power", lambda v: TruncatedSeries([1, 1]) ** v),
     ("identity_t", "series order", identity_t),
     ("gf_catalog", "order", partial(gf_catalog, "bell")),
+    ("TruncatedSeries.egf_coefficient", "coefficient index",
+     lambda v: gf_catalog("lah_bell", 5).egf_coefficient(v)),
+    ("TruncatedSeries.coefficient", "coefficient index",
+     lambda v: gf_catalog("lah_bell", 5).coefficient(v)),
     *((f"poly_family-{name}", "family index", partial(poly_family, name)) for name in FAMILIES),
     ("lah_bell_recurrence_step", "family index", lambda v: lah_bell_recurrence_step(v, [])),
     ("lah_bell_derivative", "family index", lambda v: lah_bell_derivative(v, [])),
@@ -363,6 +367,42 @@ def test_every_index_is_a_nonnegative_int_and_never_a_bool(what, call, value):
     with pytest.raises(ValueError) as raised:
         call(value)
     assert str(raised.value) == f"{what} must be a nonnegative integer, got {value!r}"
+
+
+def test_a_coefficient_index_past_the_order_names_the_tracked_range():
+    series = gf_catalog("lah_bell", 5)
+    for read in (series.egf_coefficient, series.coefficient):
+        with pytest.raises(ValueError, match=r"^coefficient index 6 outside tracked range 0\.\.5$"):
+            read(6)
+
+
+# Every lookup by name, the noun its message names, the names it knows and a
+# call that passes it a name.
+_NAME_ENTRIES = [
+    ("MultiPoly.var", "indeterminate", INDETERMINATES, MultiPoly.var),
+    ("MultiPoly.degree", "indeterminate", INDETERMINATES, X.degree),
+    ("MultiPoly.derivative", "indeterminate", INDETERMINATES, X.derivative),
+    ("MultiPoly.substitute", "indeterminate", INDETERMINATES, lambda name: X.substitute({name: 1})),
+    ("Triangle", "triangle kind", TRIANGLE_KINDS, Triangle),
+    ("iter_rows", "triangle kind", TRIANGLE_KINDS, lambda name: iter_rows(name, 3)),
+    ("gf_catalog", "generating function", GF_NAMES, lambda name: gf_catalog(name, 3)),
+    ("poly_family", "family", FAMILIES, lambda name: poly_family(name, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "what, names, call",
+    [entry[1:] for entry in _NAME_ENTRIES],
+    ids=[entry[0] for entry in _NAME_ENTRIES],
+)
+def test_every_unknown_name_is_refused_by_one_rule(what, names, call):
+    for name in ("z", "", 1, None):
+        with pytest.raises(ValueError) as raised:
+            call(name)
+        assert str(raised.value) == f"unknown {what} {name!r}, expected one of {names}"
+    # A name no table can hold is refused by the lookup itself.
+    with pytest.raises(TypeError):
+        call(["x"])
 
 
 def test_partial_evaluation():

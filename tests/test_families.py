@@ -1,10 +1,12 @@
 """Polynomial families: closed forms, degenerations, recurrence and derivative."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from lahbell.exact import MultiPoly, falling_factorial, rising_factorial
+from lahbell import triangles
+from lahbell.exact import MAX_DEGREE, MultiPoly, falling_factorial, rising_factorial
 from lahbell.families import (
     FAMILIES,
     bell_poly,
@@ -76,6 +78,33 @@ def test_bool_index_rejected(call):
     # True is an int to isinstance, but not the index the message asks for.
     with pytest.raises(ValueError, match="^family index must be a nonnegative integer, got True$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (bell_poly, 65536),
+        (lah_bell_poly, 65536),
+        (bivariate_bell_poly, 32768),
+        (bivariate_lah_bell_poly, 32768),
+        (degenerate_bell_poly, 65536),
+        (degenerate_lah_bell_poly, 65536),
+        (laguerre_poly, 65536),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_a_degree_past_the_limit_is_refused_before_any_triangle_row(build, n):
+    # Total degree n, or 2n for the bivariate families, one past MAX_DEGREE:
+    # refused at once with the kernel's own message, the memos untouched.
+    memo = len(triangles._LAH._rows), len(triangles._S2._rows)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as raised:
+        build(n)
+    assert time.perf_counter() - start < 1
+    assert (len(triangles._LAH._rows), len(triangles._S2._rows)) == memo
+    with pytest.raises(ValueError) as kernel:
+        X ** (MAX_DEGREE + 1)
+    assert str(raised.value) == str(kernel.value)
 
 
 def test_poly_family_dispatch():

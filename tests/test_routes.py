@@ -1,16 +1,19 @@
-"""Every gf row reaches no family-side code.
+"""Every gf row reaches no family-side code, and every family no series code.
 
-The identities hold each of these rows against a family built from the
-triangles, the family sums or the enumerations, so the two routes must not
-share that code.  Each row is built alone, from an empty gf catalog, under
-``sys.setprofile``, and every Python function it enters is collected by
-module and qualified name.
+The identities hold each gf row against a family built from the triangles,
+the family sums or the enumerations, so the two routes must not share that
+code.  Each side is built alone, a gf row from an empty gf catalog and a
+family from empty triangle memos, under ``sys.setprofile``, and every Python
+function it enters is collected by module and qualified name.
 """
 
 import sys
+from functools import partial
 
 import pytest
 
+from lahbell import triangles
+from lahbell.families import FAMILIES, poly_family
 from lahbell.series import GF_NAMES, gf_catalog
 
 # The rows whose exponent is rational in t, each one first-order solve.
@@ -53,3 +56,22 @@ def test_gf_row_reaches_no_family_side_code(name):
     assert shared == []
     if name in SOLVED_ROWS:
         assert ("lahbell.series", "_first_order") in seen
+
+
+# The family side of the gf rows: every polynomial family, and the Lah-Bell
+# numbers that lemma1 holds the lah_bell row against.
+FAMILY_BUILDS = {
+    **{name: partial(poly_family, name, 8) for name in FAMILIES},
+    "lah_bell_number": partial(triangles.lah_bell_number, 9),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_BUILDS)
+def test_family_reaches_no_series_code(name, monkeypatch):
+    for memo in ("_LAH", "_S1", "_S2"):
+        monkeypatch.setattr(triangles, memo, triangles.Triangle(getattr(triangles, memo).kind))
+    seen = reached(FAMILY_BUILDS[name])
+    shared = sorted(f"{module}.{fn}" for module, fn in seen if module == "lahbell.series")
+    assert shared == []
+    # Every family but laguerre, whose weights are binomials, reads a triangle.
+    assert (("lahbell.triangles", "_next_row") in seen) == (name != "laguerre")
