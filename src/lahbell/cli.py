@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: table, seq, poly, gf, verify, dobinski.  Output formats are
-text (default), json, and csv (triangles and sequences only).  The default
-format can also be set through the LAHBELL_FORMAT environment variable.
+text (default), json, and csv (triangles and sequences only), chosen by
+--format alone.
 
 The library states every argument rule: the handlers pass their arguments
 on and check none the library checks, and each refusal comes before the
@@ -54,7 +54,6 @@ from .triangles import bell_number, iter_rows, lah_bell_number
 
 __all__ = ["main"]
 
-_FORMATS = ("text", "json", "csv")
 _TABLE_KINDS = {"lah": "lah", "s1": "stirling1_signed", "s2": "stirling2"}
 _SEQ_KINDS = {"bell": bell_number, "lah_bell": lah_bell_number}
 
@@ -77,15 +76,6 @@ def _canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _resolve_format(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
-    fmt = args.format or os.environ.get("LAHBELL_FORMAT") or "text"
-    if fmt not in _FORMATS:
-        parser.error(f"unknown output format {fmt!r}, expected one of {_FORMATS}")
-    if fmt == "csv" and args.command not in ("table", "seq"):
-        parser.error("csv output is only available for the table and seq commands")
-    return fmt
-
-
 def _fraction_arg(text: str, name: str) -> Fraction:
     try:
         return Fraction(text)
@@ -104,23 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser, *extra: str) -> None:
         p.add_argument(
             "--format",
-            choices=_FORMATS,
-            default=None,
-            help="output format (default: $LAHBELL_FORMAT or text)",
+            choices=("text", "json", *extra),
+            default="text",
+            help="output format (default: text)",
         )
 
     p_table = sub.add_parser("table", help="rows 0..nmax of a number triangle")
     p_table.add_argument("kind", choices=sorted(_TABLE_KINDS))
     p_table.add_argument("nmax", type=int)
-    add_format(p_table)
+    add_format(p_table, "csv")
 
     p_seq = sub.add_parser("seq", help="terms 0..nmax of a row-sum sequence")
     p_seq.add_argument("kind", choices=sorted(_SEQ_KINDS))
     p_seq.add_argument("nmax", type=int)
-    add_format(p_seq)
+    add_format(p_seq, "csv")
 
     p_poly = sub.add_parser("poly", help="one polynomial family member, exactly")
     p_poly.add_argument("family", choices=FAMILIES)
@@ -309,9 +299,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    fmt = _resolve_format(parser, args)
     try:
-        code = _run(args, fmt)
+        code = _run(args, args.format)
         sys.stdout.flush()  # a closed pipe must raise here, not at exit
     except ValueError as exc:
         # The library refused an argument.  Every refusal comes before the

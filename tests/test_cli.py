@@ -1,4 +1,4 @@
-"""Command-line front end: formats, exit codes, canonical JSON, env override."""
+"""Command-line front end: formats, exit codes, canonical JSON."""
 
 import csv
 import hashlib
@@ -129,12 +129,8 @@ def lahbell_command(*argv):
     return [sys.executable, "-m", "lahbell.cli", *argv]
 
 
-# Made at import, before any fixture clears LAHBELL_FORMAT, so it leaves the
-# variable out itself: the child processes must print the text default.
-LAHBELL_ENV = {
-    **{name: value for name, value in os.environ.items() if name != "LAHBELL_FORMAT"},
-    "PYTHONPATH": os.pathsep.join(sys.path),
-}
+# The child processes import the package from the path the tests import it from.
+LAHBELL_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
 
 def test_closed_pipe_exits_1_without_a_traceback():
@@ -791,26 +787,24 @@ def test_usage_errors_exit_2(capsys):
         assert "Traceback" not in err
 
 
-def test_format_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("LAHBELL_FORMAT", "json")
-    code, out, _ = run(capsys, ["seq", "bell", "2"])
-    assert code == 0
-    assert json.loads(out)["values"] == [1, 1, 2]
+@pytest.mark.parametrize("command", ["poly lah_bell 3", "gf bell", "verify eq3", "dobinski --n 2 --x 1"])
+def test_csv_is_offered_only_for_table_and_seq(capsys, command):
+    code, out, err = run(capsys, [*command.split(), "--format", "csv"])
+    assert (code, out) == (2, "")
+    assert "argument --format: invalid choice: 'csv'" in err
 
 
-def test_format_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("LAHBELL_FORMAT", "json")
-    code, out, _ = run(capsys, ["seq", "bell", "2", "--format", "text"])
-    assert code == 0
-    assert out == "1 1 2\n"
-
-
-def test_invalid_env_format_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("LAHBELL_FORMAT", "yaml")
-    code, out, err = run(capsys, ["seq", "bell", "2"])
-    assert code == 2
-    assert out == ""
-    assert err != ""
+@pytest.mark.parametrize("value", ["json", "yaml"])
+def test_a_user_lahbell_format_is_ignored(value):
+    # --format alone chooses the output: a LAHBELL_FORMAT in the user's
+    # environment, a format's name or not, changes nothing.
+    env = dict(LAHBELL_ENV, LAHBELL_FORMAT=value)
+    for argv, expected in (
+        (["seq", "bell", "3"], "1 1 2 5\n"),
+        (["gf", "bell", "--order", "3"], "0: 1\n1: 1\n2: 2\n3: 5\n"),
+    ):
+        done = subprocess.run(lahbell_command(*argv), capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), argv
 
 
 def _readme_examples():
@@ -825,8 +819,7 @@ def _readme_examples():
     return examples
 
 
-def test_readme_cli_examples_print_what_they_show(capsys, monkeypatch):
-    monkeypatch.delenv("LAHBELL_FORMAT", raising=False)
+def test_readme_cli_examples_print_what_they_show(capsys):
     examples = _readme_examples()
     assert len(examples) == 6
     for argv, expected in examples:

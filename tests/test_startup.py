@@ -26,7 +26,6 @@ ADDED = "import sys; before = set(sys.modules); import {}; print(*sorted(set(sys
 
 def fresh(*argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("LAHBELL_FORMAT", None)
     return subprocess.run(
         [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
