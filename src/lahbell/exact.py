@@ -86,6 +86,19 @@ def _index(value: int, what: str) -> int:
     return value
 
 
+def _degree_index(value: int, what: str, per: int) -> int:
+    """value, if it is an _index and per * value, the total degree it gives,
+    is within MAX_DEGREE; else ValueError.
+
+    The one degree precheck: a product of nonzero polynomials has the sum of
+    their degrees, so a request whose every factor is nonzero and of degree
+    per is refused here, before its first product.
+    """
+    if per * _index(value, what) > MAX_DEGREE:
+        raise ValueError(f"polynomial total degree past {MAX_DEGREE}")
+    return value
+
+
 def _named(table: Mapping, name: str, what: str):
     """table[name]; else ValueError naming what was asked for and every name in table.
 
@@ -215,7 +228,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> MultiPoly:
-        if _index(exponent, "polynomial exponent"):
+        if _degree_index(exponent, "polynomial exponent", self.total_degree()):
             return _power(self, exponent)
         return MultiPoly.const(1)
 
@@ -419,8 +432,14 @@ def generalized_falling(p: PolyLike, n: int, step: PolyLike) -> MultiPoly:
 
     A step of 1 gives the falling factorial, -1 the rising factorial, and a
     symbolic step the degenerate falling factorial with that parameter.
+
+    With a constant step each factor of a non-constant p is nonzero and of
+    p's degree, so a product past MAX_DEGREE is refused before it starts.  A
+    symbolic step can make a factor zero (p = step = x), and is not checked.
     """
-    for last in _falling_prefixes(p, _index(n, "factorial length"), step):
+    constant_step = not isinstance(step, MultiPoly) or step.is_constant()
+    per = p.total_degree() if isinstance(p, MultiPoly) and constant_step else 0
+    for last in _falling_prefixes(p, _degree_index(n, "factorial length", per), step):
         pass  # keep only the last prefix, not all n+1
     return last
 

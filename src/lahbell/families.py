@@ -16,7 +16,7 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .exact import MAX_DEGREE, MultiPoly, PolyLike, _falling_prefixes, _finish, _fma, _index, _named
+from .exact import MultiPoly, PolyLike, _degree_index, _falling_prefixes, _finish, _fma, _index, _named
 from .exact import generalized_falling  # unused; bench/tracer.py REQUIRED_SITES pins it
 from .triangles import lah, stirling2
 
@@ -55,47 +55,39 @@ def triangle_sum(
     return _finish(acc)
 
 
-def _family_index(n: int, per: int = 1) -> int:
-    """n, if it is a family index and per * n, the total degree of its
-    polynomial, is within MAX_DEGREE: checked before any triangle row is read."""
-    if per * _index(n, "family index") > MAX_DEGREE:
-        raise ValueError(f"polynomial total degree past {MAX_DEGREE}")
-    return n
-
-
 def bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) x^k; at x=1 this is the n-th set-partition count."""
-    _family_index(n)
+    _degree_index(n, "family index", 1)
     return triangle_sum(n, stirling2, _falling_prefixes(_X, n, 0))
 
 
 def lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) x^k; at x=1 this is the n-th ordered-list-partition count."""
-    _family_index(n)
+    _degree_index(n, "family index", 1)
     return triangle_sum(n, lah, _falling_prefixes(_X, n, 0))
 
 
 def bivariate_bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) (x)_k y^k, with (x)_k the falling factorial."""
-    _family_index(n, 2)
+    _degree_index(n, "family index", 2)
     return triangle_sum(n, stirling2, _falling_prefixes(_X * _Y, n, _Y))
 
 
 def bivariate_lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) (x)_k y^k."""
-    _family_index(n, 2)
+    _degree_index(n, "family index", 2)
     return triangle_sum(n, lah, _falling_prefixes(_X * _Y, n, _Y))
 
 
 def degenerate_bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) x(x-lam)...(x-(k-1)lam); lam=0 recovers bell_poly."""
-    _family_index(n)
+    _degree_index(n, "family index", 1)
     return triangle_sum(n, stirling2, _falling_prefixes(_X, n, _LAM))
 
 
 def degenerate_lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) x(x-lam)...(x-(k-1)lam); lam=0 recovers lah_bell_poly."""
-    _family_index(n)
+    _degree_index(n, "family index", 1)
     return triangle_sum(n, lah, _falling_prefixes(_X, n, _LAM))
 
 
@@ -107,7 +99,7 @@ def laguerre_poly(n: int) -> MultiPoly:
     sum_k (-1)^k C(n,k) (alpha+k+1)(alpha+k+2)...(alpha+n) x^k, summed here
     over j = n-k, whose weight (alpha+n)(alpha+n-1)...(alpha+n-j+1) grows with j.
     """
-    _family_index(n)
+    _degree_index(n, "family index", 1)
     weights = _falling_prefixes(_ALPHA + n, n, 1)
     powers = list(_falling_prefixes(_X, n, 0))
     return triangle_sum(n, comb, map(mul, weights, reversed(powers)), -1)

@@ -32,7 +32,7 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import MultiPoly, _as_coeff, _finish, _fma, _index, _named, _power
+from .exact import MultiPoly, _as_coeff, _degree_index, _finish, _fma, _index, _named, _power
 
 __all__ = [
     "TruncatedSeries",
@@ -362,23 +362,25 @@ def _solves(a: Sequence[Coeff], b: Sequence[Coeff]) -> Callable[[int], Truncated
 
 _ONE_MINUS_T_SQUARED = (1, -2, 2)  # 1 - 2t + t^2, in egf form
 
-_GF_BUILDERS: dict[str, Callable[[int], TruncatedSeries]] = {
+# Each row is the total degree of the order-N coefficient per unit of N (0
+# for the number rows, 2 for the bivariate ones) and the row's builder.
+_GF_BUILDERS: dict[str, tuple[int, Callable[[int], TruncatedSeries]]] = {
     # exp(t/(1-t)): g'/g = 1/(1-t)^2, so a = (1-t)^2 and b = t.
-    "lah_bell": _solves(_ONE_MINUS_T_SQUARED, (0, 1)),
+    "lah_bell": (0, _solves(_ONE_MINUS_T_SQUARED, (0, 1))),
     # exp(x t/(1-t)): g'/g = x/(1-t)^2, so a = (1-t)^2 and b = x t.
-    "lah_bell_poly": _solves(_ONE_MINUS_T_SQUARED, (0, _X)),
-    "bell": lambda order: exp_t_minus_one(order).exp(),
-    "bell_poly": lambda order: exp_t_minus_one(order).scale(_X).exp(),
-    "bivariate_bell": lambda order: (ser_one(order) + exp_t_minus_one(order).scale(_Y)).pow(_X),
+    "lah_bell_poly": (1, _solves(_ONE_MINUS_T_SQUARED, (0, _X))),
+    "bell": (0, lambda order: exp_t_minus_one(order).exp()),
+    "bell_poly": (1, lambda order: exp_t_minus_one(order).scale(_X).exp()),
+    "bivariate_bell": (2, lambda order: (ser_one(order) + exp_t_minus_one(order).scale(_Y)).pow(_X)),
     # (1 + y t/(1-t))^x: g'/g = x y/((1-t)(1-(1-y)t)), so a = (1-t)(1-(1-y)t), b = x y t.
-    "bivariate_lah_bell": _solves((1, _Y - 2, 2 - 2 * _Y), (0, _X * _Y)),
+    "bivariate_lah_bell": (2, _solves((1, _Y - 2, 2 - 2 * _Y), (0, _X * _Y))),
     "degenerate_lah_bell": (
-        lambda order: degenerate_exponential(order).compose(geometric_minus_one(order))
+        1, lambda order: degenerate_exponential(order).compose(geometric_minus_one(order))
     ),
-    "degenerate_bell": lambda order: degenerate_exponential(order).compose(exp_t_minus_one(order)),
+    "degenerate_bell": (1, lambda order: degenerate_exponential(order).compose(exp_t_minus_one(order))),
     # (1-t)^(-alpha-1) exp(x t/(t-1)): g'/g = ((alpha+1)(1-t) - x)/(1-t)^2, so
     # a = (1-t)^2 and b = (alpha+1-x) t - (alpha+1) t^2/2.
-    "laguerre_weighted": _solves(_ONE_MINUS_T_SQUARED, (0, _ALPHA + 1 - _X, -_ALPHA - 1)),
+    "laguerre_weighted": (1, _solves(_ONE_MINUS_T_SQUARED, (0, _ALPHA + 1 - _X, -_ALPHA - 1))),
 }
 
 GF_NAMES = tuple(_GF_BUILDERS)
@@ -394,7 +396,8 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
     inner series, and the rows whose exponent is rational in t solve their
     first-order equation a g' = b' g directly.  Their egf coefficients
     reproduce the matching closed-form family exactly, which the identity
-    suite checks.  All family parameters stay symbolic.
+    suite checks.  All family parameters stay symbolic.  An order whose
+    coefficient would pass MAX_DEGREE is refused before the first coefficient.
     """
-    _index(order, "order")
-    return _named(_GF_BUILDERS, name, "generating function")(order)
+    per, build = _named(_GF_BUILDERS, name, "generating function")
+    return build(_degree_index(order, "order", per))

@@ -760,6 +760,8 @@ REFUSED = (
     ["poly", "lah_bell", "70000"],
     ["poly", "bivariate_lah_bell", "40000"],
     ["gf", "bell", "--order", "-1"],
+    ["gf", "bivariate_lah_bell", "--order", "40000"],
+    ["gf", "lah_bell_poly", "--order", "70000"],
     ["verify", "--max-n", "0"],
     ["verify", "nope"],
     ["dobinski", "--n", "2", "--x", "0"],

@@ -3,6 +3,7 @@
 import operator
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
@@ -443,6 +444,36 @@ def test_falling_and_rising_factorials():
     assert falling_factorial(X, 0) == MultiPoly.const(1)
     with pytest.raises(ValueError):
         falling_factorial(X, -1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: falling_factorial(X, 70000),
+        lambda: rising_factorial(X, 70000),
+        lambda: falling_factorial(X * Y, MAX_DEGREE // 2 + 1),
+        lambda: generalized_falling(X + LAM, MAX_DEGREE + 1, Fraction(1, 2)),
+        lambda: (X + 1) ** 70000,
+        lambda: (X * Y + 1) ** (MAX_DEGREE // 2 + 1),
+    ],
+    ids=["falling", "rising", "falling-degree-2", "constant-step", "pow", "pow-degree-2"],
+)
+def test_a_product_past_the_degree_limit_is_refused_before_it_starts(build):
+    # A product of nonzero polynomials has the sum of their degrees, so each
+    # of these is refused at once, not after tens of thousands of products.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^polynomial total degree past {MAX_DEGREE}$"):
+        build()
+    assert time.perf_counter() - start < 1
+
+
+def test_the_degree_precheck_refuses_no_product_it_cannot_bound():
+    # A symbolic step can make a factor zero, and a constant p has degree 0
+    # however long the product: these answer 0 instead of being refused.
+    # A power exactly at the limit is built.
+    assert generalized_falling(X, 70000, X) == 0
+    assert falling_factorial(5, 70000) == 0
+    assert (X * Y) ** (MAX_DEGREE // 2) == MultiPoly({(MAX_DEGREE // 2,) * 2 + (0, 0): 1})
 
 
 @settings(max_examples=100)

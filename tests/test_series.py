@@ -1,5 +1,6 @@
 """Truncated power series: arithmetic, exp/log, composition, GF catalog."""
 
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lahbell.series as series
-from lahbell.exact import MultiPoly, generalized_falling
+from lahbell.exact import MAX_DEGREE, MultiPoly, generalized_falling
 from lahbell.families import bell_poly, lah_bell_poly
 from lahbell.identities import run_suite
 from lahbell.series import (
@@ -476,6 +477,37 @@ def test_degenerate_exponential_is_a_running_product(count_products):
     s = degenerate_exponential(24)
     for n in (0, 1, 7, 24):
         assert s.egf_coefficient(n) == generalized_falling(X, n, LAM)
+
+
+# The total degree of each row's order-N coefficient, per unit of N.
+DEGREE_PER_ORDER = {
+    "lah_bell": 0,
+    "lah_bell_poly": 1,
+    "bell": 0,
+    "bell_poly": 1,
+    "bivariate_bell": 2,
+    "bivariate_lah_bell": 2,
+    "degenerate_lah_bell": 1,
+    "degenerate_bell": 1,
+    "laguerre_weighted": 1,
+}
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_catalog_rows_have_the_degree_they_state(name):
+    row = gf_catalog(name, 7)
+    assert [(MultiPoly.const(1) * row.egf_coefficient(n)).total_degree() for n in range(8)] == [
+        DEGREE_PER_ORDER[name] * n for n in range(8)
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name in GF_NAMES if DEGREE_PER_ORDER[name]])
+def test_an_order_past_the_degree_limit_is_refused_before_the_first_coefficient(name):
+    order = MAX_DEGREE // DEGREE_PER_ORDER[name] + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^polynomial total degree past {MAX_DEGREE}$"):
+        gf_catalog(name, order)
+    assert time.perf_counter() - start < 1
 
 
 def test_catalog_names_and_unknown():
