@@ -190,12 +190,12 @@ def _write_json(fields: dict, key: str, pieces: Iterable[str]) -> None:
     out.write("}\n")
 
 
-def _cmd_table(args: argparse.Namespace, fmt: str) -> int:
-    separator = " " if fmt == "text" else ","
+def _cmd_table(args: argparse.Namespace) -> int:
+    separator = " " if args.format == "text" else ","
     with localcontext(_EXACT):
         rows = iter_rows(_TABLE_KINDS[args.kind], args.nmax, Decimal(1))
         entries = (separator.join(map(str, row)) for row in rows)
-        if fmt == "json":
+        if args.format == "json":
             fields = {"command": "table", "kind": args.kind, "nmax": args.nmax}
             _write_json(fields, "rows", _array(f"[{row}]" for row in entries))
         else:
@@ -203,23 +203,23 @@ def _cmd_table(args: argparse.Namespace, fmt: str) -> int:
     return 0
 
 
-def _cmd_seq(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_seq(args: argparse.Namespace) -> int:
     nmax = _index(args.nmax, "nmax")  # no library call sees nmax itself
     value = _SEQ_KINDS[args.kind]
     values = (str(value(n)) for n in range(nmax + 1))
-    if fmt == "json":
+    if args.format == "json":
         fields = {"command": "seq", "kind": args.kind, "nmax": nmax}
         _write_json(fields, "values", _array(values))
-    elif fmt == "csv":
+    elif args.format == "csv":
         _write(chain(["n,value"], (f"{n},{v}" for n, v in enumerate(values))), "\n")
     else:
         _write(values, " ")
     return 0
 
 
-def _cmd_poly(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_poly(args: argparse.Namespace) -> int:
     terms = poly_family(args.family, args.n).rendered_terms()
-    if fmt == "json":
+    if args.format == "json":
         fields = {"command": "poly", "family": args.family, "n": args.n}
         _write_json(fields, "value", chain(['"'], _joined(terms, " "), ['"']))
     else:
@@ -227,11 +227,11 @@ def _cmd_poly(args: argparse.Namespace, fmt: str) -> int:
     return 0
 
 
-def _cmd_gf(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_gf(args: argparse.Namespace) -> int:
     order = args.order
     series = gf_catalog(args.name, order)
     coefficients = (str(series.egf_coefficient(n)) for n in range(order + 1))
-    if fmt == "json":
+    if args.format == "json":
         fields = {"command": "gf", "name": args.name, "order": order}
         _write_json(fields, "egf_coefficients", _array(f'"{c}"' for c in coefficients))
     else:
@@ -239,7 +239,7 @@ def _cmd_gf(args: argparse.Namespace, fmt: str) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     records = run_suite(args.ids, args.max_n)
     if args.oracle:
         records.extend(oracle_records(args.max_n))
@@ -253,11 +253,11 @@ def _cmd_verify(args: argparse.Namespace, fmt: str) -> int:
                 + _canonical_json(record.counterexample)
             )
     payload = [record.to_json() for record in records]
-    _emit(fmt, "\n".join(lines), payload)
+    _emit(args.format, "\n".join(lines), payload)
     return 0 if all(record.passed() for record in records) else 1
 
 
-def _cmd_dobinski(args: argparse.Namespace, fmt: str) -> int:
+def _cmd_dobinski(args: argparse.Namespace) -> int:
     x = _fraction_arg(args.x, "--x")
     eps = _fraction_arg(args.eps, "--eps")
     evaluator = lah_bell_dobinski if args.family == "lah_bell" else bell_dobinski
@@ -282,7 +282,7 @@ def _cmd_dobinski(args: argparse.Namespace, fmt: str) -> int:
             f"exp_terms: {result.exp_terms}",
         ]
     )
-    _emit(fmt, text, payload)
+    _emit(args.format, text, payload)
     return 0
 
 
@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _run(args, args.format)
+        code = _run(args)
         sys.stdout.flush()  # a closed pipe must raise here, not at exit
     except ValueError as exc:
         # The library refused an argument.  Every refusal comes before the
@@ -323,15 +323,15 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def _run(args: argparse.Namespace, fmt: str) -> int:
+def _run(args: argparse.Namespace) -> int:
     if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        return _HANDLERS[args.command](args, fmt)
+        return _HANDLERS[args.command](args)
     # Exact answers may run past the int/str digit limit; lift it for this
     # request only and leave the caller's setting as it was.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _HANDLERS[args.command](args, fmt)
+        return _HANDLERS[args.command](args)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -29,7 +29,7 @@ from .enumeration import (
     count_permutations_by_cycles,
     count_set_partitions,
 )
-from .exact import MultiPoly, PolyLike, _finish, _fma, _index, falling_factorial, rising_factorial
+from .exact import MultiPoly, PolyLike, _index, _named, falling_factorial, rising_factorial
 from .families import (
     bell_poly,
     bivariate_bell_poly,
@@ -276,10 +276,8 @@ def _check_eq48(cap: int) -> Cases:
 def _check_laguerre_conv(cap: int) -> Cases:
     alpha = MultiPoly.var("alpha")
     for n in range(cap + 1):
-        acc: dict = {}
-        for m in range(n + 1):
-            _fma(acc, comb(n, m), _built(lah_bell_poly, m), _built(laguerre_poly, n - m))
-        total = _finish(acc)
+        products = (_built(lah_bell_poly, m) * _built(laguerre_poly, n - m) for m in range(n + 1))
+        total = triangle_sum(n, comb, products)
         # The target is free of x, so a surviving x is always a mismatch.
         labels = {"n": n, "issue": "x does not cancel"} if total.degree("x") != 0 else {"n": n}
         yield labels, total, rising_factorial(alpha + 1, n)
@@ -296,7 +294,8 @@ class _Entry(NamedTuple):
         return self.range_template.format(cap=cap)
 
 
-_CATALOG: tuple[_Entry, ...] = (
+# The catalog, id -> row, in the order its records come back.
+_CATALOG: dict[str, _Entry] = {entry.id: entry for entry in (
     _Entry(
         "eq3", "x^n = sum_{k=0..n} S2(n,k) (x)_k", 20,
         _sums(_Sum(lambda n: _X**n, stirling2, _falling)),
@@ -426,25 +425,25 @@ _CATALOG: tuple[_Entry, ...] = (
         "laguerre-conv", "<alpha+1>_n = sum_{m=0..n} C(n,m) BL_m(x) Lag_{n-m}(x)  (x cancels)", 10,
         _check_laguerre_conv,
     ),
-)
+)}
 
 # -- enumeration cross-checks (the `verify --oracle` extras) ---------------
-# Defaults keep a full oracle pass in the seconds range, within the enumeration bounds.
-
-_ORACLES: tuple[_Entry, ...] = (
-    _Entry(
+# Each row is keyed by the enumeration kind it walks.  Defaults keep a full
+# oracle pass in the seconds range, within the enumeration bounds.
+_ORACLES: dict[str, _Entry] = {
+    "ordered_partitions": _Entry(
         "oracle-ordered-partitions",
         "every ordered-list partition counted once: totals by block count match L(n,k), overall total BL_n",
         min(8, ENUMERATION_BOUNDS["ordered_partitions"]),
         _oracle(lambda n: count_ordered_partitions(n), lah),
     ),
-    _Entry(
+    "set_partitions": _Entry(
         "oracle-set-partitions",
         "every set partition counted once: totals by block count match S2(n,k), overall total B_n",
         min(10, ENUMERATION_BOUNDS["set_partitions"]),
         _oracle(lambda n: count_set_partitions(n), stirling2),
     ),
-    _Entry(
+    "permutation_cycles": _Entry(
         "oracle-permutation-cycles",
         "every permutation counted once by cycle count: totals match |S1(n,k)|",
         min(9, ENUMERATION_BOUNDS["permutation_cycles"]),
@@ -452,12 +451,10 @@ _ORACLES: tuple[_Entry, ...] = (
             lambda n: count_permutations_by_cycles(n), lambda n, k: abs(stirling1_signed(n, k))
         ),
     ),
-)
-# The enumeration kind each oracle row walks, in _ORACLES order.
-_ORACLE_KINDS = ("ordered_partitions", "set_partitions", "permutation_cycles")
+}
 
-CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry in _CATALOG)
-ORACLE_IDS: tuple[str, ...] = tuple(entry.id for entry in _ORACLES)
+CATALOG_IDS: tuple[str, ...] = tuple(_CATALOG)
+ORACLE_IDS: tuple[str, ...] = tuple(entry.id for entry in _ORACLES.values())
 
 
 def _check_max_n(max_n: int) -> None:
@@ -486,11 +483,9 @@ def run_suite(selection: list[str] | str, max_n: int) -> list[IdentityRecord]:
     """
     if isinstance(selection, str):
         selection = [selection]
-    unknown = [i for i in selection if i != "all" and i not in CATALOG_IDS]
-    if unknown:
-        raise ValueError(f"unknown identity ids {unknown}; valid ids: {', '.join(CATALOG_IDS)}")
+    chosen = {_named(_CATALOG, key, "identity id").id for key in selection if key != "all"}
     _check_max_n(max_n)
-    return _run((e for e in _CATALOG if "all" in selection or e.id in selection), max_n)
+    return _run((e for e in _CATALOG.values() if "all" in selection or e.id in chosen), max_n)
 
 
 def oracle_records(max_n: int) -> list[IdentityRecord]:
@@ -500,7 +495,5 @@ def oracle_records(max_n: int) -> list[IdentityRecord]:
     a row is answered from one kept walk.
     """
     _check_max_n(max_n)
-    _walk_side_by_side(
-        {kind: min(entry.default_max, max_n) for kind, entry in zip(_ORACLE_KINDS, _ORACLES)}
-    )
-    return _run(_ORACLES, max_n)
+    _walk_side_by_side({kind: min(entry.default_max, max_n) for kind, entry in _ORACLES.items()})
+    return _run(_ORACLES.values(), max_n)

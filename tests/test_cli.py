@@ -606,7 +606,7 @@ def test_verify_rejects_unknown_ids_next_to_all(capsys):
     alone = run(capsys, ["verify", "nope"])
     beside_all = run(capsys, ["verify", "all", "nope"])
     assert alone[:2] == beside_all[:2] == (2, "")
-    assert "unknown identity ids ['nope']" in beside_all[2]
+    assert "unknown identity id 'nope', expected one of ('eq3', " in beside_all[2]
     assert beside_all[2] == alone[2]
 
 

@@ -190,7 +190,7 @@ def fma_drops_alpha_degree_5(patch):
             if exact._unpack(key)[3] < 5:
                 out[key] = out.get(key, 0) + coeff
 
-    for module in (exact, series, families, identities):
+    for module in (exact, series, families):
         patch.setattr(module, "_fma", faulty)
 
 

@@ -68,7 +68,7 @@ def test_full_suite_passes_at_small_range():
 
 
 def test_selection_preserves_catalog_order():
-    records = run_suite(["thm3", "eq3", "lemma1"], 6)
+    records = run_suite(["thm3", "eq3", "lemma1", "eq3"], 6)
     assert [r.id for r in records] == ["eq3", "lemma1", "thm3"]
 
 
@@ -82,8 +82,11 @@ def test_selection_runs_only_requested():
 def test_unknown_ids_rejected():
     with pytest.raises(ValueError):
         run_suite(["thm3", "nope"], 6)
-    with pytest.raises(ValueError, match=r"unknown identity ids \['nope'\]"):
+    with pytest.raises(ValueError, match=r"unknown identity id 'nope', expected one of \('eq3', "):
         run_suite(["all", "nope"], 6)
+    # The first unknown id is named.
+    with pytest.raises(ValueError, match=r"unknown identity id 'nope',"):
+        run_suite(["eq3", "nope", "other"], 6)
     with pytest.raises(ValueError):
         run_suite("all", 0)
 
@@ -104,7 +107,8 @@ def _refuse(cap):
 def test_bad_max_n_is_rejected_before_any_check(monkeypatch, max_n, message):
     for name in ("_CATALOG", "_ORACLES"):
         entries = getattr(identities, name)
-        monkeypatch.setattr(identities, name, tuple(e._replace(check=_refuse) for e in entries))
+        refusing = {key: e._replace(check=_refuse) for key, e in entries.items()}
+        monkeypatch.setattr(identities, name, refusing)
     with pytest.raises(ValueError, match=re.escape(message)):
         run_suite(["eq3"], max_n)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -247,7 +251,7 @@ def test_readme_catalog_table_matches_the_catalog():
     # The catalog table, then the --oracle table, row for row.
     expected = [
         (entry.id, " ".join(entry.anchor.split()), entry.range_text(entry.default_max))
-        for entry in _CATALOG + _ORACLES
+        for entry in [*_CATALOG.values(), *_ORACLES.values()]
     ]
     assert _readme_catalog_rows() == expected
 
@@ -489,7 +493,7 @@ def test_record_construction_equality_and_immutability():
 
 
 def test_catalog_entry_fields():
-    entry = _CATALOG[0]
+    entry = _CATALOG["eq3"]
     assert repr(entry).startswith(
         "_Entry(id='eq3', anchor='x^n = sum_{k=0..n} S2(n,k) (x)_k', default_max=20, check=<function "
     )
