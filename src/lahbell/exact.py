@@ -103,7 +103,7 @@ def _named(table: Mapping, name: str, what: str):
     """table[name]; else ValueError naming what was asked for and every name in table.
 
     The one rule for every lookup by name: indeterminates, triangle kinds,
-    generating functions and families.
+    generating functions, families and identity ids.
     """
     try:
         return table[name]
@@ -433,13 +433,25 @@ def generalized_falling(p: PolyLike, n: int, step: PolyLike) -> MultiPoly:
     A step of 1 gives the falling factorial, -1 the rising factorial, and a
     symbolic step the degenerate falling factorial with that parameter.
 
-    With a constant step each factor of a non-constant p is nonzero and of
-    p's degree, so a product past MAX_DEGREE is refused before it starts.  A
-    symbolic step can make a factor zero (p = step = x), and is not checked.
+    Every factor p - k*step but one has degree d = max(deg p, deg step): the
+    degree-d parts of p and k*step can cancel only at the k where the two
+    agree on the leading monomial of step (k = 0 when deg p < deg step).  So
+    one subtraction gives the product's exact degree, and a product past
+    MAX_DEGREE is refused before it starts.  If that factor is zero
+    (p = k*step), the product is 0.
     """
-    constant_step = not isinstance(step, MultiPoly) or step.is_constant()
-    per = p.total_degree() if isinstance(p, MultiPoly) and constant_step else 0
-    for last in _falling_prefixes(p, _degree_index(n, "factorial length", per), step):
+    q, s = MultiPoly._coerce(p), MultiPoly._coerce(step)
+    d = max(q.total_degree(), s.total_degree())
+    degree = d * _index(n, "factorial length")
+    if s._terms and (lead := max(s._terms)) >> _DEGREE == d:
+        k = Fraction(q._terms.get(lead, 0), s._terms[lead])
+        if k.denominator == 1 and 0 <= k < n:
+            factor = q - k.numerator * s
+            if factor.is_zero:
+                return factor
+            degree -= d - factor.total_degree()
+    _degree_index(degree, "product degree", 1)
+    for last in _falling_prefixes(p, n, step):
         pass  # keep only the last prefix, not all n+1
     return last
 

@@ -330,7 +330,9 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
     Built directly from the factorial coefficients so that lam enters
     polynomially; the equivalent closed form (1 + lam*t)^(x/lam) would put
     lam into denominators and is deliberately avoided.  Each coefficient is
-    the previous one times (x - (n-1) lam), one product per order.
+    the previous one times (x - (n-1) lam), one product per order; the top
+    one has degree order, so an order past MAX_DEGREE is refused before the
+    first product.
 
     The product is kept here on purpose, apart from the stepped-falling helper
     in :mod:`lahbell.exact` that builds the family bases: eq44 and
@@ -339,7 +341,7 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
     """
     x = MultiPoly.var("x")
     lam = MultiPoly.var("lam")
-    steps = (x - i * lam for i in range(order))
+    steps = (x - i * lam for i in range(_degree_index(order, "series order", 1)))
     falling = list(accumulate(steps, mul, initial=MultiPoly.const(1)))
     return _stock(order, falling.__getitem__)
 

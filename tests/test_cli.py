@@ -1,5 +1,6 @@
 """Command-line front end: formats, exit codes, canonical JSON."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -15,11 +16,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lahbell.cli as cli
-from lahbell.dobinski import CertifiedDecimal, PrecisionNotReached
+from lahbell import series
+from lahbell.dobinski import DOBINSKI_FAMILIES, CertifiedDecimal, PrecisionNotReached
+from lahbell.exact import MAX_DEGREE
 from lahbell.families import FAMILIES, laguerre_poly, poly_family
-from lahbell.identities import IdentityRecord
+from lahbell.identities import CATALOG_IDS, IdentityRecord
 from lahbell.series import GF_NAMES, gf_catalog
 from lahbell.triangles import Triangle
 
@@ -764,6 +769,8 @@ REFUSED = (
     ["gf", "lah_bell_poly", "--order", "70000"],
     ["verify", "--max-n", "0"],
     ["verify", "nope"],
+    ["verify", "all", "nope"],
+    ["verify", "eq3", "nope"],
     ["dobinski", "--n", "2", "--x", "0"],
     ["dobinski", "--n", "2", "--x", "2/0"],
     ["dobinski", "--n", "2", "--x", "abc"],
@@ -794,6 +801,160 @@ def test_csv_is_offered_only_for_table_and_seq(capsys, command):
     code, out, err = run(capsys, [*command.split(), "--format", "csv"])
     assert (code, out) == (2, "")
     assert "argument --format: invalid choice: 'csv'" in err
+
+
+# -- the exit-code contract over generated requests --------------------------
+# A small admitted request exits 0 or 1 and, on 0, writes only to stdout; a
+# refused one exits 2 at once with stdout empty.  Each refused request is a
+# small admitted one with one slot made bad.  The band between them, admitted
+# and huge, is left out.
+
+_NAMES = {
+    "table": sorted(cli._TABLE_KINDS),
+    "seq": sorted(cli._SEQ_KINDS),
+    "poly": FAMILIES,
+    "gf": GF_NAMES,
+    "verify": CATALOG_IDS,
+    "dobinski": DOBINSKI_FAMILIES,
+}
+# The largest number slot of a small request, and the smallest one admitted.
+_SMALL = {"table": (0, 30), "seq": (0, 60), "poly": (0, 10), "gf": (0, 10), "verify": (1, 6),
+          "dobinski": (0, 6)}
+# The gf rows whose coefficients are polynomials, so a large order passes MAX_DEGREE.
+_POLY_GF_NAMES = [name for name in GF_NAMES if series._GF_BUILDERS[name][0]]
+
+
+def _main(argv):
+    """cli.main(argv) in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fails(parse):
+    def check(text):
+        try:
+            parse(text)
+        except (ValueError, ZeroDivisionError):
+            return True
+        return False
+
+    return check
+
+
+# Words argparse cannot take for an option: none starts with "-", so none
+# reads as an option (or as -h).
+_words = st.text(max_size=8).filter(lambda text: not text.startswith("-"))
+_bad_ints = st.one_of(
+    st.integers(max_value=-1).map(str),
+    st.sampled_from(["True", "False", "1.0", "2.5", "1e3", "nan", "inf", "1/2", "0x10", ""]),
+    st.floats().map(repr),
+    _words.filter(_fails(int)),
+)
+_bad_rationals = st.one_of(
+    st.fractions(max_value=0).map(str),
+    st.sampled_from(["0", "-0.5", "0e3", "-2e1", "2/0", "1/0", "abc", "nan", "inf", "", "1//2"]),
+    _words.filter(_fails(Fraction)),
+)
+
+
+def _unknown(names):
+    return _words.filter(lambda word: word not in names)
+
+
+def _formats(command):
+    return ("text", "json", "csv") if command in ("table", "seq") else ("text", "json")
+
+
+@st.composite
+def _slots(draw, command):
+    """The slots of a small admitted request."""
+    low, high = _SMALL[command]
+    slots = {"number": str(draw(st.integers(low, high))), "format": draw(st.sampled_from(_formats(command)))}
+    if command == "verify":
+        slots["name"] = draw(st.lists(st.sampled_from(("all", *CATALOG_IDS)), max_size=3))
+        slots["oracle"] = draw(st.booleans())
+    else:
+        slots["name"] = draw(st.sampled_from(_NAMES[command]))
+    if command == "dobinski":
+        slots["x"] = str(draw(st.fractions(Fraction(1, 10), 20, max_denominator=10)))
+        slots["eps"] = f"1e-{draw(st.integers(1, 30))}"
+    return slots
+
+
+def _argv(command, slots):
+    name, number = slots["name"], slots["number"]
+    if command in ("table", "seq", "poly"):
+        argv = [command, name, number]
+    elif command == "gf":
+        argv = [command, name, "--order", number]
+    elif command == "verify":
+        argv = [command, *name, "--max-n", number, *(["--oracle"] if slots["oracle"] else [])]
+    else:
+        argv = [command, "--family", name, "--n", number, "--x", slots["x"], "--eps", slots["eps"]]
+    return [*argv, "--format", slots["format"]]
+
+
+_COMMANDS = st.sampled_from(sorted(_NAMES))
+
+
+@st.composite
+def _admitted(draw):
+    command = draw(_COMMANDS)
+    return _argv(command, draw(_slots(command)))
+
+
+@st.composite
+def _refused(draw):
+    command = draw(_COMMANDS)
+    slots = draw(_slots(command))
+    faults = ["number", "name", "format", "command"]
+    if command == "dobinski":
+        faults += ["x", "eps"]
+    fault = draw(st.sampled_from(faults))
+    if fault == "number":
+        bad = [_bad_ints]
+        if command == "verify":
+            bad.append(st.just("0"))
+        if command == "poly" or (command == "gf" and slots["name"] in _POLY_GF_NAMES):
+            bad.append(st.integers(MAX_DEGREE + 1, 10**40).map(str))
+        slots["number"] = draw(st.one_of(bad))
+    elif fault == "name" and command == "verify":
+        ids = slots["name"]
+        ids.insert(draw(st.integers(0, len(ids))), draw(_unknown(("all", *CATALOG_IDS))))
+    elif fault == "name":
+        slots["name"] = draw(_unknown(_NAMES[command]))
+    elif fault == "format":
+        offered = _formats(command)
+        slots["format"] = draw(_unknown(offered) | st.just("csv").filter(lambda csv: csv not in offered))
+    elif fault == "command":
+        return [draw(_unknown(_NAMES)), *_argv(command, slots)[1:]]
+    else:
+        slots[fault] = draw(_bad_rationals)
+    return _argv(command, slots)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_admitted())
+def test_a_small_admitted_request_exits_0_or_1(argv):
+    code, out, err = _main(argv)
+    assert code in (0, 1), (argv, err)
+    if code == 0:
+        assert out != "" and err == "", argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_refused())
+def test_a_refused_request_exits_2_at_once_with_nothing_on_stdout(argv):
+    start = time.perf_counter()
+    code, out, err = _main(argv)
+    assert time.perf_counter() - start < 1, argv
+    assert (code, out) == (2, ""), (argv, err)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["json", "yaml"])

@@ -8,11 +8,13 @@ import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lahbell import exact
 from lahbell.exact import (
     INDETERMINATES,
     MAX_DEGREE,
@@ -453,10 +455,12 @@ def test_falling_and_rising_factorials():
         lambda: rising_factorial(X, 70000),
         lambda: falling_factorial(X * Y, MAX_DEGREE // 2 + 1),
         lambda: generalized_falling(X + LAM, MAX_DEGREE + 1, Fraction(1, 2)),
+        lambda: generalized_falling(X, 70000, LAM),
         lambda: (X + 1) ** 70000,
         lambda: (X * Y + 1) ** (MAX_DEGREE // 2 + 1),
     ],
-    ids=["falling", "rising", "falling-degree-2", "constant-step", "pow", "pow-degree-2"],
+    ids=["falling", "rising", "falling-degree-2", "constant-step", "symbolic-step", "pow",
+         "pow-degree-2"],
 )
 def test_a_product_past_the_degree_limit_is_refused_before_it_starts(build):
     # A product of nonzero polynomials has the sum of their degrees, so each
@@ -468,12 +472,28 @@ def test_a_product_past_the_degree_limit_is_refused_before_it_starts(build):
 
 
 def test_the_degree_precheck_refuses_no_product_it_cannot_bound():
-    # A symbolic step can make a factor zero, and a constant p has degree 0
-    # however long the product: these answer 0 instead of being refused.
-    # A power exactly at the limit is built.
+    # A factor p - k*step is zero when p = k*step, and then the product is 0
+    # however long it is.  A power exactly at the limit is built.
     assert generalized_falling(X, 70000, X) == 0
+    assert generalized_falling(3 * X, 70000, X) == 0
     assert falling_factorial(5, 70000) == 0
     assert (X * Y) ** (MAX_DEGREE // 2) == MultiPoly({(MAX_DEGREE // 2,) * 2 + (0, 0): 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, st.integers(0, 4), st.integers(0, 6))
+def test_generalized_falling_is_refused_exactly_past_the_limit(q, step, k, n):
+    # p = q + k*step: when q is of lower degree than step, the factor at k
+    # falls to q's degree (p = x + 1, step = x gives degree n - 1, not n), so
+    # only the exact degree draws the line.
+    p = q + k * step
+    product = reduce(operator.mul, (p - i * step for i in range(n)), MultiPoly.const(1))
+    with patch.object(exact, "MAX_DEGREE", product.total_degree()):
+        assert generalized_falling(p, n, step) == product
+    if not product.is_zero:
+        with patch.object(exact, "MAX_DEGREE", product.total_degree() - 1):
+            with pytest.raises(ValueError, match="^polynomial total degree past"):
+                generalized_falling(p, n, step)
 
 
 @settings(max_examples=100)

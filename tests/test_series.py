@@ -510,6 +510,16 @@ def test_an_order_past_the_degree_limit_is_refused_before_the_first_coefficient(
     assert time.perf_counter() - start < 1
 
 
+def test_degenerate_exponential_refuses_an_order_past_the_degree_limit():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^polynomial total degree past {MAX_DEGREE}$"):
+        degenerate_exponential(70000)
+    assert time.perf_counter() - start < 1
+    for order in (-1, True):
+        with pytest.raises(ValueError, match="^series order must be a nonnegative integer"):
+            degenerate_exponential(order)
+
+
 def test_catalog_names_and_unknown():
     assert set(GF_NAMES) == {
         "lah_bell",
