@@ -817,7 +817,7 @@ _NAMES = {
     "verify": CATALOG_IDS,
     "dobinski": DOBINSKI_FAMILIES,
 }
-# The largest number slot of a small request, and the smallest one admitted.
+# The number slot of a small request: its smallest admitted value and its largest.
 _SMALL = {"table": (0, 30), "seq": (0, 60), "poly": (0, 10), "gf": (0, 10), "verify": (1, 6),
           "dobinski": (0, 6)}
 # The gf rows whose coefficients are polynomials, so a large order passes MAX_DEGREE.
@@ -846,8 +846,7 @@ def _fails(parse):
     return check
 
 
-# Words argparse cannot take for an option: none starts with "-", so none
-# reads as an option (or as -h).
+# Words that never read as an option (or as -h): none starts with "-".
 _words = st.text(max_size=8).filter(lambda text: not text.startswith("-"))
 _bad_ints = st.one_of(
     st.integers(max_value=-1).map(str),
@@ -874,7 +873,10 @@ def _formats(command):
 def _slots(draw, command):
     """The slots of a small admitted request."""
     low, high = _SMALL[command]
-    slots = {"number": str(draw(st.integers(low, high))), "format": draw(st.sampled_from(_formats(command)))}
+    slots = {
+        "number": str(draw(st.integers(low, high))),
+        "format": draw(st.sampled_from(_formats(command))),
+    }
     if command == "verify":
         slots["name"] = draw(st.lists(st.sampled_from(("all", *CATALOG_IDS)), max_size=3))
         slots["oracle"] = draw(st.booleans())
