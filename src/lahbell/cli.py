@@ -4,6 +4,10 @@ Subcommands: table, seq, poly, gf, verify, dobinski.  Output formats are
 text (default), json, and csv (triangles and sequences only), chosen by
 --format alone.
 
+The argument parser is the one table of commands: each subcommand's parser
+names the handler that answers it.  A JSON answer's head echoes the parsed
+request, less --format, and each request renders only the format it asks for.
+
 The library states every argument rule: the handlers pass their arguments
 on and check none the library checks, and each refusal comes before the
 first byte of output.  `main` alone turns the way a request ends into an
@@ -38,7 +42,7 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .dobinski import (
     DOBINSKI_FAMILIES,
@@ -76,12 +80,26 @@ def _canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+# The widest exponent, the power of ten of the leading digit, that --x and
+# --eps may be written with.  Fraction(text) computes 10**exponent before any
+# check, which takes seconds from about 10**7, and a refusal of the value
+# would then print all of its digits.  The bound admits every eps that a
+# certified evaluation reaches in seconds, and no x past 50000 can be
+# evaluated (dobinski._ITERATION_CAP).
+_MAX_EXPONENT = 100_000
+
+
 def _fraction_arg(text: str, name: str) -> Fraction:
+    shown = repr(text if len(text) <= 40 else text[:40] + "...")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        message = f"{name} must be an exact number like 3, 1/2 or 1e-20, got {text!r}"
+        # Decimal reads the exponent as written, without computing a power.
+        exponent = 0 if "/" in text else Decimal(text).adjusted()
+        if abs(exponent) <= _MAX_EXPONENT:
+            return Fraction(text)
+    except (InvalidOperation, ValueError, ZeroDivisionError):
+        message = f"{name} must be an exact number like 3, 1/2 or 1e-20, got {shown}"
         raise ValueError(message) from None
+    raise ValueError(f"{name} must have an exponent at most {_MAX_EXPONENT} in size, got {shown}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser, *extra: str) -> None:
+    def add_answer(p: argparse.ArgumentParser, handler: Callable[..., int], *extra: str) -> None:
+        """Name the handler that answers p's requests, and its formats."""
+        p.set_defaults(handler=handler)
         p.add_argument(
             "--format",
             choices=("text", "json", *extra),
@@ -105,22 +125,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="rows 0..nmax of a number triangle")
     p_table.add_argument("kind", choices=sorted(_TABLE_KINDS))
     p_table.add_argument("nmax", type=int)
-    add_format(p_table, "csv")
+    add_answer(p_table, _cmd_table, "csv")
 
     p_seq = sub.add_parser("seq", help="terms 0..nmax of a row-sum sequence")
     p_seq.add_argument("kind", choices=sorted(_SEQ_KINDS))
     p_seq.add_argument("nmax", type=int)
-    add_format(p_seq, "csv")
+    add_answer(p_seq, _cmd_seq, "csv")
 
     p_poly = sub.add_parser("poly", help="one polynomial family member, exactly")
     p_poly.add_argument("family", choices=FAMILIES)
     p_poly.add_argument("n", type=int)
-    add_format(p_poly)
+    add_answer(p_poly, _cmd_poly)
 
     p_gf = sub.add_parser("gf", help="egf coefficients of a catalog generating function")
     p_gf.add_argument("name", choices=GF_NAMES)
     p_gf.add_argument("--order", type=int, default=32, help="truncation order (default 32)")
-    add_format(p_gf)
+    add_answer(p_gf, _cmd_gf)
 
     p_verify = sub.add_parser("verify", help="run identity checks; exit 1 on any failure")
     p_verify.add_argument("ids", nargs="*", default=["all"], help='identity ids, or "all"')
@@ -130,20 +150,22 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also compare triangles against brute-force enumeration",
     )
-    add_format(p_verify)
+    add_answer(p_verify, _cmd_verify)
 
     p_dob = sub.add_parser("dobinski", help="certified evaluation of a series formula")
     p_dob.add_argument("--family", choices=DOBINSKI_FAMILIES, default="lah_bell")
     p_dob.add_argument("--n", type=int, required=True)
     p_dob.add_argument("--x", required=True, help="positive rational, e.g. 1/2")
     p_dob.add_argument("--eps", default="1e-20", help="absolute error target (default 1e-20)")
-    add_format(p_dob)
+    add_answer(p_dob, _cmd_dobinski)
 
     return parser
 
 
-def _emit(fmt: str, text: str, payload: object) -> None:
-    print(_canonical_json(payload) if fmt == "json" else text)
+# A JSON answer echoes its request: the parsed arguments, the command among
+# them, less the output format and the handler.
+def _head(args: argparse.Namespace) -> dict:
+    return {key: value for key, value in vars(args).items() if key not in ("format", "handler")}
 
 
 # table, seq, poly and gf write their answers in pieces, each as soon as it
@@ -173,21 +195,16 @@ def _write(parts: Iterable[str], sep: str) -> None:
     sys.stdout.write("\n")
 
 
-def _write_json(fields: dict, key: str, pieces: Iterable[str]) -> None:
-    """Write the canonical JSON object of fields plus key, whose value's JSON
-    text comes as pieces, and a newline.  Keys are plain names, so each
-    quoted key is its own JSON, and writing them sorted keeps the output
-    canonical wherever key sorts."""
-    out = sys.stdout
-    sep = "{"
-    for name in sorted([*fields, key]):
-        out.write(f'{sep}"{name}":')
-        sep = ","
-        if name == key:
-            out.writelines(pieces)
-        else:
-            out.write(_canonical_json(fields[name]))
-    out.write("}\n")
+def _write_json(args: argparse.Namespace, key: str, pieces: Iterable[str]) -> None:
+    """Write the canonical JSON object of the request's head plus key, whose
+    value's JSON text comes as pieces, and a newline.  The head is dumped
+    with a null at key, and the pieces are written where the null was: a
+    quote inside a JSON string is escaped, so '"key":null' occurs once."""
+    text = _canonical_json({**_head(args), key: None})
+    before, _, after = text.partition(f'"{key}":null')
+    sys.stdout.write(f'{before}"{key}":')
+    sys.stdout.writelines(pieces)
+    sys.stdout.write(after + "\n")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -196,8 +213,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         rows = iter_rows(_TABLE_KINDS[args.kind], args.nmax, Decimal(1))
         entries = (separator.join(map(str, row)) for row in rows)
         if args.format == "json":
-            fields = {"command": "table", "kind": args.kind, "nmax": args.nmax}
-            _write_json(fields, "rows", _array(f"[{row}]" for row in entries))
+            _write_json(args, "rows", _array(f"[{row}]" for row in entries))
         else:
             _write(entries, "\n")
     return 0
@@ -208,8 +224,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     value = _SEQ_KINDS[args.kind]
     values = (str(value(n)) for n in range(nmax + 1))
     if args.format == "json":
-        fields = {"command": "seq", "kind": args.kind, "nmax": nmax}
-        _write_json(fields, "values", _array(values))
+        _write_json(args, "values", _array(values))
     elif args.format == "csv":
         _write(chain(["n,value"], (f"{n},{v}" for n, v in enumerate(values))), "\n")
     else:
@@ -220,20 +235,17 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 def _cmd_poly(args: argparse.Namespace) -> int:
     terms = poly_family(args.family, args.n).rendered_terms()
     if args.format == "json":
-        fields = {"command": "poly", "family": args.family, "n": args.n}
-        _write_json(fields, "value", chain(['"'], _joined(terms, " "), ['"']))
+        _write_json(args, "value", chain(['"'], _joined(terms, " "), ['"']))
     else:
         _write(terms, " ")
     return 0
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    order = args.order
-    series = gf_catalog(args.name, order)
-    coefficients = (str(series.egf_coefficient(n)) for n in range(order + 1))
+    series = gf_catalog(args.name, args.order)
+    coefficients = (str(series.egf_coefficient(n)) for n in range(args.order + 1))
     if args.format == "json":
-        fields = {"command": "gf", "name": args.name, "order": order}
-        _write_json(fields, "egf_coefficients", _array(f'"{c}"' for c in coefficients))
+        _write_json(args, "egf_coefficients", _array(f'"{c}"' for c in coefficients))
     else:
         _write((f"{n}: {c}" for n, c in enumerate(coefficients)), "\n")
     return 0
@@ -243,17 +255,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     records = run_suite(args.ids, args.max_n)
     if args.oracle:
         records.extend(oracle_records(args.max_n))
-    lines = []
-    for record in records:
-        if record.passed():
-            lines.append(f"{record.id}: pass ({record.range})")
-        else:
-            lines.append(
-                f"{record.id}: FAIL ({record.range}) counterexample: "
-                + _canonical_json(record.counterexample)
-            )
-    payload = [record.to_json() for record in records]
-    _emit(args.format, "\n".join(lines), payload)
+    if args.format == "json":
+        print(_canonical_json([record.to_json() for record in records]))
+    else:
+        for record in records:
+            if record.passed():
+                print(f"{record.id}: pass ({record.range})")
+            else:
+                example = _canonical_json(record.counterexample)
+                print(f"{record.id}: FAIL ({record.range}) counterexample: {example}")
     return 0 if all(record.passed() for record in records) else 1
 
 
@@ -263,37 +273,23 @@ def _cmd_dobinski(args: argparse.Namespace) -> int:
     evaluator = lah_bell_dobinski if args.family == "lah_bell" else bell_dobinski
     result = evaluator(args.n, x, eps)
     value, bound = result.decimal(), result.error_bound_decimal()
-    payload = {
-        "command": "dobinski",
-        "family": args.family,
-        "n": args.n,
-        "x": str(x),
-        "eps": str(eps),
-        "value_decimal": value,
-        "error_bound": bound,
-        "series_terms": result.series_terms,
-        "exp_terms": result.exp_terms,
-    }
-    text = "\n".join(
-        [
-            f"value: {value}",
-            f"error_bound: {bound}",
-            f"series_terms: {result.series_terms}",
-            f"exp_terms: {result.exp_terms}",
-        ]
-    )
-    _emit(args.format, text, payload)
+    if args.format == "json":
+        answer = {
+            **_head(args),
+            "x": str(x),
+            "eps": str(eps),
+            "value_decimal": value,
+            "error_bound": bound,
+            "series_terms": result.series_terms,
+            "exp_terms": result.exp_terms,
+        }
+        print(_canonical_json(answer))
+    else:
+        print(f"value: {value}")
+        print(f"error_bound: {bound}")
+        print(f"series_terms: {result.series_terms}")
+        print(f"exp_terms: {result.exp_terms}")
     return 0
-
-
-_HANDLERS = {
-    "table": _cmd_table,
-    "seq": _cmd_seq,
-    "poly": _cmd_poly,
-    "gf": _cmd_gf,
-    "verify": _cmd_verify,
-    "dobinski": _cmd_dobinski,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -325,13 +321,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     # Exact answers may run past the int/str digit limit; lift it for this
     # request only and leave the caller's setting as it was.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     finally:
         sys.set_int_max_str_digits(limit)
 

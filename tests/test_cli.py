@@ -778,6 +778,10 @@ REFUSED = (
     ["dobinski", "--n", "2", "--x", "1", "--eps", "0"],
     ["dobinski", "--n", "2", "--x", "1", "--eps", "-1"],
     ["dobinski", "--n", "True", "--x", "1"],
+    ["dobinski", "--n", "2", "--x=0e99999999"],
+    ["dobinski", "--n", "2", "--x=-1e99999999"],
+    ["dobinski", "--n", "2", "--x=1e99999999"],
+    ["dobinski", "--n", "2", "--x", "1", "--eps=1e-99999999"],
 )
 
 
@@ -801,6 +805,89 @@ def test_csv_is_offered_only_for_table_and_seq(capsys, command):
     code, out, err = run(capsys, [*command.split(), "--format", "csv"])
     assert (code, out) == (2, "")
     assert "argument --format: invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("argv", [argv for argv in REFUSED if "99999999" in argv[-1]])
+def test_a_huge_written_exponent_is_refused_at_once_by_its_text(argv):
+    # Fraction(text) would compute 10**99999999 first, and the library's
+    # refusal would then print every digit of the value.
+    start = time.perf_counter()
+    code, out, err = _main(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    usage, message = err.splitlines()
+    assert usage.startswith("usage: lahbell ")
+    assert len(message.encode()) <= 200
+    text = argv[-1].partition("=")[2]
+    assert message.endswith(f"must have an exponent at most 100000 in size, got {text!r}")
+
+
+def test_the_exponent_bound_is_on_the_leading_digit():
+    bound = cli._MAX_EXPONENT
+    for text in (f"1e{bound}", f"9.9e{bound}", f"-1e-{bound}", f"10e-{bound + 1}", "1e-4400"):
+        assert cli._fraction_arg(text, "--eps") == Fraction(text)
+    for text in (f"10e{bound}", f"0.9e-{bound}", f"0e{bound + 1}", f"-1e-{bound + 1}"):
+        with pytest.raises(ValueError, match="must have an exponent at most 100000 in size"):
+            cli._fraction_arg(text, "--eps")
+    # decimal itself holds no exponent past 10**18 in size.
+    with pytest.raises(ValueError, match="must be an exact number like 3, 1/2 or 1e-20"):
+        cli._fraction_arg("1e" + "9" * 30, "--eps")
+
+
+def test_a_long_refused_text_is_shown_truncated():
+    with pytest.raises(ValueError) as refused:
+        cli._fraction_arg("x" * 10**6, "--x")
+    shown = repr("x" * 40 + "...")
+    assert str(refused.value) == f"--x must be an exact number like 3, 1/2 or 1e-20, got {shown}"
+
+
+_decimal_texts = st.from_regex(
+    r"\A\s?[-+]?\d*(_\d)?(\.\d*)?([eE][-+]?\d{1,4})?\s?\Z", fullmatch=True
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(_decimal_texts, st.text(max_size=7), st.fractions().map(str)))
+def test_fraction_arg_reads_what_fraction_reads(text):
+    # Every exponent these texts can write is within the bound, so the two
+    # parses must agree on each text, refusals included.
+    def parsed(parse):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            return None
+
+    assert parsed(lambda text: cli._fraction_arg(text, "--x")) == parsed(Fraction)
+
+
+def test_a_text_answer_renders_no_json(capsys, monkeypatch):
+    # Each request renders the one format it asks for: no text or csv answer
+    # of a passing request dumps JSON, and no verify record is made into JSON.
+    calls = []
+    dump, to_json = cli._canonical_json, IdentityRecord.to_json
+    monkeypatch.setattr(cli, "_canonical_json", lambda payload: calls.append(payload) or dump(payload))
+    monkeypatch.setattr(IdentityRecord, "to_json", lambda self: calls.append(self) or to_json(self))
+    for argv in (
+        ["table", "lah", "3"],
+        ["seq", "bell", "3", "--format", "csv"],
+        ["poly", "lah_bell", "3"],
+        ["gf", "bell", "--order", "3"],
+        ["verify", "eq3", "--format", "text"],
+        ["dobinski", "--n", "2", "--x", "1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert calls == [], argv
+    assert run(capsys, ["verify", "eq3", "--format", "json"])[0] == 0
+    assert len(calls) == 2  # the dump of the array and the one record's to_json
+
+
+def test_a_request_runs_where_python_has_no_int_str_digit_limit(capsys, monkeypatch):
+    # Python before 3.10.7 has neither function, and _run calls the handler
+    # as it is.
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run(capsys, ["seq", "lah_bell", "3"]) == (0, "1 1 3 13\n", "")
 
 
 # -- the exit-code contract over generated requests --------------------------
@@ -854,10 +941,19 @@ _bad_ints = st.one_of(
     st.floats().map(repr),
     _words.filter(_fails(int)),
 )
+# A written exponent past cli._MAX_EXPONENT is refused whatever the value,
+# and one past what decimal can hold (10**18) as malformed.
+_huge_exponents = st.builds(
+    "{}e{}{}".format,
+    st.sampled_from(["0", "1", "-1", "2.5", "-0.5", "7_0"]),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(cli._MAX_EXPONENT + 2, 10**30),
+)
 _bad_rationals = st.one_of(
     st.fractions(max_value=0).map(str),
     st.sampled_from(["0", "-0.5", "0e3", "-2e1", "2/0", "1/0", "abc", "nan", "inf", "", "1//2"]),
     _words.filter(_fails(Fraction)),
+    _huge_exponents,
 )
 
 
@@ -897,7 +993,8 @@ def _argv(command, slots):
     elif command == "verify":
         argv = [command, *name, "--max-n", number, *(["--oracle"] if slots["oracle"] else [])]
     else:
-        argv = [command, "--family", name, "--n", number, "--x", slots["x"], "--eps", slots["eps"]]
+        # Attached with "=", so a negative value reaches the CLI, not argparse's option rules.
+        argv = [command, "--family", name, "--n", number, f"--x={slots['x']}", f"--eps={slots['eps']}"]
     return [*argv, "--format", slots["format"]]
 
 
