@@ -23,9 +23,9 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import floor, log10, prod
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact import _as_coeff, _index
+from .exact import Scalar, _as_coeff, _index
 
 __all__ = [
     "CertifiedDecimal",
@@ -35,7 +35,6 @@ __all__ = [
     "DOBINSKI_FAMILIES",
 ]
 
-RationalLike = Union[int, Fraction]
 Weight = Callable[[int], int]
 
 _ITERATION_CAP = 100_000
@@ -93,7 +92,7 @@ class CertifiedDecimal(_Certificate):
     def high(self) -> Fraction:
         return self.value + self.error_bound
 
-    def contains(self, exact: RationalLike) -> bool:
+    def contains(self, exact: Scalar) -> bool:
         return self.low <= exact <= self.high
 
     def guaranteed_digits(self) -> int:
@@ -243,7 +242,7 @@ def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedD
     return CertifiedDecimal(value, error, eps, series_terms=series.k + 1, exp_terms=exp.k + 1)
 
 
-def _validated(n: int, x: RationalLike, eps: RationalLike) -> tuple[Fraction, Fraction]:
+def _validated(n: int, x: Scalar, eps: Scalar) -> tuple[Fraction, Fraction]:
     _index(n, "index")
     x = Fraction(_as_coeff(x))
     eps = Fraction(_as_coeff(eps))
@@ -254,7 +253,7 @@ def _validated(n: int, x: RationalLike, eps: RationalLike) -> tuple[Fraction, Fr
     return x, eps
 
 
-def lah_bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDecimal:
+def lah_bell_dobinski(n: int, x: Scalar, eps: Scalar) -> CertifiedDecimal:
     """Enclosure of e^(-x) * sum_k k(k+1)...(k+n-1) x^k / k! within eps.
 
     The sum equals the degree-n ordered-list-partition polynomial at x, which
@@ -265,7 +264,7 @@ def lah_bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDe
     return _certified_product(lambda k: prod(range(k, k + n)), x, eps)
 
 
-def bell_dobinski(n: int, x: RationalLike, eps: RationalLike) -> CertifiedDecimal:
+def bell_dobinski(n: int, x: Scalar, eps: Scalar) -> CertifiedDecimal:
     """Enclosure of e^(-x) * sum_k k^n x^k / k! within eps.
 
     The sum equals the degree-n set-partition polynomial at x.

@@ -339,6 +339,10 @@ def _from_canonical(terms: dict[int, Scalar]) -> MultiPoly:
     return poly
 
 
+# The indeterminates as polynomials, made once for every module.
+_X, _Y, _LAM, _ALPHA = map(MultiPoly.var, INDETERMINATES)
+
+
 def _power(base, e: int):
     """base**e for e >= 1 by square-and-multiply, for MultiPoly and TruncatedSeries.
 

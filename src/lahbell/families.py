@@ -16,7 +16,8 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .exact import MultiPoly, PolyLike, _degree_index, _falling_prefixes, _finish, _fma, _index, _named
+from .exact import _ALPHA, _LAM, _X, _Y, MultiPoly, PolyLike, _degree_index, _falling_prefixes
+from .exact import _finish, _fma, _index, _named
 from .exact import generalized_falling  # unused; bench/tracer.py REQUIRED_SITES pins it
 from .triangles import lah, stirling2
 
@@ -35,11 +36,6 @@ __all__ = [
     "FAMILIES",
 ]
 
-_X = MultiPoly.var("x")
-_Y = MultiPoly.var("y")
-_LAM = MultiPoly.var("lam")
-_ALPHA = MultiPoly.var("alpha")
-
 
 def triangle_sum(
     n: int,
@@ -55,40 +51,46 @@ def triangle_sum(
     return _finish(acc)
 
 
+def _falling_sum(
+    n: int, triangle: Callable[[int, int], int], point: MultiPoly, step: PolyLike
+) -> MultiPoly:
+    """sum_k triangle(n,k) (point)_{k,step}, the shape of every triangle-sum family.
+
+    Each factor point - j*step has at most the degree of point, so the
+    precheck refuses an n whose sum would pass MAX_DEGREE before any work.
+    """
+    _degree_index(n, "family index", point.total_degree())
+    return triangle_sum(n, triangle, _falling_prefixes(point, n, step))
+
+
 def bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) x^k; at x=1 this is the n-th set-partition count."""
-    _degree_index(n, "family index", 1)
-    return triangle_sum(n, stirling2, _falling_prefixes(_X, n, 0))
+    return _falling_sum(n, stirling2, _X, 0)
 
 
 def lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) x^k; at x=1 this is the n-th ordered-list-partition count."""
-    _degree_index(n, "family index", 1)
-    return triangle_sum(n, lah, _falling_prefixes(_X, n, 0))
+    return _falling_sum(n, lah, _X, 0)
 
 
 def bivariate_bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) (x)_k y^k, with (x)_k the falling factorial."""
-    _degree_index(n, "family index", 2)
-    return triangle_sum(n, stirling2, _falling_prefixes(_X * _Y, n, _Y))
+    return _falling_sum(n, stirling2, _X * _Y, _Y)
 
 
 def bivariate_lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) (x)_k y^k."""
-    _degree_index(n, "family index", 2)
-    return triangle_sum(n, lah, _falling_prefixes(_X * _Y, n, _Y))
+    return _falling_sum(n, lah, _X * _Y, _Y)
 
 
 def degenerate_bell_poly(n: int) -> MultiPoly:
     """sum_k S2(n,k) x(x-lam)...(x-(k-1)lam); lam=0 recovers bell_poly."""
-    _degree_index(n, "family index", 1)
-    return triangle_sum(n, stirling2, _falling_prefixes(_X, n, _LAM))
+    return _falling_sum(n, stirling2, _X, _LAM)
 
 
 def degenerate_lah_bell_poly(n: int) -> MultiPoly:
     """sum_k L(n,k) x(x-lam)...(x-(k-1)lam); lam=0 recovers lah_bell_poly."""
-    _degree_index(n, "family index", 1)
-    return triangle_sum(n, lah, _falling_prefixes(_X, n, _LAM))
+    return _falling_sum(n, lah, _X, _LAM)
 
 
 def laguerre_poly(n: int) -> MultiPoly:

@@ -29,7 +29,8 @@ from .enumeration import (
     count_permutations_by_cycles,
     count_set_partitions,
 )
-from .exact import MultiPoly, PolyLike, _index, _named, falling_factorial, rising_factorial
+from .exact import _ALPHA, _X, MultiPoly, PolyLike, _index, _named, falling_factorial
+from .exact import rising_factorial
 from .families import (
     bell_poly,
     bivariate_bell_poly,
@@ -65,8 +66,6 @@ from .triangles import (
 
 __all__ = ["IdentityRecord", "CATALOG_IDS", "run_suite", "oracle_records", "ORACLE_IDS"]
 
-_X = MultiPoly.var("x")
-
 # Precision used by the two enclosure-based entries.
 _NUMERIC_EPS = Fraction(1, 10**20)
 # Arguments at which enclosures are compared against exact evaluations.
@@ -88,20 +87,8 @@ class IdentityRecord(NamedTuple):
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        payload = {
-            "id": self.id,
-            "anchor": self.anchor,
-            "range": self.range,
-            "status": self.status,
-        }
-        if self.counterexample is not None:
-            payload["counterexample"] = dict(self.counterexample)
-        return payload
-
-
-def _record(key: str, anchor: str, span: str, counterexample: Counterexample) -> IdentityRecord:
-    status = "pass" if counterexample is None else "fail"
-    return IdentityRecord(key, anchor, span, status, counterexample)
+        """Every field by name, less a counterexample of None."""
+        return {key: value for key, value in self._asdict().items() if value is not None}
 
 
 def _fail(**kwargs: object) -> dict[str, str]:
@@ -274,13 +261,12 @@ def _check_eq48(cap: int) -> Cases:
 
 
 def _check_laguerre_conv(cap: int) -> Cases:
-    alpha = MultiPoly.var("alpha")
     for n in range(cap + 1):
         products = (_built(lah_bell_poly, m) * _built(laguerre_poly, n - m) for m in range(n + 1))
         total = triangle_sum(n, comb, products)
         # The target is free of x, so a surviving x is always a mismatch.
         labels = {"n": n, "issue": "x does not cancel"} if total.degree("x") != 0 else {"n": n}
-        yield labels, total, rising_factorial(alpha + 1, n)
+        yield labels, total, rising_factorial(_ALPHA + 1, n)
 
 
 class _Entry(NamedTuple):
@@ -468,8 +454,9 @@ def _run(entries: Iterable[_Entry], max_n: int) -> list[IdentityRecord]:
     try:
         for entry in entries:
             cap = min(entry.default_max, max_n)
-            counterexample = _first_mismatch(entry.check(cap))
-            records.append(_record(entry.id, entry.anchor, entry.range_text(cap), counterexample))
+            example = _first_mismatch(entry.check(cap))
+            status = "pass" if example is None else "fail"
+            records.append(IdentityRecord(entry.id, entry.anchor, entry.range_text(cap), status, example))
     finally:
         _built.cache_clear()
     return records

@@ -30,9 +30,10 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import MultiPoly, _as_coeff, _degree_index, _finish, _fma, _index, _named, _power
+from .exact import _ALPHA, _LAM, _X, _Y, MultiPoly, PolyLike, _as_coeff, _degree_index, _finish
+from .exact import _fma, _index, _named, _power
 
 __all__ = [
     "TruncatedSeries",
@@ -46,14 +47,12 @@ __all__ = [
     "GF_NAMES",
 ]
 
-Coeff = Union[int, Fraction, MultiPoly]
 
-
-def _as_ring(value: Coeff) -> Coeff:
+def _as_ring(value: PolyLike) -> PolyLike:
     return value if isinstance(value, MultiPoly) else _as_coeff(value)
 
 
-def _has_poly(*coeffs: Iterable[Coeff]) -> bool:
+def _has_poly(*coeffs: Iterable[PolyLike]) -> bool:
     """Whether a MultiPoly enters: the ring an accumulation finishes in."""
     return any(type(c) is MultiPoly for seq in coeffs for c in seq)
 
@@ -68,7 +67,7 @@ class TruncatedSeries:
 
     __slots__ = ("_egf",)
 
-    def __init__(self, coeffs: Sequence[Coeff], order: int | None = None):
+    def __init__(self, coeffs: Sequence[PolyLike], order: int | None = None):
         """A series from its ordinary coefficients a_0, a_1, ..., zero-padded to `order`."""
         coeffs = [_as_ring(c) for c in coeffs]
         if order is None:
@@ -86,17 +85,17 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self._egf) - 1
 
-    def egf_coefficient(self, n: int) -> Coeff:
+    def egf_coefficient(self, n: int) -> PolyLike:
         """n! times the ordinary coefficient of t^n, as stored."""
         if _index(n, "coefficient index") > self.order:
             raise ValueError(f"coefficient index {n} outside tracked range 0..{self.order}")
         return self._egf[n]
 
-    def coefficient(self, n: int) -> Coeff:
+    def coefficient(self, n: int) -> PolyLike:
         """Ordinary coefficient of t^n."""
         return _as_ring(self.egf_coefficient(n) * Fraction(1, factorial(n)))
 
-    def coefficients(self) -> tuple[Coeff, ...]:
+    def coefficients(self) -> tuple[PolyLike, ...]:
         return tuple(self.coefficient(n) for n in range(len(self._egf)))
 
     def _require_same_order(self, other: TruncatedSeries) -> None:
@@ -141,7 +140,7 @@ class TruncatedSeries:
             out.append(_finish(acc, poly, keys))
         return _from_egf(out)
 
-    def scale(self, c: Coeff) -> TruncatedSeries:
+    def scale(self, c: PolyLike) -> TruncatedSeries:
         """Multiply every coefficient by a fixed ring element."""
         c = _as_ring(c)
         return _from_egf(_as_ring(c * coeff) for coeff in self._egf)
@@ -202,7 +201,7 @@ class TruncatedSeries:
                     _fma(acc[n], 1, f[k], p)
         return _from_egf([f[0], *(_finish(terms, poly, keys) for terms in acc[1:])])
 
-    def pow(self, exponent: Coeff) -> TruncatedSeries:
+    def pow(self, exponent: PolyLike) -> TruncatedSeries:
         """Symbolic power g = f^e for f with constant term 1, by J.C.P. Miller's recurrence.
 
         g = f^e solves f g' = e f' g with g_0 = 1: no log, exp or division,
@@ -216,7 +215,7 @@ class TruncatedSeries:
 
 
 def _first_order(
-    g0: Coeff, b: Sequence[Coeff] = (), a: Sequence[Coeff] = (), c: Sequence[Coeff] = ()
+    g0: PolyLike, b: Sequence[PolyLike] = (), a: Sequence[PolyLike] = (), c: Sequence[PolyLike] = ()
 ) -> TruncatedSeries:
     """The series g with constant term g0 that solves a g' = b' g + c'.
 
@@ -235,7 +234,7 @@ def _first_order(
     a_terms = [(i, ai) for i, ai in enumerate(a) if i and ai != 0]
     width = max((i for i, _ in a_terms + b_terms), default=0)
     keys: dict = {}
-    g: list[Coeff] = [g0]
+    g: list[PolyLike] = [g0]
     for m, row in zip(range(order), _binomial_rows(width)):
         acc: dict = {}
         if c:
@@ -285,7 +284,7 @@ def _divided_powers(inner: TruncatedSeries) -> Iterator[TruncatedSeries]:
         yield power
 
 
-def _from_egf(egf: Iterable[Coeff]) -> TruncatedSeries:
+def _from_egf(egf: Iterable[PolyLike]) -> TruncatedSeries:
     # Internal constructor: the coefficients are already egf and exact.
     series = TruncatedSeries.__new__(TruncatedSeries)
     series._egf = tuple(egf)
@@ -295,7 +294,7 @@ def _from_egf(egf: Iterable[Coeff]) -> TruncatedSeries:
 # -- stock series, built directly from their egf coefficients -------------
 
 
-def _stock(order: int, egf: Callable[[int], Coeff]) -> TruncatedSeries:
+def _stock(order: int, egf: Callable[[int], PolyLike]) -> TruncatedSeries:
     return _from_egf(egf(n) for n in range(_index(order, "series order") + 1))
 
 
@@ -339,19 +338,15 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
     eq45-catalog hold the families against this series, and a shared helper
     would turn them into comparisons of that helper with itself.
     """
-    x = MultiPoly.var("x")
-    lam = MultiPoly.var("lam")
-    steps = (x - i * lam for i in range(_degree_index(order, "series order", 1)))
+    steps = (_X - i * _LAM for i in range(_degree_index(order, "series order", 1)))
     falling = list(accumulate(steps, mul, initial=MultiPoly.const(1)))
     return _stock(order, falling.__getitem__)
 
 
 # -- the generating-function catalog --------------------------------------
 
-_X, _Y, _ALPHA = map(MultiPoly.var, ("x", "y", "alpha"))
 
-
-def _solves(a: Sequence[Coeff], b: Sequence[Coeff]) -> Callable[[int], TruncatedSeries]:
+def _solves(a: Sequence[PolyLike], b: Sequence[PolyLike]) -> Callable[[int], TruncatedSeries]:
     """Builder of the g with g_0 = 1 that solves a g' = b' g, for polynomials
     a and b in t given by their egf coefficients: O(1) work per coefficient."""
 
