@@ -15,7 +15,8 @@ exit code: 0 on success; 1 when `verify` finds a failing identity, a
 certified evaluation cannot reach the requested precision, the reader of
 stdout closed it early or memory ran out; 2 on usage errors, an argument
 the library refuses among them; 130 on an interrupt.  Nothing is written
-to stderr on success, and each other ending writes one line and no traceback.
+to stderr on success.  A usage error writes argparse's usage and one error
+line, each other ending one line, and none a traceback.
 
 JSON payloads are canonical: keys sorted, no whitespace, exact values
 rendered as integers or "p/q" strings, never floats.  The same input always
@@ -50,7 +51,7 @@ from .dobinski import (
     bell_dobinski,
     lah_bell_dobinski,
 )
-from .exact import _index
+from .exact import _index, _shown
 from .families import FAMILIES, poly_family
 from .identities import oracle_records, run_suite
 from .series import GF_NAMES, gf_catalog
@@ -90,7 +91,7 @@ _MAX_EXPONENT = 100_000
 
 
 def _fraction_arg(text: str, name: str) -> Fraction:
-    shown = repr(text if len(text) <= 40 else text[:40] + "...")
+    shown = repr(_shown(text))
     try:
         # Decimal reads the exponent as written, without computing a power.
         exponent = 0 if "/" in text else Decimal(text).adjusted()

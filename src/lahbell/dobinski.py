@@ -19,13 +19,12 @@ returns a sub-interval of the wider answer.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import floor, log10, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact import Scalar, _as_coeff, _index
+from .exact import Scalar, _as_coeff, _index, _scalar_text, _shown
 
 __all__ = [
     "CertifiedDecimal",
@@ -110,9 +109,7 @@ class CertifiedDecimal(_Certificate):
         digits = self.guaranteed_digits()
         scaled = round(self.value * 10**digits)
         sign = "-" if scaled < 0 else ""
-        # Through Decimal: str(int) refuses past the interpreter's digit
-        # limit (4300 by default), and lifting it would change a global.
-        body = str(Decimal(abs(scaled))).rjust(digits + 1, "0")
+        body = _scalar_text(abs(scaled)).rjust(digits + 1, "0")
         if digits == 0:
             return sign + body
         return f"{sign}{body[:-digits]}.{body[-digits:]}"
@@ -208,8 +205,8 @@ def _first_within(cutoffs: Iterable[_Cutoff], target: Fraction) -> _Cutoff | Non
 
 
 def _not_reached(what: str, x: Fraction, target: Fraction) -> PrecisionNotReached:
-    message = f"{what} for x = {x} did not reach tail <= {target} within {_ITERATION_CAP} terms"
-    return PrecisionNotReached(message)
+    message = f"{what} for x = {_shown(x)} did not reach tail <= {_shown(target)}"
+    return PrecisionNotReached(f"{message} within {_ITERATION_CAP} terms")
 
 
 def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedDecimal:
@@ -238,7 +235,7 @@ def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedD
     high = (partial + series.tail()) / exp_partial
     value, error = (low + high) / 2, (high - low) / 2
     if error > eps:
-        raise PrecisionNotReached(f"final width {error} exceeds eps = {eps}")
+        raise PrecisionNotReached(f"final width {_shown(error)} exceeds eps = {_shown(eps)}")
     return CertifiedDecimal(value, error, eps, series_terms=series.k + 1, exp_terms=exp.k + 1)
 
 
@@ -247,9 +244,10 @@ def _validated(n: int, x: Scalar, eps: Scalar) -> tuple[Fraction, Fraction]:
     x = Fraction(_as_coeff(x))
     eps = Fraction(_as_coeff(eps))
     if x <= 0:
-        raise ValueError(f"x must be positive, as the tail bounds need positive terms, got {x}")
+        message = "x must be positive, as the tail bounds need positive terms"
+        raise ValueError(f"{message}, got {_shown(x)}")
     if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise ValueError(f"eps must be positive, got {_shown(eps)}")
     return x, eps
 
 

@@ -111,6 +111,15 @@ def _named(table: Mapping, name: str, what: str):
         raise ValueError(f"unknown {what} {name!r}, expected one of {tuple(table)}") from None
 
 
+def _shown(value: str | Scalar) -> str:
+    """The text of value for a message, cut to its first 40 characters and
+    "...": a message names what it is about, but never prints a huge value
+    whole.  A scalar is written with _scalar_text, so no digit limit applies.
+    """
+    text = value if isinstance(value, str) else _scalar_text(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _is_exact(value: object) -> bool:
     """The exact-scalar rule: an int or a Fraction, and never a bool."""
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
@@ -305,12 +314,15 @@ class MultiPoly:
             coeff = terms[key]
             mono = monomial(key)
             mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
+            try:
+                if not mono:
+                    body = str(mag)
+                elif mag == 1:
+                    body = mono
+                else:
+                    body = f"{mag}*{mono}"
+            except ValueError:  # past the int/str digit limit
+                body = f"{_scalar_text(mag)}*{mono}" if mono else _scalar_text(mag)
             if first:
                 yield body if coeff > 0 else f"-{body}"
                 first = False
@@ -330,6 +342,16 @@ def _monomial(key: int) -> str:
     # made once: the coefficients of one series share most of their monomials.
     fields = _SHIFTS.items()
     return "*".join(f"{v}^{e}" if e > 1 else v for v, s in fields if (e := key >> s & MAX_DEGREE))
+
+
+def _scalar_text(value: Scalar) -> str:
+    """str(value) for an exact scalar, made through Decimal: str(int) refuses
+    past the interpreter's int/str digit limit (4300 by default), and lifting
+    the limit would change a global."""
+    from decimal import Decimal  # only a long value or a rendered enclosure needs it
+
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _from_canonical(terms: dict[int, Scalar]) -> MultiPoly:

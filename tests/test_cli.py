@@ -782,6 +782,7 @@ REFUSED = (
     ["dobinski", "--n", "2", "--x=-1e99999999"],
     ["dobinski", "--n", "2", "--x=1e99999999"],
     ["dobinski", "--n", "2", "--x", "1", "--eps=1e-99999999"],
+    ["dobinski", "--n", "2", "--x=-1e99999"],
 )
 
 
@@ -820,6 +821,25 @@ def test_a_huge_written_exponent_is_refused_at_once_by_its_text(argv):
     assert len(message.encode()) <= 200
     text = argv[-1].partition("=")[2]
     assert message.endswith(f"must have an exponent at most 100000 in size, got {text!r}")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dobinski", "--n", "2", "--x=-1e99999"], 2),
+        (["dobinski", "--n", "2", "--x=1e99999"], 1),
+        (["dobinski", "--n", "2", "--x=1e40000", "--eps", "1e-5"], 1),
+    ],
+)
+def test_a_long_value_inside_the_exponent_bound_is_quoted_cut(argv, code):
+    # Read, then refused or not reached by the library, whose message
+    # quotes the value's first 40 characters only.
+    start = time.perf_counter()
+    got, out, err = _main(argv)
+    assert time.perf_counter() - start < 1
+    assert (got, out) == (code, "")
+    assert len(err.encode()) < 1024
+    assert "0" * 38 + "..." in err.splitlines()[-1]
 
 
 def test_the_exponent_bound_is_on_the_leading_digit():

@@ -281,3 +281,28 @@ def test_decimal_renders_past_the_int_str_digit_limit():
     # BL_1(1) = 1, and the bound is far below half a unit in the last place.
     assert text == "1." + "0" * 4401
     assert bound.endswith("e-4402")
+
+
+def test_a_message_quotes_a_long_value_cut_to_40_characters():
+    # At the interpreter's default digit limit too: the value is written
+    # through Decimal, never whole.
+    huge = Fraction(10**99999)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as refused:
+            lah_bell_dobinski(2, -huge, EPS20)
+        with pytest.raises(PrecisionNotReached) as not_reached:
+            bell_dobinski(2, huge, EPS20)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(refused.value) == (
+        "x must be positive, as the tail bounds need positive terms, got -1" + "0" * 38 + "..."
+    )
+    assert str(not_reached.value) == (
+        "series for x = 1" + "0" * 39 + "... did not reach tail <= 1/400000000000000000000"
+        " within 100000 terms"
+    )
+    # A short value keeps every byte.
+    with pytest.raises(ValueError, match="^eps must be positive, got -1/3$"):
+        lah_bell_dobinski(2, 1, Fraction(-1, 3))

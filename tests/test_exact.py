@@ -595,6 +595,24 @@ def test_polys_are_unhashable():
         hash(X)
 
 
+def test_rendering_passes_the_int_str_digit_limit():
+    # Coefficients past the interpreter's default limit of 4300 digits are
+    # written through Decimal, and the limit is left as it was.
+    big = 7 * 10**4400 + 1
+    poly = X**3 - big * X**2 + Fraction(big, 3) * Y - Fraction(1, big) - big
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        lifted = str(poly), repr(poly)
+        sys.set_int_max_str_digits(4300)
+        assert (str(poly), repr(poly)) == lifted
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert lifted[0].startswith("x^3 - 7000")
+    assert lifted[0].count("/3*y - ") == 1
+
+
 def test_rendering_is_deterministic():
     assert str(X**2 + 2 * X) == "x^2 + 2*x"
     assert str(MultiPoly.zero()) == "0"

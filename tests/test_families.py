@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lahbell import triangles
+from lahbell import families, triangles
 from lahbell.exact import MAX_DEGREE, MultiPoly, falling_factorial, rising_factorial
 from lahbell.families import (
     FAMILIES,
@@ -105,6 +105,22 @@ def test_a_degree_past_the_limit_is_refused_before_any_triangle_row(build, n):
     with pytest.raises(ValueError) as kernel:
         X ** (MAX_DEGREE + 1)
     assert str(raised.value) == str(kernel.value)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_the_precheck_degree_is_exact(monkeypatch, name):
+    # Exact, not just an upper bound: a family whose precheck used more would
+    # refuse admissible indices unseen.
+    used = []
+    check = families._degree_index
+    monkeypatch.setattr(
+        families, "_degree_index", lambda n, what, per: used.append(per) or check(n, what, per)
+    )
+    for n in range(13):
+        used.clear()
+        degree = poly_family(name, n).total_degree()
+        (per,) = used
+        assert degree == n * per, (n, per)
 
 
 def test_poly_family_dispatch():

@@ -495,9 +495,13 @@ DEGREE_PER_ORDER = {
 
 @pytest.mark.parametrize("name", GF_NAMES)
 def test_catalog_rows_have_the_degree_they_state(name):
-    row = gf_catalog(name, 7)
-    assert [(MultiPoly.const(1) * row.egf_coefficient(n)).total_degree() for n in range(8)] == [
-        DEGREE_PER_ORDER[name] * n for n in range(8)
+    # Exact, not just an upper bound: a row that stated more would refuse
+    # admissible orders unseen.
+    per = DEGREE_PER_ORDER[name]
+    assert series._GF_BUILDERS[name][0] == per
+    row = gf_catalog(name, 12)
+    assert [(MultiPoly.const(1) * row.egf_coefficient(n)).total_degree() for n in range(13)] == [
+        per * n for n in range(13)
     ]
 
 
