@@ -9,7 +9,8 @@ catalog ties all routes together and is exposed on the command line as
 `lahbell verify`.
 
 Every public name is written once, in ``_EXPORTS`` under the module that
-defines it.  ``import lahbell`` loads none of those modules: the module
+defines it, and each of those modules reads its ``__all__`` from its row.
+``import lahbell`` loads none of those modules: the module
 ``__getattr__`` (PEP 562) imports a name's module the first time the name is
 asked for, and answers each access from that module, so the package never
 holds a copy of a name that could go stale.
@@ -19,7 +20,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each defining module and the names it exports, in the order of __all__.
+# Each defining module and the names it exports: the row is that module's __all__.
 _EXPORTS = {
     "exact": (
         "Rational", "MultiPoly", "INDETERMINATES",

@@ -24,15 +24,10 @@ from itertools import chain
 from math import floor, log10, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import _EXPORTS
 from .exact import Scalar, _as_coeff, _index, _scalar_text, _shown
 
-__all__ = [
-    "CertifiedDecimal",
-    "PrecisionNotReached",
-    "lah_bell_dobinski",
-    "bell_dobinski",
-    "DOBINSKI_FAMILIES",
-]
+__all__ = _EXPORTS["dobinski"]
 
 Weight = Callable[[int], int]
 

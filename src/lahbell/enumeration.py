@@ -45,17 +45,10 @@ import os
 import threading
 from typing import Iterator, Optional
 
+from . import _EXPORTS
 from .exact import _index
 
-__all__ = [
-    "ENUMERATION_BOUNDS",
-    "iter_set_partitions",
-    "iter_ordered_partitions",
-    "count_set_partitions",
-    "count_ordered_partitions",
-    "count_permutations_by_cycles",
-    "cycle_count",
-]
+__all__ = _EXPORTS["enumeration"]
 
 # Per-enumerator caps; structure counts grow faster than factorially beyond
 # them.  The largest, ordered partitions of 10 elements, is 58,941,091

@@ -30,15 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Union
 
-__all__ = [
-    "Rational",
-    "INDETERMINATES",
-    "MAX_DEGREE",
-    "MultiPoly",
-    "falling_factorial",
-    "rising_factorial",
-    "generalized_falling",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["exact"]
 
 # Arbitrary-precision exact rational scalar.  The stdlib type already keeps
 # values in lowest terms with a positive denominator and raises

@@ -16,25 +16,13 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
+from . import _EXPORTS
 from .exact import _ALPHA, _LAM, _X, _Y, MultiPoly, PolyLike, _degree_index, _falling_prefixes
 from .exact import _finish, _fma, _index, _named
 from .exact import generalized_falling  # unused; bench/tracer.py REQUIRED_SITES pins it
 from .triangles import lah, stirling2
 
-__all__ = [
-    "bell_poly",
-    "lah_bell_poly",
-    "bivariate_bell_poly",
-    "bivariate_lah_bell_poly",
-    "degenerate_bell_poly",
-    "degenerate_lah_bell_poly",
-    "laguerre_poly",
-    "lah_bell_recurrence_step",
-    "lah_bell_derivative",
-    "poly_family",
-    "triangle_sum",
-    "FAMILIES",
-]
+__all__ = _EXPORTS["families"]
 
 
 def triangle_sum(

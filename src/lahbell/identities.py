@@ -21,6 +21,7 @@ from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from . import _EXPORTS
 from .dobinski import CertifiedDecimal, lah_bell_dobinski
 from .enumeration import (
     ENUMERATION_BOUNDS,
@@ -64,7 +65,7 @@ from .triangles import (
     stirling2_via_lah,
 )
 
-__all__ = ["IdentityRecord", "CATALOG_IDS", "run_suite", "oracle_records", "ORACLE_IDS"]
+__all__ = _EXPORTS["identities"]
 
 # Precision used by the two enclosure-based entries.
 _NUMERIC_EPS = Fraction(1, 10**20)

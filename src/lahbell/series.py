@@ -11,10 +11,12 @@ Every catalog series has integer (or integer-polynomial) egf coefficients.  In
 that form the product is the binomial convolution sum_i C(n,i) a_i b_{n-i},
 exp, log1p, composition and the symbolic power are built from such
 convolutions, and none of them divides, so integer input stays integer and no
-coefficient pays a gcd.  A catalog series g whose exponent is rational in t
-solves a g' = b' g for polynomials a and b of degree at most 2, and is solved
-from that equation directly: at most four multiply-accumulates per
-coefficient, with no dense exp, power or product.  Every convolution sum
+coefficient pays a gcd.  The four Lah-Bell rows share one generating
+function, (1 + step t/(1-t))^(point/step), and the Laguerre row's exponent is
+rational in t too: each such g solves a g' = b' g for polynomials a and b of
+degree at most 2, and is solved from that equation directly, with at most
+four multiply-accumulates per coefficient and no dense exp, power, product or
+composition.  Every convolution sum
 accumulates in place through the multiply-accumulate kernel of
 :mod:`lahbell.exact`, and all the coefficients one product, composition or
 recurrence finishes share one exponent vector per distinct monomial, through
@@ -32,20 +34,11 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import _EXPORTS
 from .exact import _ALPHA, _LAM, _X, _Y, MultiPoly, PolyLike, _as_coeff, _degree_index, _finish
 from .exact import _fma, _index, _named, _power
 
-__all__ = [
-    "TruncatedSeries",
-    "identity_t",
-    "ser_one",
-    "geometric_minus_one",
-    "exp_t_minus_one",
-    "neg_log_one_minus_t",
-    "degenerate_exponential",
-    "gf_catalog",
-    "GF_NAMES",
-]
+__all__ = _EXPORTS["series"]
 
 
 def _as_ring(value: PolyLike) -> PolyLike:
@@ -334,9 +327,10 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
     first product.
 
     The product is kept here on purpose, apart from the stepped-falling helper
-    in :mod:`lahbell.exact` that builds the family bases: eq44 and
-    eq45-catalog hold the families against this series, and a shared helper
-    would turn them into comparisons of that helper with itself.
+    in :mod:`lahbell.exact` that builds the family bases: eq45-catalog and the
+    composed half of eq48-corrected hold the families against this series,
+    and a shared helper would turn them into comparisons of that helper with
+    itself.
     """
     steps = (_X - i * _LAM for i in range(_degree_index(order, "series order", 1)))
     falling = list(accumulate(steps, mul, initial=MultiPoly.const(1)))
@@ -357,27 +351,36 @@ def _solves(a: Sequence[PolyLike], b: Sequence[PolyLike]) -> Callable[[int], Tru
     return build
 
 
-_ONE_MINUS_T_SQUARED = (1, -2, 2)  # 1 - 2t + t^2, in egf form
+def _lah_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], TruncatedSeries]]:
+    """The row of the Lah-Bell family sum_k L(n,k) (point)_{k,step}: the total
+    degree of its order-N coefficient per unit of N, which is that of point,
+    and its builder.
+
+    Its egf is (1 + step t/(1-t))^(point/step), and exp(point t/(1-t)) at
+    step 0: g'/g = point/((1-t)(1-(1-step)t)), so a = (1-t)(1-(1-step)t) and
+    b = point t.  The rows are lah_bell (1, 0), lah_bell_poly (x, 0),
+    bivariate_lah_bell (x y, y) and degenerate_lah_bell (x, lam): the points
+    and steps at which :mod:`lahbell.families` sums the same triangle, the
+    numbers being the polynomials at x = 1.
+    """
+    degree = MultiPoly._coerce(point).total_degree()
+    return degree, _solves((1, step - 2, 2 - 2 * step), (0, point))
+
 
 # Each row is the total degree of the order-N coefficient per unit of N (0
 # for the number rows, 2 for the bivariate ones) and the row's builder.
 _GF_BUILDERS: dict[str, tuple[int, Callable[[int], TruncatedSeries]]] = {
-    # exp(t/(1-t)): g'/g = 1/(1-t)^2, so a = (1-t)^2 and b = t.
-    "lah_bell": (0, _solves(_ONE_MINUS_T_SQUARED, (0, 1))),
-    # exp(x t/(1-t)): g'/g = x/(1-t)^2, so a = (1-t)^2 and b = x t.
-    "lah_bell_poly": (1, _solves(_ONE_MINUS_T_SQUARED, (0, _X))),
+    "lah_bell": _lah_row(1, 0),
+    "lah_bell_poly": _lah_row(_X, 0),
     "bell": (0, lambda order: exp_t_minus_one(order).exp()),
     "bell_poly": (1, lambda order: exp_t_minus_one(order).scale(_X).exp()),
     "bivariate_bell": (2, lambda order: (ser_one(order) + exp_t_minus_one(order).scale(_Y)).pow(_X)),
-    # (1 + y t/(1-t))^x: g'/g = x y/((1-t)(1-(1-y)t)), so a = (1-t)(1-(1-y)t), b = x y t.
-    "bivariate_lah_bell": (2, _solves((1, _Y - 2, 2 - 2 * _Y), (0, _X * _Y))),
-    "degenerate_lah_bell": (
-        1, lambda order: degenerate_exponential(order).compose(geometric_minus_one(order))
-    ),
+    "bivariate_lah_bell": _lah_row(_X * _Y, _Y),
+    "degenerate_lah_bell": _lah_row(_X, _LAM),
     "degenerate_bell": (1, lambda order: degenerate_exponential(order).compose(exp_t_minus_one(order))),
     # (1-t)^(-alpha-1) exp(x t/(t-1)): g'/g = ((alpha+1)(1-t) - x)/(1-t)^2, so
     # a = (1-t)^2 and b = (alpha+1-x) t - (alpha+1) t^2/2.
-    "laguerre_weighted": (1, _solves(_ONE_MINUS_T_SQUARED, (0, _ALPHA + 1 - _X, -_ALPHA - 1))),
+    "laguerre_weighted": (1, _solves((1, -2, 2), (0, _ALPHA + 1 - _X, -_ALPHA - 1))),
 }
 
 GF_NAMES = tuple(_GF_BUILDERS)
@@ -389,9 +392,9 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
     """Named exponential generating functions of the number/polynomial families.
 
     Each entry is one row of ``_GF_BUILDERS``: the e^t rows are exp and pow of
-    e^t - 1, the degenerate rows compose the stepped exponential with their
-    inner series, and the rows whose exponent is rational in t solve their
-    first-order equation a g' = b' g directly.  Their egf coefficients
+    e^t - 1, degenerate_bell composes the stepped exponential with e^t - 1,
+    and the Lah-Bell and Laguerre rows, whose exponent is rational in t, solve
+    their first-order equation a g' = b' g directly.  Their egf coefficients
     reproduce the matching closed-form family exactly, which the identity
     suite checks.  All family parameters stay symbolic.  An order whose
     coefficient would pass MAX_DEGREE is refused before the first coefficient.

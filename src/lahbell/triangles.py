@@ -15,23 +15,10 @@ from itertools import accumulate, repeat
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
+from . import _EXPORTS
 from .exact import _index, _named
 
-__all__ = [
-    "Triangle",
-    "TRIANGLE_KINDS",
-    "iter_rows",
-    "lah",
-    "stirling1_signed",
-    "stirling2",
-    "bell_number",
-    "lah_bell_number",
-    "lah_via_stirling",
-    "stirling2_via_lah",
-    "lah_product_form",
-    "lah_binomial_form",
-    "lah_ratio_form",
-]
+__all__ = _EXPORTS["triangles"]
 
 # Row m's factors c_1..c_m in T(m, k) = T(m-1, k-1) + c_k * T(m-1, k).
 _ROW_FACTORS: dict[str, Callable[[int], Iterable[int]]] = {

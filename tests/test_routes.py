@@ -9,15 +9,18 @@ function it enters is collected by module and qualified name.
 
 import sys
 from functools import partial
+from types import CodeType
 
 import pytest
 
-from lahbell import triangles
+from lahbell import series, triangles
 from lahbell.families import FAMILIES, poly_family
-from lahbell.series import GF_NAMES, gf_catalog
+from lahbell.series import GF_NAMES, gf_catalog, neg_log_one_minus_t
 
 # The rows whose exponent is rational in t, each one first-order solve.
-SOLVED_ROWS = ("lah_bell", "lah_bell_poly", "bivariate_lah_bell", "laguerre_weighted")
+SOLVED_ROWS = (
+    "lah_bell", "lah_bell_poly", "bivariate_lah_bell", "degenerate_lah_bell", "laguerre_weighted"
+)
 
 # The modules of the other side: the families, the triangles they read, the
 # checks themselves, the enumerations and the Dobinski sums.
@@ -30,14 +33,13 @@ FAMILY_SIDE = {
 }
 
 
-def reached(build):
-    """The (module, qualified name) of every Python function build() enters."""
+def entered(build):
+    """The (module, code object) of every Python function build() enters."""
     seen = set()
 
     def profile(frame, event, arg):
         if event == "call":
-            code = frame.f_code
-            seen.add((frame.f_globals.get("__name__"), getattr(code, "co_qualname", code.co_name)))
+            seen.add((frame.f_globals.get("__name__"), frame.f_code))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -48,6 +50,15 @@ def reached(build):
     return seen
 
 
+def _name(code):
+    return getattr(code, "co_qualname", code.co_name)
+
+
+def reached(build):
+    """The (module, qualified name) of every Python function build() enters."""
+    return {(module, _name(code)) for module, code in entered(build)}
+
+
 @pytest.mark.parametrize("name", GF_NAMES)
 def test_gf_row_reaches_no_family_side_code(name):
     gf_catalog.cache_clear()
@@ -56,6 +67,30 @@ def test_gf_row_reaches_no_family_side_code(name):
     assert shared == []
     if name in SOLVED_ROWS:
         assert ("lahbell.series", "_first_order") in seen
+
+
+def _with_nested(*functions):
+    """The code objects of functions and of the comprehensions inside them."""
+    codes = [function.__code__ for function in functions]
+    for code in codes:
+        codes.extend(const for const in code.co_consts if isinstance(const, CodeType))
+    return set(codes)
+
+
+# What the two series halves of eq48-corrected may share, besides the exact
+# kernel: the catalog lookup and the series plumbing.
+EQ48_SHARED = _with_nested(gf_catalog.__wrapped__, series._from_egf, series._has_poly)
+
+
+def test_eq48_series_halves_share_no_series_route():
+    def series_code(build):
+        gf_catalog.cache_clear()
+        return {code for module, code in entered(build) if module == "lahbell.series"}
+
+    composed = series_code(lambda: gf_catalog("degenerate_bell", 12).compose(neg_log_one_minus_t(12)))
+    direct = series_code(lambda: gf_catalog("degenerate_lah_bell", 12))
+    gf_catalog.cache_clear()
+    assert sorted(map(_name, composed & direct - EQ48_SHARED)) == []
 
 
 # The family side of the gf rows: every polynomial family, and the Lah-Bell

@@ -382,13 +382,14 @@ def test_first_order_makes_its_binomials_by_additions(monkeypatch):
 
 # Each row's g solves a g' = b' g for polynomials a and b in t of degree at
 # most 2, so a coefficient takes at most 4 kernel calls; exp and pow of the
-# dense exponent took O(order) each.
+# dense exponent took O(order) each, and composition O(order) per power.
 @pytest.mark.parametrize(
     "name, order",
     [
         ("lah_bell", 200),
         ("lah_bell_poly", 200),
         ("bivariate_lah_bell", 60),
+        ("degenerate_lah_bell", 60),
         ("laguerre_weighted", 60),
     ],
 )
@@ -586,6 +587,12 @@ def test_catalog_bivariate_coefficient():
     s = gf_catalog("bivariate_lah_bell", 2)
     y = MultiPoly.var("y")
     assert s.egf_coefficient(2) == 2 * X * y + X**2 * y**2 - X * y**2
+
+
+def test_degenerate_lah_bell_row_is_the_composed_stepped_exponential():
+    # The row is solved directly; the composition it replaced is the reference.
+    reference = degenerate_exponential(40).compose(geometric_minus_one(40))
+    assert gf_catalog("degenerate_lah_bell", 40) == reference
 
 
 def test_degenerate_exponential_coefficients():

@@ -86,6 +86,16 @@ def test_each_name_is_the_object_its_module_defines(name):
         assert obj.__module__ == home
 
 
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_submodule_exports_its_row(module):
+    # The row in _EXPORTS is the module's __all__, so a public name is written once.
+    row = lahbell._EXPORTS[module]
+    assert importlib.import_module(f"lahbell.{module}").__all__ == row
+    namespace = {}
+    exec(f"from lahbell.{module} import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(row)
+
+
 def test_submodules_resolve_after_a_bare_import():
     run = (
         "import sys, lahbell; print(*(getattr(lahbell, name).__name__ for name in sys.argv[1:])); "
