@@ -108,10 +108,31 @@ def _named(table: Mapping, name: str, what: str):
 def _shown(value: str | Scalar) -> str:
     """The text of value for a message, cut to its first 40 characters and
     "...": a message names what it is about, but never prints a huge value
-    whole.  A scalar is written with _scalar_text, so no digit limit applies.
+    whole.  A scalar's text is that of _scalar_text, but only its leading
+    digits are made, so no digit limit applies and a huge value costs a few
+    divisions, not a full conversion.
     """
-    text = value if isinstance(value, str) else _scalar_text(value)
+    if isinstance(value, str):
+        text = value
+    else:
+        num = value.numerator
+        text = "-" * (num < 0) + _leading_digits(abs(num), 41)
+        if value.denominator != 1 and len(text) <= 40:
+            text += "/" + _leading_digits(value.denominator, 40)
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _leading_digits(n: int, width: int) -> str:
+    """The first width >= 1 decimal digits of the int n >= 0.
+
+    The digit count comes from bit_length: log10(2) rounded up to 14 places
+    overcounts by at most one digit below 10^13 bits, so one power of ten
+    settles it.
+    """
+    digits = n.bit_length() * 30102999566399 // 10**14 + 1
+    if digits > 1 and n < 10 ** (digits - 1):
+        digits -= 1
+    return str(n // 10 ** (digits - width) if digits > width else n)
 
 
 def _is_exact(value: object) -> bool:

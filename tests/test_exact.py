@@ -613,6 +613,31 @@ def test_rendering_passes_the_int_str_digit_limit():
     assert lifted[0].count("/3*y - ") == 1
 
 
+@pytest.mark.parametrize("digits", [*range(1, 46), 99, 100, 4300, 4301, 10**4, 10**5])
+def test_a_shown_scalar_is_its_text_cut_to_40_characters(digits):
+    # _shown makes only the leading digits; the whole text is the reference.
+    rng = random.Random(digits)
+    magnitudes = [rng.randrange(10 ** (digits - 1), 10**digits)]
+    if digits <= 4301:
+        magnitudes += [10 ** (digits - 1), 10**digits - 1]
+    for magnitude in magnitudes:
+        for numerator in (magnitude, -magnitude):
+            for denominator in (1, 3, 10**38 + 1, 7 * 10**44 + 1):
+                value = numerator if denominator == 1 else Fraction(numerator, denominator)
+                text = exact._scalar_text(value)
+                expected = text if len(text) <= 40 else text[:40] + "..."
+                assert exact._shown(value) == expected
+
+
+def test_a_huge_scalar_is_shown_without_being_written_whole():
+    value = -(10**99999)
+    start = time.perf_counter()
+    shown = exact._shown(value)
+    assert time.perf_counter() - start < 0.05
+    assert shown == "-1" + "0" * 38 + "..."
+    assert exact._shown(Fraction(1, 3 * 10**99999 + 1)) == "1/3" + "0" * 37 + "..."
+
+
 def test_rendering_is_deterministic():
     assert str(X**2 + 2 * X) == "x^2 + 2*x"
     assert str(MultiPoly.zero()) == "0"

@@ -4,7 +4,8 @@ The identities hold each gf row against a family built from the triangles,
 the family sums or the enumerations, so the two routes must not share that
 code.  Each side is built alone, a gf row from an empty gf catalog and a
 family from empty triangle memos, under ``sys.setprofile``, and every Python
-function it enters is collected by module and qualified name.
+function it enters is collected by module and qualified name.  The two series
+halves of eq48-corrected are held apart the same way.
 """
 
 import sys
