@@ -20,16 +20,14 @@ returns a sub-interval of the wider answer.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import floor, log10, prod
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import chain, count, repeat
+from math import factorial, floor, log10, prod
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _EXPORTS
 from .exact import Scalar, _as_coeff, _index, _scalar_text, _shown
 
 __all__ = _EXPORTS["dobinski"]
-
-Weight = Callable[[int], int]
 
 _ITERATION_CAP = 100_000
 
@@ -171,23 +169,25 @@ class _Cutoff(NamedTuple):
         return prod(left) <= prod(right)
 
 
-def _partial_sums(weight: Weight, x: Fraction, first: int) -> Iterator[_Cutoff]:
+def _partial_sums(weights: Iterable[int], x: Fraction, first: int) -> Iterator[_Cutoff]:
     """Walk sum_k weight(k) x^k / k! and yield each k >= first with term ratio <= 1/2.
 
-    The ratio term(k+1)/term(k) = x weight(k+1) / ((k+1) weight(k)) comes
-    from a one-term look-ahead of the weight.
+    weights yields weight(0), weight(1), ... without end.  The ratio
+    term(k+1)/term(k) = x weight(k+1) / ((k+1) weight(k)) comes from a
+    one-term look-ahead of the weights.
     """
     if 2 * x > _ITERATION_CAP + 1:
         return  # a nondecreasing weight keeps every ratio >= x/(k+1) > 1/2 up to the cap
     p, q = x.numerator, x.denominator
     partial, power, denominator = 0, 1, 1
-    w_next = weight(0)
+    weights = iter(weights)
+    w_next = next(weights)
     for k in range(_ITERATION_CAP + 1):
         if k:
             power *= p
             denominator *= q * k
             partial *= q * k
-        w, w_next = w_next, weight(k + 1)
+        w, w_next = w_next, next(weights)
         term = w * power
         partial += term
         num, den = p * w_next, q * (k + 1) * w
@@ -204,17 +204,18 @@ def _not_reached(what: str, x: Fraction, target: Fraction) -> PrecisionNotReache
     return PrecisionNotReached(f"{message} within {_ITERATION_CAP} terms")
 
 
-def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedDecimal:
+def _certified_product(weights: Iterable[int], x: Fraction, eps: Fraction) -> CertifiedDecimal:
     """Enclose e^(-x) * sum_k weight(k) x^k / k! within eps.
 
-    weight(k) must be a positive integer for k >= 1 and nondecreasing, with
-    weight(k+1)/weight(k) nonincreasing, so the term ratio is monotone
-    nonincreasing for k >= 1 and at least x/(k+1).  The series cutoff
-    targets a quarter of eps and the exponential enclosure the rest, which
-    caps the final interval width at eps/2.
+    weights yields weight(0), weight(1), ... in turn.  weight(k) must be a
+    positive integer for k >= 1 and nondecreasing, with weight(k+1)/weight(k)
+    nonincreasing, so the term ratio is monotone nonincreasing for k >= 1
+    and at least x/(k+1).  The series cutoff targets a quarter of eps and
+    the exponential enclosure the rest, which caps the final interval width
+    at eps/2.
     """
     tail_target = min(Fraction(1), eps / 4)
-    cutoffs = _partial_sums(weight, x, 1)
+    cutoffs = _partial_sums(weights, x, 1)
     # The first cutoff with tail <= 1 bounds the full sum independently of
     # eps; it scales the exponential target so refinement stays nested.
     crude = _first_within(cutoffs, Fraction(1))
@@ -222,7 +223,7 @@ def _certified_product(weight: Weight, x: Fraction, eps: Fraction) -> CertifiedD
     if series is None:
         raise _not_reached("series", x, tail_target)
     delta = eps / (4 * (crude.sum() + crude.tail()))
-    exp = _first_within(_partial_sums(lambda k: 1, x, 0), delta)
+    exp = _first_within(_partial_sums(repeat(1), x, 0), delta)
     if exp is None:
         raise _not_reached("exponential enclosure", x, delta)
     partial, exp_partial = series.sum(), exp.sum()
@@ -246,6 +247,19 @@ def _validated(n: int, x: Scalar, eps: Scalar) -> tuple[Fraction, Fraction]:
     return x, eps
 
 
+def _rising_weights(n: int) -> Iterator[int]:
+    """The weights k(k+1)...(k+n-1) for k = 0, 1, 2, ..., each from the last.
+
+    weight(0) is the empty product 1 for n = 0 and holds the factor 0 for
+    n >= 1.  From weight(1) = n! on, weight(k+1) = weight(k)(k+n)/k.
+    """
+    yield 1 if n == 0 else 0
+    weight = factorial(n)
+    for k in count(1):
+        yield weight
+        weight = weight * (k + n) // k
+
+
 def lah_bell_dobinski(n: int, x: Scalar, eps: Scalar) -> CertifiedDecimal:
     """Enclosure of e^(-x) * sum_k k(k+1)...(k+n-1) x^k / k! within eps.
 
@@ -254,7 +268,7 @@ def lah_bell_dobinski(n: int, x: Scalar, eps: Scalar) -> CertifiedDecimal:
     x(k+n)/(k(k+1)), monotone decreasing for k >= 1.
     """
     x, eps = _validated(n, x, eps)
-    return _certified_product(lambda k: prod(range(k, k + n)), x, eps)
+    return _certified_product(_rising_weights(n), x, eps)
 
 
 def bell_dobinski(n: int, x: Scalar, eps: Scalar) -> CertifiedDecimal:
@@ -264,4 +278,4 @@ def bell_dobinski(n: int, x: Scalar, eps: Scalar) -> CertifiedDecimal:
     term(k+1)/term(k) = x(k+1)^(n-1)/k^n, monotone decreasing for k >= 1.
     """
     x, eps = _validated(n, x, eps)
-    return _certified_product(lambda k: k**n, x, eps)
+    return _certified_product((k**n for k in count()), x, eps)

@@ -15,19 +15,22 @@ entries of ``_FIRST``, cover the three kinds:
   leader (``first = 1``), so the block (a, b, ..., z) is the cycle
   a -> b -> ... -> z -> a.
 
-Blocks stay listed in increasing order of least element, and removing the
-largest element inverts the construction uniquely, so each structure is
-generated exactly once.  The walk mutates one list of blocks in place and
-yields that live list for every structure; a caller copies what it keeps.
+Within an ordered-list or cycle block, m goes in at place ``first`` and
+moves one place right per swap, as in plain changes, so each later place
+costs one swap rather than an insert and a delete.  Blocks stay listed in
+increasing order of least element, and removing the largest element
+inverts the construction uniquely, so each structure is generated exactly
+once.  The walk mutates one list of blocks in place and yields that live
+list for every structure; a caller copies what it keeps.
 :func:`iter_set_partitions` and :func:`iter_ordered_partitions` yield
 copies as tuples of tuples.
 
 The counts come from a second walk, :func:`_count_walk`, which builds the
-same structures from the same stack, :func:`_prefixes`, and yields none of
-them.  On the way to n the walk builds every structure on {1..m}, m < n, so
-it tallies each one by its size and block count, and one walk counts every
-size up to n.  Counts depend on n alone, so each kind keeps its longest walk
-for the life of the process.
+same structures from the same stack, :func:`_prefixes`, places the last two
+elements itself and yields nothing.  On the way to n the walk builds every
+structure on {1..m}, m < n, so it tallies each one by its size and block
+count, and one walk counts every size up to n.  Counts depend on n alone,
+so each kind keeps its longest walk for the life of the process.
 
 :func:`_walk_side_by_side` makes several kinds' walks at once: this process
 makes the small ones and one large one, and each other large one runs in a
@@ -52,9 +55,9 @@ __all__ = _EXPORTS["enumeration"]
 
 # Per-enumerator caps; structure counts grow faster than factorially beyond
 # them.  The largest, ordered partitions of 10 elements, is 58,941,091
-# structures: count_ordered_partitions(10) took 14-19 s in one fresh process
-# (Python 3.11, 2 vCPUs); set partitions of 12 took 1-2 s, permutations of 9
-# about 0.1 s.
+# structures: count_ordered_partitions(10) took 6.5-8.7 s in one fresh
+# process (Python 3.11, 2 vCPUs); set partitions of 12 took 0.4-0.7 s,
+# permutations of 9 about 0.05 s.
 ENUMERATION_BOUNDS = {
     "ordered_partitions": 10,
     "set_partitions": 12,
@@ -83,16 +86,24 @@ def _check_bound(n: int, which: str) -> None:
 def _extend(blocks: Blocks, m: int, first: Optional[int]) -> Iterator[None]:
     """Place m in each of its places in turn, in a block and then as a new block.
 
-    Each placement is made just before the generator yields and undone when it
-    is resumed, so blocks is as it was once the generator is exhausted.  Blocks
-    are read when the generator reaches them: every later placement must be
-    undone before it is resumed.
+    In an ordered-list or cycle block, m goes in at place first and moves
+    right by swaps to the end, where it is popped; a set block's one place
+    is its end.  Each placement is made just before the generator yields
+    and undone when it is resumed, so blocks is as it was once the generator
+    is exhausted.  Blocks are read when the generator reaches them: every
+    later placement must be undone before it is resumed.
     """
     for block in blocks:
-        for pos in range(len(block) if first is None else first, len(block) + 1):
-            block.insert(pos, m)
+        if first is None:
+            block.append(m)
             yield
-            del block[pos]
+        else:
+            block.insert(first, m)
+            yield
+            for pos in range(first + 1, len(block)):
+                block[pos - 1], block[pos] = block[pos], m
+                yield
+        block.pop()
     blocks.append([m])
     yield
     blocks.pop()
@@ -134,30 +145,41 @@ def _count_walk(n: int, first: Optional[int]) -> list[list[int]]:
     """counts[m][k]: the structures on {1..m} with k blocks, for every m <= n, from one walk.
 
     _walk's structures, built the same way, but nothing is yielded: each
-    structure on {1..m}, m < n, is tallied as it is built, and an inner loop
-    (the places of n, as _extend makes them, inlined) inserts n, tallies the
-    structure and deletes n.
+    structure is tallied as it is built.  The stack of :func:`_prefixes` runs
+    to n - 2, element n - 1 is placed by :func:`_extend`, and an inline loop
+    places n by _extend's moves, tallying each placement into a local that
+    joins counts[n] once per structure on {1..n-1}.
     """
     counts = [[0] * (m + 1) for m in range(n + 1)]
-    last = counts[n]
     blocks: Blocks = []
-    for m in _prefixes(blocks, n, first):
+    if n < 2:  # no element n - 1 to place: tally every prefix of the walk to n
+        for m in _prefixes(blocks, n + 1, first):
+            counts[m][len(blocks)] += 1
+        return counts
+    below, last = counts[n - 1], counts[n]
+    for m in _prefixes(blocks, n - 1, first):
         counts[m][len(blocks)] += 1
-        if m != n - 1:
+        if m != n - 2:
             continue
-        for block in blocks:
-            if first is None:  # a set block's one place is its end: append beats insert
-                block.append(n)
-                last[len(blocks)] += 1
+        for _ in _extend(blocks, n - 1, first):
+            k = len(blocks)
+            below[k] += 1
+            placed = 0
+            for block in blocks:
+                if first is None:
+                    block.append(n)
+                    placed += 1
+                else:
+                    block.insert(first, n)
+                    placed += 1
+                    for pos in range(first + 1, len(block)):
+                        block[pos - 1], block[pos] = block[pos], n
+                        placed += 1
                 block.pop()
-                continue
-            for pos in range(first, len(block) + 1):
-                block.insert(pos, n)
-                last[len(blocks)] += 1
-                del block[pos]
-        blocks.append([n])
-        last[len(blocks)] += 1
-        blocks.pop()
+            last[k] += placed
+            blocks.append([n])
+            last[k + 1] += 1
+            blocks.pop()
     return counts
 
 
@@ -213,9 +235,9 @@ def _reap(pid: int, read: int) -> Optional[bytes]:
     return data if status == 0 else None
 
 
-# A walk to n < 8 runs here: a fork and reap cost about 2 ms, while the walks
-# to 7 took 8 ms (ordered), 0.2 ms (set) and 1.6 ms (cycles), and those to 8
-# took 95, 1 and 13 ms (best of 5, Python 3.11, one core of a 2-vCPU VM).
+# A walk to n < 8 runs here: a fork and reap cost 1.3-2 ms, while the walks
+# to 7 took 4.8 ms (ordered), 0.15 ms (set) and 1.0 ms (cycles), and those to
+# 8 took 47, 0.5 and 5.7 ms (best of 5, Python 3.11, one core of a 2-vCPU VM).
 _FORK_FROM = 8
 
 

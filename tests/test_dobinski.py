@@ -4,6 +4,7 @@ import copy
 import pickle
 import sys
 from fractions import Fraction
+from itertools import islice, repeat
 from math import prod
 
 import pytest
@@ -76,13 +77,19 @@ def test_monotone_refinement_at_large_x(evaluator):
     assert fine.contains(exact_value(exact_poly, Fraction(461)))
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_carried_weights_are_the_rising_products(n):
+    carried = list(islice(dobinski._rising_weights(n), 41))
+    assert carried == [prod(range(k, k + n)) for k in range(41)]
+
+
 def test_walk_fails_fast_only_when_no_ratio_can_reach_one_half(monkeypatch):
     # Every ratio in use is at least x/(k+1); with k capped at 20 a ratio of
     # 1/2 needs 2x <= 21.
     monkeypatch.setattr(dobinski, "_ITERATION_CAP", 20)
 
     def exp_cutoffs(x):
-        return [cut.k for cut in dobinski._partial_sums(lambda k: 1, x, 0)]
+        return [cut.k for cut in dobinski._partial_sums(repeat(1), x, 0)]
 
     assert exp_cutoffs(Fraction(21, 2)) == [20]
     assert exp_cutoffs(Fraction(11)) == []

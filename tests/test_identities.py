@@ -3,7 +3,10 @@ failure payloads under a corrupted triangle, and the README catalog table."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -254,6 +257,42 @@ def test_readme_catalog_table_matches_the_catalog():
         for entry in [*_CATALOG.values(), *_ORACLES.values()]
     ]
     assert _readme_catalog_rows() == expected
+
+
+# Counts the MultiPoly products of one full catalog run at max_n 30.
+_COUNT_PRODUCTS = """
+from lahbell.exact import MultiPoly
+from lahbell.identities import run_suite
+
+products = 0
+
+
+def counted(multiply):
+    def wrapper(*args):
+        global products
+        products += 1
+        return multiply(*args)
+
+    return wrapper
+
+
+MultiPoly.__mul__ = counted(MultiPoly.__mul__)
+MultiPoly.__rmul__ = counted(MultiPoly.__rmul__)
+run_suite("all", 30)
+print(products)
+"""
+
+
+def test_readme_states_the_product_count_of_verify_max_n_30():
+    # A fresh process, so no memo or catalog built by another test hides a product.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    command = [sys.executable, "-c", _COUNT_PRODUCTS]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`verify --max-n 30` makes\s+(\d+)\s+`MultiPoly` products", readme)
+    assert len(stated) == 2
+    assert set(stated) == {result.stdout.strip()}
 
 
 def test_oracle_records_pass():

@@ -5,16 +5,18 @@ the family sums or the enumerations, so the two routes must not share that
 code.  Each side is built alone, a gf row from an empty gf catalog and a
 family from empty triangle memos, under ``sys.setprofile``, and every Python
 function it enters is collected by module and qualified name.  The two series
-halves of eq48-corrected are held apart the same way.
+halves of eq48-corrected are held apart the same way, and so are the count
+and triangle sides of each oracle row.
 """
 
+import inspect
 import sys
 from functools import partial
 from types import CodeType
 
 import pytest
 
-from lahbell import series, triangles
+from lahbell import enumeration, identities, series, triangles
 from lahbell.families import FAMILIES, poly_family
 from lahbell.series import GF_NAMES, gf_catalog, neg_log_one_minus_t
 
@@ -102,12 +104,48 @@ FAMILY_BUILDS = {
 }
 
 
-@pytest.mark.parametrize("name", FAMILY_BUILDS)
-def test_family_reaches_no_series_code(name, monkeypatch):
+def _empty_triangle_memos(monkeypatch):
     for memo in ("_LAH", "_S1", "_S2"):
         monkeypatch.setattr(triangles, memo, triangles.Triangle(getattr(triangles, memo).kind))
+
+
+@pytest.mark.parametrize("name", FAMILY_BUILDS)
+def test_family_reaches_no_series_code(name, monkeypatch):
+    _empty_triangle_memos(monkeypatch)
     seen = reached(FAMILY_BUILDS[name])
     shared = sorted(f"{module}.{fn}" for module, fn in seen if module == "lahbell.series")
     assert shared == []
     # Every family but laguerre, whose weights are binomials, reads a triangle.
     assert (("lahbell.triangles", "_next_row") in seen) == (name != "laguerre")
+
+
+# What the two sides of an oracle row may share: the argument check that the
+# count walks and the triangle rows both make on n.
+ORACLE_SHARED = {("lahbell.exact", "_index")}
+
+
+@pytest.mark.parametrize("oracle", identities._ORACLES.values(), ids=lambda oracle: oracle.id)
+def test_oracle_count_side_shares_no_triangle_code(oracle, monkeypatch):
+    sides = inspect.getclosurevars(oracle.check).nonlocals
+    count, entry, cap = sides["count"], sides["entry"], oracle.default_max
+
+    def side(build, function):
+        # Each side is called alone, so every count walk runs here.  The
+        # side's own entry point (a lambda in identities) is not its reach.
+        monkeypatch.setattr(enumeration, "_WALKS", {})
+        _empty_triangle_memos(monkeypatch)
+        return {
+            (module, _name(code))
+            for module, code in entered(build)
+            if str(module).startswith("lahbell.") and code is not function.__code__
+        }
+
+    counted = side(lambda: [count(n) for n in range(cap + 1)], count)
+    tabled = side(lambda: [entry(n, k) for n in range(cap + 1) for k in range(n + 1)], entry)
+    other_side = {"lahbell.triangles", "lahbell.families", "lahbell.series", "lahbell.identities"}
+    assert sorted(f"{module}.{fn}" for module, fn in counted if module in other_side) == []
+    enumerated = sorted(f"{module}.{fn}" for module, fn in tabled if module == "lahbell.enumeration")
+    assert enumerated == []
+    assert sorted(f"{module}.{fn}" for module, fn in counted & tabled - ORACLE_SHARED) == []
+    assert ("lahbell.enumeration", "_count_walk") in counted
+    assert ("lahbell.triangles", "_next_row") in tabled
