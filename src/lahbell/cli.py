@@ -51,10 +51,11 @@ from .dobinski import (
     bell_dobinski,
     lah_bell_dobinski,
 )
-from .exact import _index, _shown
+from .exact import MultiPoly, _index, _scalar_text, _shown
 from .families import FAMILIES, poly_family
 from .identities import oracle_records, run_suite
-from .series import GF_NAMES, gf_catalog
+from .series import GF_NAMES, _gf_terms
+from .series import gf_catalog  # unused; bench/tracer.py REQUIRED_SITES pins it
 from .triangles import bell_number, iter_rows, lah_bell_number
 
 __all__ = ["main"]
@@ -170,9 +171,14 @@ def _head(args: argparse.Namespace) -> dict:
 
 
 # table, seq, poly and gf write their answers in pieces, each as soon as it
-# is rendered, so no request holds its whole answer as text.  Every piece is
-# made of digits, letters, spaces and "^*+-/" only: no CSV field needs
-# quoting, and a quoted piece is its own JSON string.
+# is rendered, so no request holds its whole answer as text.  Not all of
+# them make their values as they go: table and the solved gf rows hold only
+# the row or the few coefficients the next one is made from, but seq reads a
+# memo of the whole triangle, and poly and the other gf rows build their
+# whole value before the first piece.  A long integer is written by
+# _scalar_text, at any int/str digit limit.  Every piece is made of digits,
+# letters, spaces and "^*+-/" only: no CSV field needs quoting, and a quoted
+# piece is its own JSON string.
 
 
 def _joined(parts: Iterable[str], sep: str) -> Iterator[str]:
@@ -223,7 +229,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_seq(args: argparse.Namespace) -> int:
     nmax = _index(args.nmax, "nmax")  # no library call sees nmax itself
     value = _SEQ_KINDS[args.kind]
-    values = (str(value(n)) for n in range(nmax + 1))
+    values = (_scalar_text(value(n)) for n in range(nmax + 1))
     if args.format == "json":
         _write_json(args, "values", _array(values))
     elif args.format == "csv":
@@ -243,8 +249,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    series = gf_catalog(args.name, args.order)
-    coefficients = (str(series.egf_coefficient(n)) for n in range(args.order + 1))
+    terms = _gf_terms(args.name, args.order)
+    coefficients = (str(c) if isinstance(c, MultiPoly) else _scalar_text(c) for c in terms)
     if args.format == "json":
         _write_json(args, "egf_coefficients", _array(f'"{c}"' for c in coefficients))
     else:
@@ -277,8 +283,8 @@ def _cmd_dobinski(args: argparse.Namespace) -> int:
     if args.format == "json":
         answer = {
             **_head(args),
-            "x": str(x),
-            "eps": str(eps),
+            "x": _scalar_text(x),
+            "eps": _scalar_text(eps),
             "value_decimal": value,
             "error_bound": bound,
             "series_terms": result.series_terms,
@@ -297,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _run(args)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed pipe must raise here, not at exit
     except ValueError as exc:
         # The library refused an argument.  Every refusal comes before the
@@ -318,19 +324,6 @@ def main(argv: list[str] | None = None) -> int:
         print("lahbell: interrupted", file=sys.stderr)
         return 130
     return code
-
-
-def _run(args: argparse.Namespace) -> int:
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        return args.handler(args)
-    # Exact answers may run past the int/str digit limit; lift it for this
-    # request only and leave the caller's setting as it was.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return args.handler(args)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

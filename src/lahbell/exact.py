@@ -329,15 +329,12 @@ class MultiPoly:
             coeff = terms[key]
             mono = monomial(key)
             mag = abs(coeff)
-            try:
-                if not mono:
-                    body = str(mag)
-                elif mag == 1:
-                    body = mono
-                else:
-                    body = f"{mag}*{mono}"
-            except ValueError:  # past the int/str digit limit
-                body = f"{_scalar_text(mag)}*{mono}" if mono else _scalar_text(mag)
+            if not mono:
+                body = _scalar_text(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{_scalar_text(mag)}*{mono}"
             if first:
                 yield body if coeff > 0 else f"-{body}"
                 first = False
@@ -360,13 +357,20 @@ def _monomial(key: int) -> str:
 
 
 def _scalar_text(value: Scalar) -> str:
-    """str(value) for an exact scalar, made through Decimal: str(int) refuses
-    past the interpreter's int/str digit limit (4300 by default), and lifting
-    the limit would change a global."""
-    from decimal import Decimal  # only a long value or a rendered enclosure needs it
+    """str(value) for an exact scalar, at any int/str digit limit.
 
-    text = str(Decimal(value.numerator))
-    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+    str(int) refuses past the interpreter's limit (4300 digits by default),
+    and lifting the limit would change a setting of the whole process, seen
+    by every thread.  So a value past it is written through Decimal, which
+    has no limit, and a shorter one by str() itself.
+    """
+    try:
+        return str(value)
+    except ValueError:  # past the int/str digit limit
+        from decimal import Decimal  # only a long value needs it
+
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _from_canonical(terms: dict[int, Scalar]) -> MultiPoly:

@@ -158,7 +158,7 @@ class TruncatedSeries:
         f = self._egf
         if f[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        return _first_order(1, b=f)
+        return _from_egf(_first_order(1, b=f))
 
     def log1p(self) -> TruncatedSeries:
         """log(1 + f) for f with zero constant term; the inverse of :meth:`exp`.
@@ -168,7 +168,7 @@ class TruncatedSeries:
         f = self._egf
         if f[0] != 0:
             raise ValueError("log1p requires a zero constant term")
-        return _first_order(0, a=f, c=f)
+        return _from_egf(_first_order(0, a=f, c=f))
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """Exact composition self(inner(t)) for inner with zero constant term.
@@ -204,22 +204,27 @@ class TruncatedSeries:
         if f[0] != 1:
             raise ValueError("symbolic power requires constant term 1")
         e = _as_ring(exponent)
-        return _first_order(1, b=[e * c for c in f], a=f)
+        return _from_egf(_first_order(1, b=[e * c for c in f], a=f))
 
 
 def _first_order(
     g0: PolyLike, b: Sequence[PolyLike] = (), a: Sequence[PolyLike] = (), c: Sequence[PolyLike] = ()
-) -> TruncatedSeries:
-    """The series g with constant term g0 that solves a g' = b' g + c'.
+) -> Iterator[PolyLike]:
+    """The egf coefficients g_0, ..., g_N of the series g with constant term
+    g0 that solves a g' = b' g + c', each yielded as soon as it is made.
 
-    a, b and c are egf coefficient sequences of one length, or empty for the
-    zero series; a_0 is taken as 1, and b_0, c_0 never enter.  Matching the
-    coefficients of t^m/m! gives, for m = 0..N-1,
+    a, b and c are egf coefficient sequences of one length N + 1, or empty
+    for the zero series; a_0 is taken as 1, and b_0, c_0 never enter.
+    Matching the coefficients of t^m/m! gives, for m = 0..N-1,
 
         g_{m+1} = c_{m+1} + sum_{i=1..m+1} (C(m,i-1) b_i - C(m,i) a_i) g_{m+1-i},
 
-    which never divides, so integer (polynomial) input stays integer.  exp
-    is (1, b=f), log1p is (0, a=f, c=f) and the power f^e is (1, b=e f, a=f).
+    which never divides, so integer (polynomial) input stays integer.  A
+    coefficient reads the last `width` before it, width being the highest
+    index of a nonzero a_i or b_i, and only that window is kept: at most 2
+    coefficients for a and b of degree at most 2, all of them for a dense a
+    or b.  exp is (1, b=f), log1p is (0, a=f, c=f) and the power f^e is
+    (1, b=e f, a=f), each gathered whole by :func:`_from_egf`.
     """
     order = max(len(b), len(a), len(c)) - 1
     poly = _has_poly(b, a, c)
@@ -227,7 +232,8 @@ def _first_order(
     a_terms = [(i, ai) for i, ai in enumerate(a) if i and ai != 0]
     width = max((i for i, _ in a_terms + b_terms), default=0)
     keys: dict = {}
-    g: list[PolyLike] = [g0]
+    window: list[PolyLike] = [g0][:width]  # g_{m+1-width} .. g_m, newest last
+    yield g0
     for m, row in zip(range(order), _binomial_rows(width)):
         acc: dict = {}
         if c:
@@ -235,13 +241,16 @@ def _first_order(
         for i, bi in b_terms:
             if i > m + 1:
                 break
-            _fma(acc, row[i - 1], bi, g[m + 1 - i])
+            _fma(acc, row[i - 1], bi, window[-i])
         for i, ai in a_terms:
             if i > m:
                 break
-            _fma(acc, -row[i], ai, g[m + 1 - i])
-        g.append(_finish(acc, poly, keys))
-    return _from_egf(g)
+            _fma(acc, -row[i], ai, window[-i])
+        g = _finish(acc, poly, keys)
+        window.append(g)
+        if len(window) > width:
+            del window[0]
+        yield g
 
 
 def _binomial_rows(width: int) -> Iterator[list[int]]:
@@ -340,18 +349,19 @@ def degenerate_exponential(order: int) -> TruncatedSeries:
 # -- the generating-function catalog --------------------------------------
 
 
-def _solves(a: Sequence[PolyLike], b: Sequence[PolyLike]) -> Callable[[int], TruncatedSeries]:
-    """Builder of the g with g_0 = 1 that solves a g' = b' g, for polynomials
-    a and b in t given by their egf coefficients: O(1) work per coefficient."""
+def _solves(a: Sequence[PolyLike], b: Sequence[PolyLike]) -> Callable[[int], Iterator[PolyLike]]:
+    """Builder of the egf coefficients of the g with g_0 = 1 that solves
+    a g' = b' g, for polynomials a and b in t given by their egf
+    coefficients: O(1) work per coefficient, made as they are read."""
 
-    def build(order: int) -> TruncatedSeries:
+    def build(order: int) -> Iterator[PolyLike]:
         pad = [0] * order
         return _first_order(1, b=[*b, *pad][:order + 1], a=[*a, *pad][:order + 1])
 
     return build
 
 
-def _lah_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], TruncatedSeries]]:
+def _lah_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Iterator[PolyLike]]]:
     """The row of the Lah-Bell family sum_k L(n,k) (point)_{k,step}: the total
     degree of its order-N coefficient per unit of N, which is that of point,
     and its builder.
@@ -368,22 +378,37 @@ def _lah_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Trun
 
 
 # Each row is the total degree of the order-N coefficient per unit of N (0
-# for the number rows, 2 for the bivariate ones) and the row's builder.
-_GF_BUILDERS: dict[str, tuple[int, Callable[[int], TruncatedSeries]]] = {
+# for the number rows, 2 for the bivariate ones) and the builder of its egf
+# coefficients: a stream for the solved rows, the tuple of a built series for
+# the others.
+_GF_BUILDERS: dict[str, tuple[int, Callable[[int], Iterable[PolyLike]]]] = {
     "lah_bell": _lah_row(1, 0),
     "lah_bell_poly": _lah_row(_X, 0),
-    "bell": (0, lambda order: exp_t_minus_one(order).exp()),
-    "bell_poly": (1, lambda order: exp_t_minus_one(order).scale(_X).exp()),
-    "bivariate_bell": (2, lambda order: (ser_one(order) + exp_t_minus_one(order).scale(_Y)).pow(_X)),
+    "bell": (0, lambda order: exp_t_minus_one(order).exp()._egf),
+    "bell_poly": (1, lambda order: exp_t_minus_one(order).scale(_X).exp()._egf),
+    "bivariate_bell": (2, lambda order: (ser_one(order) + exp_t_minus_one(order).scale(_Y)).pow(_X)._egf),
     "bivariate_lah_bell": _lah_row(_X * _Y, _Y),
     "degenerate_lah_bell": _lah_row(_X, _LAM),
-    "degenerate_bell": (1, lambda order: degenerate_exponential(order).compose(exp_t_minus_one(order))),
+    "degenerate_bell": (1, lambda order: degenerate_exponential(order).compose(exp_t_minus_one(order))._egf),
     # (1-t)^(-alpha-1) exp(x t/(t-1)): g'/g = ((alpha+1)(1-t) - x)/(1-t)^2, so
     # a = (1-t)^2 and b = (alpha+1-x) t - (alpha+1) t^2/2.
     "laguerre_weighted": (1, _solves((1, -2, 2), (0, _ALPHA + 1 - _X, -_ALPHA - 1))),
 }
 
 GF_NAMES = tuple(_GF_BUILDERS)
+
+
+def _gf_terms(name: str, order: int) -> Iterable[PolyLike]:
+    """The egf coefficients 0..order of the named generating function.
+
+    The name and the order are checked here, at the call: an order whose
+    coefficient would pass MAX_DEGREE is refused before the first
+    coefficient.  A solved row's coefficients then come one at a time, its
+    solver keeping only the window its recurrence reads; the other rows are
+    built whole first.
+    """
+    per, build = _named(_GF_BUILDERS, name, "generating function")
+    return build(_degree_index(order, "order", per))
 
 
 # One entry per name: a `verify all` run asks each name at a single order.
@@ -399,5 +424,4 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
     suite checks.  All family parameters stay symbolic.  An order whose
     coefficient would pass MAX_DEGREE is refused before the first coefficient.
     """
-    per, build = _named(_GF_BUILDERS, name, "generating function")
-    return build(_degree_index(order, "order", per))
+    return _from_egf(_gf_terms(name, order))

@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from decimal import Decimal, Inexact, localcontext
@@ -220,21 +221,64 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "posix_spawn") or not hasattr(os, "wait4"), reason="needs posix_spawn and wait4")
-def test_table_streams_in_bounded_memory():
-    # Built as a list of rows and one joined text, `table lah 1000` peaked at
-    # about 1.25 GB; streamed, only the newest row and its text are alive.
+# Spawns argv[1:] with stdout on a pipe, reads 100 bytes of it and closes
+# it, and prints the exit code, the peak RSS in KiB and the number of bytes
+# read and written to stderr.
+PIPE_AND_REAP = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+head = proc.stdout.read(100)
+proc.stdout.close()
+stderr = proc.stderr.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, len(head), len(stderr))
+"""
+
+needs_spawn = pytest.mark.skipif(
+    not hasattr(os, "posix_spawn") or not hasattr(os, "wait4"), reason="needs posix_spawn and wait4"
+)
+
+
+def reaped(script, *argv):
+    """The numbers script prints for a lahbell request, run from a bare interpreter."""
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", SPAWN_AND_REAP, *lahbell_command("table", "lah", "1000")],
+        [sys.executable, "-I", "-S", "-c", script, *lahbell_command(*argv)],
         capture_output=True,
         text=True,
         env=LAHBELL_ENV,
         timeout=120,
     )
     assert done.stderr == ""
-    code, peak_kib = map(int, done.stdout.split())
+    return list(map(int, done.stdout.split()))
+
+
+@needs_spawn
+def test_table_streams_in_bounded_memory():
+    # Built as a list of rows and one joined text, `table lah 1000` peaked at
+    # about 1.25 GB; streamed, only the newest row and its text are alive.
+    code, peak_kib = reaped(SPAWN_AND_REAP, "table", "lah", "1000")
     assert code == 0
     assert peak_kib < 100 * 1024
+
+
+@needs_spawn
+def test_gf_streams_in_bounded_memory():
+    # Built whole before its first byte, `gf laguerre_weighted --order 120`
+    # peaked at about 53 MB; streamed, the solver keeps the two coefficients
+    # the next one reads (about 25 MB in all).
+    code, peak_kib = reaped(SPAWN_AND_REAP, "gf", "laguerre_weighted", "--order", "120")
+    assert code == 0
+    assert peak_kib < 35 * 1024
+
+
+@needs_spawn
+def test_gf_read_in_part_stops_early_in_bounded_memory():
+    # `gf laguerre_weighted --order 200 | head -c 100`: built whole, the
+    # answer took seconds and about 200 MB before its first byte; streamed,
+    # the request ends at the first write after the reader has gone.
+    code, peak_kib, read, stderr_bytes = reaped(PIPE_AND_REAP, "gf", "laguerre_weighted", "--order", "200")
+    assert (code, read, stderr_bytes) == (1, 100, 0)
+    assert peak_kib < 40 * 1024
 
 
 def test_seq_text(capsys):
@@ -713,6 +757,85 @@ def test_dobinski_past_the_int_str_digit_limit(capsys):
     assert abs(value - 2) <= bound + slack
 
 
+# Requests whose answers hold integers longer than 640 digits: lah_bell(350)
+# has 737 digits, and eps = 1e-700 is echoed as a fraction with a 701-digit
+# denominator next to a 700-place value.
+LONG_VALUE_REQUESTS = (
+    ["seq", "lah_bell", "350"],
+    ["gf", "lah_bell", "--order", "350"],
+    ["dobinski", "--n", "1", "--x", "2", "--eps", "1e-700", "--format", "json"],
+)
+
+
+def test_long_values_print_alike_at_any_int_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        lifted = [run(capsys, argv) for argv in LONG_VALUE_REQUESTS]
+        sys.set_int_max_str_digits(640)
+        assert [run(capsys, argv) for argv in LONG_VALUE_REQUESTS] == lifted
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert all(code == 0 and err == "" for code, _, err in lifted)
+    assert max(len(out) for _, out, _ in lifted) > 2000
+
+
+class ThreadStdout(io.TextIOBase):
+    """A stdout shared by threads, keeping each thread's text apart.  The
+    first request's writes wait until the second has begun writing, and the
+    second's until the first has returned, so the second starts before the
+    first ends and ends after it."""
+
+    def __init__(self, first_done):
+        self.texts = {}
+        self.second_writing = threading.Event()
+        self.first_done = first_done
+
+    def write(self, text):
+        name = threading.current_thread().name
+        if name == "first":
+            assert self.second_writing.wait(60)
+        else:
+            self.second_writing.set()
+            assert self.first_done.wait(60)
+        self.texts[name] = self.texts.get(name, "") + text
+        return len(text)
+
+
+def test_overlapping_requests_on_two_threads_leave_the_digit_limit(capsys, monkeypatch):
+    # A request that lifted the limit for its run and then put back what it
+    # found would, overlapped like this, leave the limit lifted: the second
+    # request finds it lifted and puts that back last.
+    expected = run(capsys, LONG_VALUE_REQUESTS[0])[1], run(capsys, LONG_VALUE_REQUESTS[1])[1]
+    first_done = threading.Event()
+    stdout = ThreadStdout(first_done)
+    codes = {}
+
+    def answer(argv):
+        codes[threading.current_thread().name] = cli.main(argv)
+        if threading.current_thread().name == "first":
+            first_done.set()
+
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        sys.set_int_max_str_digits(640)
+        threads = [
+            threading.Thread(target=answer, args=(argv,), name=name)
+            for name, argv in zip(("first", "second"), LONG_VALUE_REQUESTS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == {"first": 0, "second": 0}
+    assert (stdout.texts["first"], stdout.texts["second"]) == expected
+
+
 def test_dobinski_fails_fast_when_no_cutoff_fits_under_the_cap():
     # Every term ratio is at least x/(k+1), so x = 10^6 cannot reach a ratio
     # of 1/2 within 100000 terms; the walk is not started.
@@ -903,8 +1026,8 @@ def test_a_text_answer_renders_no_json(capsys, monkeypatch):
 
 
 def test_a_request_runs_where_python_has_no_int_str_digit_limit(capsys, monkeypatch):
-    # Python before 3.10.7 has neither function, and _run calls the handler
-    # as it is.
+    # Python before 3.10.7 has neither function, and the CLI calls neither:
+    # it writes a long value through exact._scalar_text.
     monkeypatch.delattr(sys, "set_int_max_str_digits")
     monkeypatch.delattr(sys, "get_int_max_str_digits")
     assert run(capsys, ["seq", "lah_bell", "3"]) == (0, "1 1 3 13\n", "")

@@ -82,7 +82,7 @@ def _with_nested(*functions):
 
 # What the two series halves of eq48-corrected may share, besides the exact
 # kernel: the catalog lookup and the series plumbing.
-EQ48_SHARED = _with_nested(gf_catalog.__wrapped__, series._from_egf, series._has_poly)
+EQ48_SHARED = _with_nested(gf_catalog.__wrapped__, series._gf_terms, series._from_egf, series._has_poly)
 
 
 def test_eq48_series_halves_share_no_series_route():
@@ -94,6 +94,26 @@ def test_eq48_series_halves_share_no_series_route():
     direct = series_code(lambda: gf_catalog("degenerate_lah_bell", 12))
     gf_catalog.cache_clear()
     assert sorted(map(_name, composed & direct - EQ48_SHARED)) == []
+
+
+# What draining a solved row's stream may run in lahbell.series: the
+# dispatcher, the row's builder and the solver.  No series is built.
+STREAM_CODE = _with_nested(series._gf_terms, series._first_order, series._binomial_rows, series._has_poly)
+
+
+@pytest.mark.parametrize("name", SOLVED_ROWS)
+def test_solved_row_stream_reaches_only_its_solver(name):
+    seen = entered(lambda: list(series._gf_terms(name, 12)))
+    outside = sorted(
+        f"{module}.{_name(code)}"
+        for module, code in seen
+        if str(module).startswith("lahbell.") and module not in ("lahbell.series", "lahbell.exact")
+    )
+    assert outside == []
+    streamed = {code for module, code in seen if module == "lahbell.series"}
+    build = series._GF_BUILDERS[name][1].__code__
+    assert sorted(map(_name, streamed - STREAM_CODE - {build})) == []
+    assert series._first_order.__code__ in streamed
 
 
 # The family side of the gf rows: every polynomial family, and the Lah-Bell

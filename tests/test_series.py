@@ -1,6 +1,7 @@
 """Truncated power series: arithmetic, exp/log, composition, GF catalog."""
 
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial
 
@@ -512,6 +513,9 @@ def test_an_order_past_the_degree_limit_is_refused_before_the_first_coefficient(
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"^polynomial total degree past {MAX_DEGREE}$"):
         gf_catalog(name, order)
+    # The stream the CLI writes from is refused at the call, before it is read.
+    with pytest.raises(ValueError, match=f"^polynomial total degree past {MAX_DEGREE}$"):
+        series._gf_terms(name, order)
     assert time.perf_counter() - start < 1
 
 
@@ -539,6 +543,22 @@ def test_catalog_names_and_unknown():
     }
     with pytest.raises(ValueError):
         gf_catalog("zeta", 4)
+
+
+# The rows whose exponent is rational in t: one first-order solve each.
+SOLVED_ROWS = ("lah_bell", "lah_bell_poly", "bivariate_lah_bell", "degenerate_lah_bell", "laguerre_weighted")
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_gf_terms_are_the_catalog_coefficients(name):
+    # A solved row's coefficients come from a generator, made as they are
+    # read; the other rows come built whole.
+    terms = series._gf_terms(name, 20)
+    assert isinstance(terms, Iterator) == (name in SOLVED_ROWS)
+    gf_catalog.cache_clear()
+    assert tuple(terms) == gf_catalog(name, 20)._egf
+    with pytest.raises(ValueError, match="^unknown generating function 'zeta'"):
+        series._gf_terms("zeta", 4)
 
 
 def test_catalog_names_keep_their_order():
