@@ -758,7 +758,7 @@ def test_dobinski_past_the_int_str_digit_limit(capsys):
 
 
 # Requests whose answers hold integers longer than 640 digits: lah_bell(350)
-# has 737 digits, and eps = 1e-700 is echoed as a fraction with a 701-digit
+# has 754 digits, and eps = 1e-700 is echoed as a fraction with a 701-digit
 # denominator next to a 700-place value.
 LONG_VALUE_REQUESTS = (
     ["seq", "lah_bell", "350"],
@@ -787,10 +787,10 @@ class ThreadStdout(io.TextIOBase):
     second's until the first has returned, so the second starts before the
     first ends and ends after it."""
 
-    def __init__(self, first_done):
+    def __init__(self):
         self.texts = {}
         self.second_writing = threading.Event()
-        self.first_done = first_done
+        self.first_done = threading.Event()
 
     def write(self, text):
         name = threading.current_thread().name
@@ -808,14 +808,13 @@ def test_overlapping_requests_on_two_threads_leave_the_digit_limit(capsys, monke
     # found would, overlapped like this, leave the limit lifted: the second
     # request finds it lifted and puts that back last.
     expected = run(capsys, LONG_VALUE_REQUESTS[0])[1], run(capsys, LONG_VALUE_REQUESTS[1])[1]
-    first_done = threading.Event()
-    stdout = ThreadStdout(first_done)
+    stdout = ThreadStdout()
     codes = {}
 
     def answer(argv):
         codes[threading.current_thread().name] = cli.main(argv)
         if threading.current_thread().name == "first":
-            first_done.set()
+            stdout.first_done.set()
 
     limit = sys.get_int_max_str_digits()
     monkeypatch.setattr(sys, "stdout", stdout)
