@@ -326,22 +326,30 @@ def neg_log_one_minus_t(order: int) -> TruncatedSeries:
 
 
 def degenerate_exponential(order: int) -> TruncatedSeries:
-    """The two-parameter exponential sum_n x(x-lam)...(x-(n-1)lam) t^n / n!.
+    """The two-parameter exponential sum_n x(x-lam)...(x-(n-1)lam) t^n / n!,
+    the stepped exponential at (x, lam)."""
+    return _stepped_exponential(order, _X, _LAM)
 
-    Built directly from the factorial coefficients so that lam enters
-    polynomially; the equivalent closed form (1 + lam*t)^(x/lam) would put
-    lam into denominators and is deliberately avoided.  Each coefficient is
-    the previous one times (x - (n-1) lam), one product per order; the top
-    one has degree order, so an order past MAX_DEGREE is refused before the
-    first product.
+
+def _stepped_exponential(order: int, point: PolyLike, step: PolyLike) -> TruncatedSeries:
+    """The stepped exponential sum_n (point)_{n,step} t^n / n!, with
+    (point)_{n,step} = point (point - step) ... (point - (n-1) step).
+
+    Built directly from the stepped falling coefficients so that step enters
+    polynomially; the equivalent closed form (1 + step t)^(point/step) would
+    put step into denominators and is deliberately avoided.  Each coefficient
+    is the previous one times (point - (n-1) step), one product per order;
+    each factor has at most the total degree of point, so an order whose top
+    coefficient would pass MAX_DEGREE is refused before the first product.
 
     The product is kept here on purpose, apart from the stepped-falling helper
-    in :mod:`lahbell.exact` that builds the family bases: eq45-catalog and the
-    composed half of eq48-corrected hold the families against this series,
-    and a shared helper would turn them into comparisons of that helper with
-    itself.
+    in :mod:`lahbell.exact` that builds the family bases: the Bell rows of the
+    catalog, eq45-catalog and the composed half of eq48-corrected hold the
+    families against this series, and a shared helper would turn them into
+    comparisons of that helper with itself.
     """
-    steps = (_X - i * _LAM for i in range(_degree_index(order, "series order", 1)))
+    degree = MultiPoly._coerce(point).total_degree()
+    steps = (point - i * step for i in range(_degree_index(order, "series order", degree)))
     falling = list(accumulate(steps, mul, initial=MultiPoly.const(1)))
     return _stock(order, falling.__getitem__)
 
@@ -377,6 +385,26 @@ def _lah_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Iter
     return degree, _solves((1, step - 2, 2 - 2 * step), (0, point))
 
 
+def _bell_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Iterable[PolyLike]]]:
+    """The row of the Bell family sum_k S2(n,k) (point)_{k,step}, as
+    :func:`_lah_row` gives that of the Lah-Bell family: its degree per unit
+    of N and its builder.
+
+    Its egf is the stepped exponential at (point, step) composed with
+    e^t - 1, (1 + step (e^t - 1))^(point/step), and exp(point (e^t - 1)) at
+    step 0, which is built by exp.  Its a and b would be dense in t, so no
+    row here is a sparse first-order solve, and composing with the integer
+    divided powers of e^t - 1 scales each polynomial coefficient only by
+    integers.  The rows are bell (1, 0), bell_poly (x, 0), bivariate_bell
+    (x y, y) and degenerate_bell (x, lam): the points and steps at which
+    :mod:`lahbell.families` sums the Stirling triangle.
+    """
+    degree = MultiPoly._coerce(point).total_degree()
+    if step == 0:
+        return degree, lambda order: exp_t_minus_one(order).scale(point).exp()._egf
+    return degree, lambda order: _stepped_exponential(order, point, step).compose(exp_t_minus_one(order))._egf
+
+
 # Each row is the total degree of the order-N coefficient per unit of N (0
 # for the number rows, 2 for the bivariate ones) and the builder of its egf
 # coefficients: a stream for the solved rows, the tuple of a built series for
@@ -384,12 +412,12 @@ def _lah_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Iter
 _GF_BUILDERS: dict[str, tuple[int, Callable[[int], Iterable[PolyLike]]]] = {
     "lah_bell": _lah_row(1, 0),
     "lah_bell_poly": _lah_row(_X, 0),
-    "bell": (0, lambda order: exp_t_minus_one(order).exp()._egf),
-    "bell_poly": (1, lambda order: exp_t_minus_one(order).scale(_X).exp()._egf),
-    "bivariate_bell": (2, lambda order: (ser_one(order) + exp_t_minus_one(order).scale(_Y)).pow(_X)._egf),
+    "bell": _bell_row(1, 0),
+    "bell_poly": _bell_row(_X, 0),
+    "bivariate_bell": _bell_row(_X * _Y, _Y),
     "bivariate_lah_bell": _lah_row(_X * _Y, _Y),
     "degenerate_lah_bell": _lah_row(_X, _LAM),
-    "degenerate_bell": (1, lambda order: degenerate_exponential(order).compose(exp_t_minus_one(order))._egf),
+    "degenerate_bell": _bell_row(_X, _LAM),
     # (1-t)^(-alpha-1) exp(x t/(t-1)): g'/g = ((alpha+1)(1-t) - x)/(1-t)^2, so
     # a = (1-t)^2 and b = (alpha+1-x) t - (alpha+1) t^2/2.
     "laguerre_weighted": (1, _solves((1, -2, 2), (0, _ALPHA + 1 - _X, -_ALPHA - 1))),
@@ -416,12 +444,13 @@ def _gf_terms(name: str, order: int) -> Iterable[PolyLike]:
 def gf_catalog(name: str, order: int) -> TruncatedSeries:
     """Named exponential generating functions of the number/polynomial families.
 
-    Each entry is one row of ``_GF_BUILDERS``: the e^t rows are exp and pow of
-    e^t - 1, degenerate_bell composes the stepped exponential with e^t - 1,
-    and the Lah-Bell and Laguerre rows, whose exponent is rational in t, solve
-    their first-order equation a g' = b' g directly.  Their egf coefficients
-    reproduce the matching closed-form family exactly, which the identity
-    suite checks.  All family parameters stay symbolic.  An order whose
-    coefficient would pass MAX_DEGREE is refused before the first coefficient.
+    Each entry is one row of ``_GF_BUILDERS``: the four Bell rows are exp of
+    point (e^t - 1) at step 0 and otherwise the stepped exponential at (point,
+    step) composed with e^t - 1, and the Lah-Bell and Laguerre rows, whose
+    exponent is rational in t, solve their first-order equation a g' = b' g
+    directly.  Their egf coefficients reproduce the matching closed-form
+    family exactly, which the identity suite checks.  All family parameters
+    stay symbolic.  An order whose coefficient would pass MAX_DEGREE is
+    refused before the first coefficient.
     """
     return _from_egf(_gf_terms(name, order))

@@ -156,10 +156,10 @@ _FAULT_FAILURES = {
     dobinski_tail_halved: ["thm3", "thm6"],
     power_one_product_short_from_5: ["eq3", "eq8", "thm6"],
     symbolic_step_negated: ["eq37", "eq44", "eq45-catalog", "lemma11"],
-    divided_powers_top_zeroed: ["eq4", "eq45-catalog", "eq48-corrected", "eq9"],
-    series_product_drops_a1_b5: ["eq4", "eq45-catalog", "eq48-corrected", "eq9"],
+    divided_powers_top_zeroed: ["eq37", "eq4", "eq45-catalog", "eq48-corrected", "eq9"],
+    series_product_drops_a1_b5: ["eq37", "eq4", "eq45-catalog", "eq48-corrected", "eq9"],
     solver_reads_c_m_2_as_0_from_5: [
-        "eq37", "eq44", "eq48-corrected", "eq49", "lemma1", "lemma11", "lemma4",
+        "eq44", "eq48-corrected", "eq49", "lemma1", "lemma11", "lemma4",
     ],
     triangle_sum_drops_k_equal_n: [
         "eq13", "eq14", "eq3", "eq37", "eq44", "eq45-catalog", "eq47", "eq48-corrected", "eq49",

@@ -72,6 +72,25 @@ def test_gf_row_reaches_no_family_side_code(name):
         assert ("lahbell.series", "_first_order") in seen
 
 
+# The loop that builds every family basis, (point)_{k,step} for k = 0..n, and
+# its public wrappers.  The Bell rows' stepped exponential keeps its own
+# running product, so one wrong factor in this loop cannot pass on both sides.
+FALLING_LOOP = {
+    ("lahbell.exact", function)
+    for function in ("_falling_prefixes", "generalized_falling", "falling_factorial", "rising_factorial")
+}
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_gf_row_reaches_no_falling_factorial_loop(name):
+    gf_catalog.cache_clear()
+    seen = reached(lambda: gf_catalog(name, 12))
+    gf_catalog.cache_clear()
+    assert sorted(seen & FALLING_LOOP) == []
+    # The family of the same shape does run the loop, so the names are live.
+    assert ("lahbell.exact", "_falling_prefixes") in reached(partial(poly_family, "bivariate_bell", 8))
+
+
 def _with_nested(*functions):
     """The code objects of functions and of the comprehensions inside them."""
     codes = [function.__code__ for function in functions]

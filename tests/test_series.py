@@ -33,6 +33,7 @@ from lahbell.triangles import (
 )
 
 X = MultiPoly.var("x")
+Y = MultiPoly.var("y")
 LAM = MultiPoly.var("lam")
 ALPHA = MultiPoly.var("alpha")
 
@@ -343,7 +344,7 @@ def test_ordinary_coefficients_store_integers_as_int():
         * geometric_minus_one(16).scale(-X).exp(),
         # A polynomial inner series: its products make new exponent vectors.
         lambda: degenerate_exponential(12).compose(exp_t_minus_one(12).scale(X * LAM)),
-        lambda: gf_catalog("bivariate_bell", 16),
+        lambda: gf_catalog("bivariate_lah_bell", 16),
     ],
     ids=["product", "compose", "first-order"],
 )
@@ -447,12 +448,15 @@ def test_degenerate_catalog_makes_no_horner_products(count_products):
     assert calls <= 2 * 25**2
 
 
-def test_bivariate_catalog_is_one_miller_power(monkeypatch, count_products):
-    # (1 + y(e^t - 1))^x: exp(x * log1p(f - 1)) ran two O(order^2) recurrences
-    # over growing polynomials; the Miller recurrence makes at most two kernel
-    # calls per nonzero f_i per order, and a linear number of ring operations.
-    def refused(self):
-        raise AssertionError("the symbolic power must not go through exp or log1p")
+def test_bivariate_catalog_is_the_composed_stepped_exponential(monkeypatch, count_products):
+    # The stepped exponential at (x y, y) composed with e^t - 1: no Miller
+    # power and no first-order solve.  The Miller power (1 + y(e^t - 1))^x
+    # multiplied every earlier coefficient by a polynomial; here the only
+    # polynomial products are the stepped exponential's running product (two
+    # per order), and each kernel call of the composition multiplies by an
+    # integer (2923 calls at order 24).
+    def refused(*args, **kwargs):
+        raise AssertionError("the bivariate Bell row must not run a first-order solve")
 
     kernel_calls = 0
     kernel = series._fma
@@ -462,14 +466,14 @@ def test_bivariate_catalog_is_one_miller_power(monkeypatch, count_products):
         kernel_calls += 1
         return kernel(*args)
 
-    monkeypatch.setattr(TruncatedSeries, "exp", refused)
-    monkeypatch.setattr(TruncatedSeries, "log1p", refused)
+    monkeypatch.setattr(TruncatedSeries, "pow", refused)
+    monkeypatch.setattr(series, "_first_order", refused)
     monkeypatch.setattr(series, "_fma", counted)
     gf_catalog.cache_clear()
     products = count_products(lambda: gf_catalog("bivariate_bell", 24))
     gf_catalog.cache_clear()
-    assert kernel_calls <= 25**2
-    assert products <= 2 * 25
+    assert kernel_calls <= 25**3 // 5
+    assert products <= 2 * 24
 
 
 def test_degenerate_exponential_is_a_running_product(count_products):
@@ -613,6 +617,13 @@ def test_degenerate_lah_bell_row_is_the_composed_stepped_exponential():
     # The row is solved directly; the composition it replaced is the reference.
     reference = degenerate_exponential(40).compose(geometric_minus_one(40))
     assert gf_catalog("degenerate_lah_bell", 40) == reference
+
+
+def test_bivariate_bell_row_is_the_miller_power():
+    # The row is the composed stepped exponential; the Miller power of eq37's
+    # (1 + y(e^t - 1))^x that it replaced is the reference.
+    reference = (ser_one(40) + exp_t_minus_one(40).scale(Y)).pow(X)
+    assert gf_catalog("bivariate_bell", 40) == reference
 
 
 def test_degenerate_exponential_coefficients():
