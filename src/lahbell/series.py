@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, factorial
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -158,7 +158,7 @@ class TruncatedSeries:
         f = self._egf
         if f[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        return _from_egf(_first_order(1, b=f))
+        return _from_egf(_first_order(1, self.order, b=f))
 
     def log1p(self) -> TruncatedSeries:
         """log(1 + f) for f with zero constant term; the inverse of :meth:`exp`.
@@ -168,13 +168,16 @@ class TruncatedSeries:
         f = self._egf
         if f[0] != 0:
             raise ValueError("log1p requires a zero constant term")
-        return _from_egf(_first_order(0, a=f, c=f))
+        return _from_egf(_first_order(0, self.order, a=f, c=f))
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """Exact composition self(inner(t)) for inner with zero constant term.
 
         With P_k = inner^k / k!, self(inner) = sum_k f_k P_k over the egf
         coefficients f_k of self, the P_k coming from :func:`_divided_powers`.
+        P_k has no term below t^k, so coefficient k is final once P_k is
+        added: it is finished then, and its partial sum is dropped rather than
+        held beside the finished coefficients until the last power.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("inner must be a TruncatedSeries")
@@ -183,16 +186,16 @@ class TruncatedSeries:
             raise ValueError("composition requires inner constant term zero")
         f = self._egf
         poly = _has_poly(f, inner._egf)
-        acc: list[dict] = [{} for _ in f]
+        acc: list = [f[0], *({} for _ in f[1:])]
         keys: dict = {}
-        for k, power in enumerate(_divided_powers(inner)):
-            if k == 0 or f[k] == 0:
-                continue
-            for n in range(k, len(f)):
-                p = power._egf[n]
-                if p != 0:
-                    _fma(acc[n], 1, f[k], p)
-        return _from_egf([f[0], *(_finish(terms, poly, keys) for terms in acc[1:])])
+        for k, power in enumerate(islice(_divided_powers(inner), 1, None), 1):
+            if f[k] != 0:
+                for n in range(k, len(f)):
+                    p = power._egf[n]
+                    if p != 0:
+                        _fma(acc[n], 1, f[k], p)
+            acc[k] = _finish(acc[k], poly, keys)
+        return _from_egf(acc)
 
     def pow(self, exponent: PolyLike) -> TruncatedSeries:
         """Symbolic power g = f^e for f with constant term 1, by J.C.P. Miller's recurrence.
@@ -204,18 +207,19 @@ class TruncatedSeries:
         if f[0] != 1:
             raise ValueError("symbolic power requires constant term 1")
         e = _as_ring(exponent)
-        return _from_egf(_first_order(1, b=[e * c for c in f], a=f))
+        return _from_egf(_first_order(1, self.order, b=[e * c for c in f], a=f))
 
 
 def _first_order(
-    g0: PolyLike, b: Sequence[PolyLike] = (), a: Sequence[PolyLike] = (), c: Sequence[PolyLike] = ()
+    g0: PolyLike, order: int, b: Sequence[PolyLike] = (), a: Sequence[PolyLike] = (), c: Sequence[PolyLike] = ()
 ) -> Iterator[PolyLike]:
-    """The egf coefficients g_0, ..., g_N of the series g with constant term
-    g0 that solves a g' = b' g + c', each yielded as soon as it is made.
+    """The egf coefficients g_0, ..., g_order of the series g with constant
+    term g0 that solves a g' = b' g + c', each yielded as soon as it is made.
 
-    a, b and c are egf coefficient sequences of one length N + 1, or empty
-    for the zero series; a_0 is taken as 1, and b_0, c_0 never enter.
-    Matching the coefficients of t^m/m! gives, for m = 0..N-1,
+    a, b and c are egf coefficient sequences of any length, a coefficient
+    past the end of one being zero, so a polynomial in t is given by its
+    own coefficients; a_0 is taken as 1, and b_0, c_0 never enter.
+    Matching the coefficients of t^m/m! gives, for m = 0..order-1,
 
         g_{m+1} = c_{m+1} + sum_{i=1..m+1} (C(m,i-1) b_i - C(m,i) a_i) g_{m+1-i},
 
@@ -224,9 +228,9 @@ def _first_order(
     index of a nonzero a_i or b_i, and only that window is kept: at most 2
     coefficients for a and b of degree at most 2, all of them for a dense a
     or b.  exp is (1, b=f), log1p is (0, a=f, c=f) and the power f^e is
-    (1, b=e f, a=f), each gathered whole by :func:`_from_egf`.
+    (1, b=e f, a=f), each gathered whole by :func:`_from_egf`; the seven
+    solved rows of the catalog are streamed from it as they are made.
     """
-    order = max(len(b), len(a), len(c)) - 1
     poly = _has_poly(b, a, c)
     b_terms = [(i, bi) for i, bi in enumerate(b) if i and bi != 0]
     a_terms = [(i, ai) for i, ai in enumerate(a) if i and ai != 0]
@@ -236,7 +240,7 @@ def _first_order(
     yield g0
     for m, row in zip(range(order), _binomial_rows(width)):
         acc: dict = {}
-        if c:
+        if m + 1 < len(c):
             _fma(acc, 1, c[m + 1], 1)
         for i, bi in b_terms:
             if i > m + 1:
@@ -357,18 +361,6 @@ def _stepped_exponential(order: int, point: PolyLike, step: PolyLike) -> Truncat
 # -- the generating-function catalog --------------------------------------
 
 
-def _solves(a: Sequence[PolyLike], b: Sequence[PolyLike]) -> Callable[[int], Iterator[PolyLike]]:
-    """Builder of the egf coefficients of the g with g_0 = 1 that solves
-    a g' = b' g, for polynomials a and b in t given by their egf
-    coefficients: O(1) work per coefficient, made as they are read."""
-
-    def build(order: int) -> Iterator[PolyLike]:
-        pad = [0] * order
-        return _first_order(1, b=[*b, *pad][:order + 1], a=[*a, *pad][:order + 1])
-
-    return build
-
-
 def _lah_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Iterator[PolyLike]]]:
     """The row of the Lah-Bell family sum_k L(n,k) (point)_{k,step}: the total
     degree of its order-N coefficient per unit of N, which is that of point,
@@ -382,7 +374,8 @@ def _lah_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Iter
     numbers being the polynomials at x = 1.
     """
     degree = MultiPoly._coerce(point).total_degree()
-    return degree, _solves((1, step - 2, 2 - 2 * step), (0, point))
+    a, b = (1, step - 2, 2 - 2 * step), (0, point)
+    return degree, lambda order: _first_order(1, order, b=b, a=a)
 
 
 def _bell_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Iterable[PolyLike]]]:
@@ -391,24 +384,32 @@ def _bell_row(point: PolyLike, step: PolyLike) -> tuple[int, Callable[[int], Ite
     of N and its builder.
 
     Its egf is the stepped exponential at (point, step) composed with
-    e^t - 1, (1 + step (e^t - 1))^(point/step), and exp(point (e^t - 1)) at
-    step 0, which is built by exp.  Its a and b would be dense in t, so no
-    row here is a sparse first-order solve, and composing with the integer
-    divided powers of e^t - 1 scales each polynomial coefficient only by
-    integers.  The rows are bell (1, 0), bell_poly (x, 0), bivariate_bell
-    (x y, y) and degenerate_bell (x, lam): the points and steps at which
-    :mod:`lahbell.families` sums the Stirling triangle.
+    e^t - 1, (1 + step (e^t - 1))^(point/step).  At step 0 that is
+    exp(point (e^t - 1)), which solves g' = point e^t g: a first-order solve
+    with b = point (e^t - 1), whose egf coefficients are all point, streamed
+    as :func:`_first_order` makes it.  Otherwise the a and b of the power
+    would both be dense in t, so the row is the composition, built whole:
+    composing with the integer divided powers of e^t - 1 scales each
+    polynomial coefficient only by integers, but every power reaches every
+    coefficient above its own index, so the partial sums of the whole series
+    are held from the first power on.  The rows are bell (1, 0), bell_poly
+    (x, 0), bivariate_bell (x y, y) and degenerate_bell (x, lam): the points
+    and steps at which :mod:`lahbell.families` sums the Stirling triangle.
     """
     degree = MultiPoly._coerce(point).total_degree()
     if step == 0:
-        return degree, lambda order: exp_t_minus_one(order).scale(point).exp()._egf
+        return degree, lambda order: _first_order(1, order, b=[0, *[point] * order])
     return degree, lambda order: _stepped_exponential(order, point, step).compose(exp_t_minus_one(order))._egf
 
 
+# (1-t)^(-alpha-1) exp(x t/(t-1)): g'/g = ((alpha+1)(1-t) - x)/(1-t)^2, so
+# laguerre_weighted has a = (1-t)^2 and b = (alpha+1-x) t - (alpha+1) t^2/2.
+_LAGUERRE_B = (0, _ALPHA + 1 - _X, -_ALPHA - 1)
+
 # Each row is the total degree of the order-N coefficient per unit of N (0
 # for the number rows, 2 for the bivariate ones) and the builder of its egf
-# coefficients: a stream for the solved rows, the tuple of a built series for
-# the others.
+# coefficients: a stream for the seven solved rows, the tuple of a built
+# series for the two composed ones.
 _GF_BUILDERS: dict[str, tuple[int, Callable[[int], Iterable[PolyLike]]]] = {
     "lah_bell": _lah_row(1, 0),
     "lah_bell_poly": _lah_row(_X, 0),
@@ -418,9 +419,7 @@ _GF_BUILDERS: dict[str, tuple[int, Callable[[int], Iterable[PolyLike]]]] = {
     "bivariate_lah_bell": _lah_row(_X * _Y, _Y),
     "degenerate_lah_bell": _lah_row(_X, _LAM),
     "degenerate_bell": _bell_row(_X, _LAM),
-    # (1-t)^(-alpha-1) exp(x t/(t-1)): g'/g = ((alpha+1)(1-t) - x)/(1-t)^2, so
-    # a = (1-t)^2 and b = (alpha+1-x) t - (alpha+1) t^2/2.
-    "laguerre_weighted": (1, _solves((1, -2, 2), (0, _ALPHA + 1 - _X, -_ALPHA - 1))),
+    "laguerre_weighted": (1, lambda order: _first_order(1, order, b=_LAGUERRE_B, a=(1, -2, 2))),
 }
 
 GF_NAMES = tuple(_GF_BUILDERS)
@@ -431,9 +430,12 @@ def _gf_terms(name: str, order: int) -> Iterable[PolyLike]:
 
     The name and the order are checked here, at the call: an order whose
     coefficient would pass MAX_DEGREE is refused before the first
-    coefficient.  A solved row's coefficients then come one at a time, its
-    solver keeping only the window its recurrence reads; the other rows are
-    built whole first.
+    coefficient.  The seven solved rows (the four Lah-Bell rows, Laguerre,
+    bell and bell_poly) then come one coefficient at a time, each solver
+    keeping only the window its recurrence reads.  bivariate_bell and
+    degenerate_bell are built whole first: a composition holds the partial
+    sums of every coefficient from its first divided power on, so a stream
+    of it would hold no less (see :func:`_bell_row`).
     """
     per, build = _named(_GF_BUILDERS, name, "generating function")
     return build(_degree_index(order, "order", per))
@@ -444,11 +446,13 @@ def _gf_terms(name: str, order: int) -> Iterable[PolyLike]:
 def gf_catalog(name: str, order: int) -> TruncatedSeries:
     """Named exponential generating functions of the number/polynomial families.
 
-    Each entry is one row of ``_GF_BUILDERS``: the four Bell rows are exp of
-    point (e^t - 1) at step 0 and otherwise the stepped exponential at (point,
-    step) composed with e^t - 1, and the Lah-Bell and Laguerre rows, whose
-    exponent is rational in t, solve their first-order equation a g' = b' g
-    directly.  Their egf coefficients reproduce the matching closed-form
+    Each entry is one row of ``_GF_BUILDERS``, gathered whole from
+    :func:`_gf_terms`.  The Lah-Bell and Laguerre rows, whose exponent is
+    rational in t, and the Bell rows at step 0, exp(point (e^t - 1)), solve
+    their first-order equation a g' = b' g directly; the two stepped Bell
+    rows are the stepped exponential at (point, step) composed with
+    e^t - 1, built whole since a composition holds every coefficient's
+    partial sum from its first divided power on.  Their egf coefficients reproduce the matching closed-form
     family exactly, which the identity suite checks.  All family parameters
     stay symbolic.  An order whose coefficient would pass MAX_DEGREE is
     refused before the first coefficient.

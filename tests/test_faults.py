@@ -193,8 +193,8 @@ def fma_drops_alpha_degree_5(patch):
 def first_order_c_zeroed_past_7(patch):
     first_order = series._first_order
 
-    def faulty(g0, b=(), a=(), c=()):
-        return first_order(g0, b, a, [ci if i < 8 else 0 for i, ci in enumerate(c)])
+    def faulty(g0, order, b=(), a=(), c=()):
+        return first_order(g0, order, b, a, [ci if i < 8 else 0 for i, ci in enumerate(c)])
 
     patch.setattr(series, "_first_order", faulty)
 

@@ -20,9 +20,11 @@ from lahbell import enumeration, identities, series, triangles
 from lahbell.families import FAMILIES, poly_family
 from lahbell.series import GF_NAMES, gf_catalog, neg_log_one_minus_t
 
-# The rows whose exponent is rational in t, each one first-order solve.
+# The rows that are one first-order solve each: the five whose exponent is
+# rational in t, and the two Bell rows at step 0, exp(point (e^t - 1)).
 SOLVED_ROWS = (
-    "lah_bell", "lah_bell_poly", "bivariate_lah_bell", "degenerate_lah_bell", "laguerre_weighted"
+    "lah_bell", "lah_bell_poly", "bivariate_lah_bell", "degenerate_lah_bell", "laguerre_weighted",
+    "bell", "bell_poly",
 )
 
 # The modules of the other side: the families, the triangles they read, the

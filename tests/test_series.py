@@ -1,6 +1,7 @@
 """Truncated power series: arithmetic, exp/log, composition, GF catalog."""
 
 import time
+import tracemalloc
 from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial
@@ -165,6 +166,21 @@ def test_catalog_compose_matches_the_horner_reference(name):
     outer = gf_catalog(name, 10)
     for inner in (geometric_minus_one(10), neg_log_one_minus_t(10), one_minus_exp_neg_t(10)):
         assert outer.compose(inner) == horner_compose(outer, inner)
+
+
+def test_compose_holds_no_partial_sum_beside_the_finished_coefficients():
+    # Coefficient k is final once P_k is added, so its partial sum is dropped
+    # then: the peak stays near the result, where holding every partial sum to
+    # the end peaked at about 1.5 times it.
+    outer, inner = series._stepped_exponential(60, X * Y, Y), exp_t_minus_one(60)
+    tracemalloc.start()
+    try:
+        result = outer.compose(inner)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.egf_coefficient(60) != 0
+    assert peak <= 1.2 * size
 
 
 def test_compose_collapses_geometric_through_exponential():
@@ -551,14 +567,18 @@ def test_catalog_names_and_unknown():
         series._gf_terms("zeta", 4)
 
 
-# The rows whose exponent is rational in t: one first-order solve each.
-SOLVED_ROWS = ("lah_bell", "lah_bell_poly", "bivariate_lah_bell", "degenerate_lah_bell", "laguerre_weighted")
+# The rows that are one first-order solve each: the five whose exponent is
+# rational in t, and the two Bell rows at step 0.
+SOLVED_ROWS = (
+    "lah_bell", "lah_bell_poly", "bivariate_lah_bell", "degenerate_lah_bell", "laguerre_weighted",
+    "bell", "bell_poly",
+)
 
 
 @pytest.mark.parametrize("name", GF_NAMES)
 def test_gf_terms_are_the_catalog_coefficients(name):
     # A solved row's coefficients come from a generator, made as they are
-    # read; the other rows come built whole.
+    # read; the two composed rows come built whole.
     terms = series._gf_terms(name, 20)
     assert isinstance(terms, Iterator) == (name in SOLVED_ROWS)
     gf_catalog.cache_clear()
@@ -584,6 +604,14 @@ def test_catalog_lah_bell_numbers():
     s = gf_catalog("lah_bell", 20)
     for n in range(21):
         assert s.egf_coefficient(n) == lah_bell_number(n)
+
+
+def test_bell_row_writes_its_first_coefficient_before_the_rest():
+    # The Bell row is streamed from its solver, so a large order costs
+    # nothing before the first coefficient.
+    start = time.perf_counter()
+    assert next(iter(series._gf_terms("bell", 2000))) == 1
+    assert time.perf_counter() - start < 1
 
 
 def test_catalog_bell_numbers():
