@@ -13,7 +13,21 @@ defines it, and each of those modules reads its ``__all__`` from its row.
 ``import lahbell`` loads none of those modules: the module
 ``__getattr__`` (PEP 562) imports a name's module the first time the name is
 asked for, and answers each access from that module, so the package never
-holds a copy of a name that could go stale.
+holds a copy of a name that could go stale: a name rebound on its module (a
+test double, a tracer) is seen through the package too.
+
+Six names are public by name only and stay out of ``import *``:
+``exact.MAX_DEGREE``, the closed forms ``triangles.lah_product_form``,
+``lah_binomial_form`` and ``lah_ratio_form``, ``families.triangle_sum`` and
+``enumeration.cycle_count``.  ``lahbell.cli`` has no row: its ``__all__`` is
+``["main"]``, and it imports what its commands use when it is loaded.
+
+Every ``lahbell`` call is a fresh process and pays this package's start-up,
+so the records (``CertifiedDecimal``, ``IdentityRecord`` and the catalog
+rows) are ``typing.NamedTuple`` classes rather than dataclasses, whose
+module imports ``inspect``, ``ast``, ``dis`` and ``tokenize`` and compiles
+methods for each class, and ``json`` is imported only where a JSON answer is
+written.
 """
 
 from importlib import import_module

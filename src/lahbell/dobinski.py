@@ -52,7 +52,9 @@ class CertifiedDecimal(_Certificate):
     """Exact rational midpoint with a rigorous absolute error bound.
 
     The true value is guaranteed to lie in [value - error_bound,
-    value + error_bound], and error_bound <= requested_eps.
+    value + error_bound], and error_bound <= requested_eps.  The bound is
+    checked in __new__, and _make, _replace, pickle and copy all build
+    through it, so no tuple helper can make an invalid certificate.
     """
 
     __slots__ = ()

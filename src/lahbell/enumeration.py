@@ -23,7 +23,9 @@ inverts the construction uniquely, so each structure is generated exactly
 once.  The walk mutates one list of blocks in place and yields that live
 list for every structure; a caller copies what it keeps.
 :func:`iter_set_partitions` and :func:`iter_ordered_partitions` yield
-copies as tuples of tuples.
+copies as tuples of tuples.  The yielding walk passes on the deepest nodes
+of the stack's walk to n + 1 and has no placement rule of its own; no
+command runs it.
 
 The counts come from a second walk, :func:`_count_walk`, which builds the
 same structures from the same stack, :func:`_prefixes`, places the last two

@@ -17,7 +17,11 @@ packed exponent vectors", CASC 2007)::
 
 so a monomial product is one int add, and descending int order is the
 rendering order.  The public surface speaks exponent tuples and packs them at
-the boundary.  A total degree past :data:`MAX_DEGREE` raises ``ValueError``.
+the boundary.  A total degree past :data:`MAX_DEGREE` raises ``ValueError``,
+and every product whose degree is known before it starts is refused by one
+precheck, :func:`_degree_index`.  The fields are 16 bits wide: an answer of
+degree d holds on the order of d^2/2 terms, so memory runs out long before
+degree 65535, and narrower fields were no faster beyond run-to-run noise.
 
 The zero polynomial is the empty map.  Two polynomials are equal iff their
 term maps are equal, so canonical-form equality is decidable and cheap.
@@ -413,7 +417,11 @@ def _fma(out: dict[int, Scalar], c: Scalar, a: PolyLike, b: PolyLike) -> None:
     """out += c*a*b in place, for a scalar c and scalar or MultiPoly a, b.
 
     Zero and integral-Fraction coefficients may appear in out until _finish,
-    and so may keys past the degree limit, which _finish refuses.
+    and so may keys past the degree limit, which _finish refuses.  Every sum
+    of products in the library goes through here, so no ``acc = acc + term``
+    copies a polynomial per term.  The inner loop is one int add, one get
+    and one store per term product; map/zip and dict.update forms of it were
+    slower, the big-int arithmetic being most of each step.
     """
     get = out.get
     if type(a) is not MultiPoly:
@@ -450,6 +458,10 @@ def _finish(out: dict[int, Scalar], poly: bool = True, keys: dict | None = None)
     of any field lands there.  An operation that finishes many sums can pass
     one keys table for all of them, so its results share one key object per
     distinct monomial; the table lives only as long as the caller keeps it.
+    That is hash-consing (E. Goto, "Monocopy and associative algorithms in an
+    extended Lisp", 1974) scoped to one operation: a global intern table
+    would share more, but grow for as long as a process runs.  Without a
+    table none is built: each key comes back as itself.
     """
     if not poly:
         return _as_coeff(out.get(0, 0))

@@ -7,7 +7,9 @@ Indeterminates used: bell / lah_bell need x only; the bivariate families add
 y; the degenerate families add lam; laguerre uses x and alpha.
 
 Every family here has an independent generating-function route in
-:mod:`lahbell.series`; the identity suite holds the two routes equal.
+:mod:`lahbell.series`; the identity suite holds the two routes equal.  The
+Laguerre sum takes its binomials from math.comb, never from the series
+solver's rows, so the two routes of eq49 share no binomial code.
 """
 
 from __future__ import annotations

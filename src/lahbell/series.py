@@ -16,7 +16,8 @@ function, (1 + step t/(1-t))^(point/step), and the Laguerre row's exponent is
 rational in t too: each such g solves a g' = b' g for polynomials a and b of
 degree at most 2, and is solved from that equation directly, with at most
 four multiply-accumulates per coefficient and no dense exp, power, product or
-composition.  Every convolution sum
+composition.  These are D-finite functions (Stanley, Eur. J. Combin. 1980;
+Salvy and Zimmermann, GFUN, ACM TOMS 1994).  Every convolution sum
 accumulates in place through the multiply-accumulate kernel of
 :mod:`lahbell.exact`, and all the coefficients one product, composition or
 recurrence finishes share one exponent vector per distinct monomial, through
@@ -201,7 +202,9 @@ class TruncatedSeries:
         """Symbolic power g = f^e for f with constant term 1, by J.C.P. Miller's recurrence.
 
         g = f^e solves f g' = e f' g with g_0 = 1: no log, exp or division,
-        so integer (polynomial) input stays integer.
+        so integer (polynomial) input stays integer.  No catalog row calls
+        it; it is public API, and the tests' reference route that holds the
+        composed bivariate_bell row to eq37's closed form (1 + y(e^t - 1))^x.
         """
         f = self._egf
         if f[0] != 1:
@@ -263,6 +266,9 @@ def _binomial_rows(width: int) -> Iterator[list[int]]:
 
     A row stops at the highest index the recurrence reads, so an equation
     whose a and b have degree at most 2 pays O(1) additions per row, not O(m).
+    The series product keeps one math.comb per nonzero term pair: at the
+    orders a composition runs, comb works on machine words, and a row per
+    output index cost more than those calls.
     """
     row = [1]
     while True:
@@ -278,7 +284,11 @@ def _divided_powers(inner: TruncatedSeries) -> Iterator[TruncatedSeries]:
 
     Built by series products only: P_k' = inner' * P_{k-1}, so each P_k is
     one product and one shift (an integration) away from the last, with no
-    division.
+    division.  The table never reads the triangles, so eq4 and eq9 check it
+    against S2 and S1, and the composition identities (eq45-catalog and the
+    composed half of eq48-corrected) stay independent of them.  For an
+    integer inner series it holds integers, so composing scales each outer
+    polynomial coefficient by integers only.
     """
     # inner' = sum_n inner_{n+1} t^n/n!; its top coefficient lies past the
     # order and only reaches the product coefficient the shift drops.

@@ -69,6 +69,9 @@ class Triangle:
             rows[m:m + 1] = [_next_row(rows[m - 1], self._factors)]
 
     def value(self, n: int, k: int) -> int:
+        """T(n, k), and 0 above the diagonal.  The identity checks call this
+        thousands of times per run, so both indices are tested in one
+        expression, and _index runs only when that test fails."""
         if type(n) is type(k) is int and 0 <= k <= n:
             rows = self._rows
             if n >= len(rows):
