@@ -96,6 +96,14 @@ def test_each_submodule_exports_its_row(module):
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(row)
 
 
+def test_readme_module_table_lists_every_module():
+    # One row per row of _EXPORTS, in its order, then the command.
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `lahbell.")]
+    assert listed == [*(f"lahbell.{module}" for module in lahbell._EXPORTS), "lahbell.cli"]
+
+
 def test_submodules_resolve_after_a_bare_import():
     run = (
         "import sys, lahbell; print(*(getattr(lahbell, name).__name__ for name in sys.argv[1:])); "
