@@ -170,8 +170,7 @@ def test_catalog_compose_matches_the_horner_reference(name):
 
 def test_compose_holds_no_partial_sum_beside_the_finished_coefficients():
     # Coefficient k is final once P_k is added, so its partial sum is dropped
-    # then: the peak stays near the result, where holding every partial sum to
-    # the end peaked at about 1.5 times it.
+    # then, and the peak stays near the size of the result.
     outer, inner = series._stepped_exponential(60, X * Y, Y), exp_t_minus_one(60)
     tracemalloc.start()
     try:
