@@ -1,9 +1,12 @@
 """Number triangles (Lah, Stirling first/second kind) and their row-sum sequences.
 
 Triangles are built one row at a time from the previous row's recurrence.
-One row step serves two consumers: the memoized tables, whose entries are
-plain Python integers kept for the life of the process, and `iter_rows`,
-which streams rows in any number type and keeps only the last one.
+One row step serves two consumers: the tables, whose entries are plain
+Python integers, and `iter_rows`, which streams rows in any number type and
+keeps only the last one.  A table keeps its first rows, the ones the
+identity checks read, for the life of the process; past them it keeps only
+its newest row, since a walk up the rows (`seq`, a single `poly` row) reads
+no other, and row n alone holds about n^2 digits where rows 0..n hold n^3.
 The closed-form evaluators are kept alongside as independent cross-check
 routes and are never used to fill the tables.
 """
@@ -29,6 +32,10 @@ _ROW_FACTORS: dict[str, Callable[[int], Iterable[int]]] = {
 
 TRIANGLE_KINDS = tuple(_ROW_FACTORS)
 
+# Rows 0.._KEPT-1 of a Triangle are memoized: past every row the identity
+# checks read (no catalog range passes n = 30), and about 0.1 MB for Lah.
+_KEPT = 64
+
 
 def _next_row(prev: tuple, factors: Callable[[int], Iterable[int]]) -> tuple:
     """Row m = len(prev) of a triangle from row m - 1, in the number type of
@@ -50,17 +57,23 @@ def iter_rows(kind: str, nmax: int, one=1) -> Iterator[tuple]:
 
 
 class Triangle:
-    """Memoized lower-triangular table of integers, grown row by row.
+    """Lower-triangular table of integers, grown row by row.
 
-    Row 0 is (1,).  Reads and extension take no lock: each new row is stored
-    by one slice assignment at its own index, so two threads that build the
-    same row store equal rows and never a duplicate.
+    Row 0 is (1,).  Rows below _KEPT are memoized.  Past them the table
+    holds one (index, row) tail and steps it forward to the row asked for;
+    a read behind the tail fills the memo up to its row instead, so reads in
+    any order cost at most about twice one walk up to the furthest row.
+    Reads and extension take no lock: each new memo row is stored by one
+    slice assignment at its own index, so two threads that build the same
+    row store equal rows and never a duplicate, and the tail is replaced
+    whole, so every tail a thread reads is a true row.
     """
 
     def __init__(self, kind: str):
         self._factors = _named(_ROW_FACTORS, kind, "triangle kind")
         self.kind = kind
         self._rows: list[tuple[int, ...]] = [(1,)]
+        self._tail: tuple[int, tuple[int, ...]] = (0, (1,))
 
     def _extend_to(self, n: int) -> None:
         rows = self._rows
@@ -68,23 +81,40 @@ class Triangle:
             m = len(rows)
             rows[m:m + 1] = [_next_row(rows[m - 1], self._factors)]
 
+    def _unkept(self, n: int) -> tuple[int, ...]:
+        """Row n, for an n past the memo."""
+        i, row = self._tail
+        if n < max(i, _KEPT):
+            self._extend_to(n)
+            return self._rows[n]
+        self._extend_to(_KEPT - 1)
+        rows = self._rows
+        if i < len(rows):
+            i, row = len(rows) - 1, rows[-1]
+        while i < n:
+            i, row = i + 1, _next_row(row, self._factors)
+            self._tail = (i, row)
+        return row
+
     def value(self, n: int, k: int) -> int:
         """T(n, k), and 0 above the diagonal.  The identity checks call this
         thousands of times per run, so both indices are tested in one
         expression, and _index runs only when that test fails."""
         if type(n) is type(k) is int and 0 <= k <= n:
             rows = self._rows
-            if n >= len(rows):
-                self._extend_to(n)
-            return rows[n][k]
+            if n < len(rows):
+                return rows[n][k]
+            return self._unkept(n)[k]
         # Past the diagonal is 0; anything else is a bad index, named by _index.
         _index(n, "triangle index")
         _index(k, "triangle index")
         return 0
 
     def row(self, n: int) -> tuple[int, ...]:
-        self._extend_to(_index(n, "row index"))
-        return self._rows[n]
+        rows = self._rows
+        if _index(n, "row index") < len(rows):
+            return rows[n]
+        return self._unkept(n)
 
 
 _LAH = Triangle("lah")

@@ -180,10 +180,11 @@ def _limit_address_space():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs an enforced RLIMIT_AS")
 def test_out_of_memory_exits_1_with_one_line():
-    # The row memo of `seq lah_bell 1500` needs far more than 200 MB, so it
-    # runs out of memory partway through the answer.
+    # The value of `poly bivariate_lah_bell 1500`, about a million terms with
+    # long coefficients, needs far more than 200 MB, so it runs out of memory
+    # before the first byte of its answer.
     done = subprocess.run(
-        lahbell_command("seq", "lah_bell", "1500"),
+        lahbell_command("poly", "bivariate_lah_bell", "1500"),
         capture_output=True,
         env=LAHBELL_ENV,
         preexec_fn=_limit_address_space,
@@ -279,6 +280,20 @@ def test_gf_read_in_part_stops_early_in_bounded_memory():
     code, peak_kib, read, stderr_bytes = reaped(PIPE_AND_REAP, "gf", "laguerre_weighted", "--order", "200")
     assert (code, read, stderr_bytes) == (1, 100, 0)
     assert peak_kib < 40 * 1024
+
+
+@needs_spawn
+@pytest.mark.parametrize(
+    "argv, limit_mb",
+    [(["seq", "lah_bell", "1000"], 40), (["seq", "bell", "1000"], 40), (["poly", "lah_bell", "1000"], 30)],
+    ids=["seq-lah_bell", "seq-bell", "poly-lah_bell"],
+)
+def test_a_walk_up_the_rows_keeps_one_row(argv, limit_mb):
+    # With every row of the triangle kept, these peaked at 212-256 MB; past
+    # the rows the identity checks read, the triangle keeps only its newest.
+    code, peak_kib = reaped(SPAWN_AND_REAP, *argv)
+    assert code == 0
+    assert peak_kib < limit_mb * 1024
 
 
 def test_seq_text(capsys):

@@ -1,13 +1,17 @@
 """Number triangles: recurrences vs closed forms, inversions, derived sequences."""
 
 import concurrent.futures
+import random
 import sys
+import time
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
 
+from lahbell import triangles
 from lahbell.triangles import (
+    _KEPT,
     TRIANGLE_KINDS,
     Triangle,
     bell_number,
@@ -156,6 +160,65 @@ def test_concurrent_extension_stores_each_row_once():
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
                 list(pool.map(tri.row, [40] * 8, timeout=60))
             assert [tri.row(n) for n in range(41)] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _counting_row_steps(monkeypatch):
+    steps = [0]
+    step = triangles._next_row
+
+    def counted(prev, factors):
+        steps[0] += 1
+        return step(prev, factors)
+
+    monkeypatch.setattr(triangles, "_next_row", counted)
+    return steps
+
+
+def test_an_ascending_walk_keeps_only_the_first_rows():
+    tri = Triangle("lah")
+    expected = iter_rows("lah", 300)
+    assert all(tri.row(n) == row for n, row in enumerate(expected))
+    assert len(tri._rows) == _KEPT
+    assert tri._tail[0] == 300
+
+
+# A read behind the tail fills the memo up to its row, so descending and
+# column-order reads build each row at most twice.  One walk from the last
+# kept row per read would take about 20 times as long at n = 400.
+@pytest.mark.parametrize("order", ["descending", "by column"])
+def test_reads_in_any_order_past_the_kept_rows_build_each_row_at_most_twice(order, monkeypatch):
+    nmax = 400
+    expected = list(iter_rows("lah", nmax))
+    steps = _counting_row_steps(monkeypatch)
+    tri = Triangle("lah")
+    start = time.perf_counter()
+    if order == "descending":
+        assert [tri.row(n) for n in range(nmax, -1, -1)] == expected[::-1]
+    else:
+        assert all(tri.value(n, k) == expected[n][k] for k in range(nmax + 1) for n in range(k, nmax + 1))
+    assert time.perf_counter() - start < 1
+    assert steps[0] <= 2 * nmax
+    assert len(tri._rows) == nmax
+
+
+def test_concurrent_reads_past_the_kept_rows_are_consistent():
+    # Shuffled reads on both sides of the tail, with threads switched as
+    # often as the interpreter allows.
+    rows = range(_KEPT - 4, _KEPT + 100)
+    expected = list(iter_rows("lah", rows[-1]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            reads = list(rows) * 2
+            random.Random(seed).shuffle(reads)
+            tri = Triangle("lah")
+            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(tri.row, reads, timeout=60))
+            assert got == [expected[n] for n in reads]
+            assert [tri.value(n, n // 2) for n in rows] == [expected[n][n // 2] for n in rows]
     finally:
         sys.setswitchinterval(interval)
 
