@@ -6,7 +6,7 @@ Python integers, and `iter_rows`, which streams rows in any number type and
 keeps only the last one.  A table keeps its first rows, the ones the
 identity checks read, for the life of the process; past them it keeps only
 its newest row, since a walk up the rows (`seq`, a single `poly` row) reads
-no other, and row n alone holds about n^2 digits where rows 0..n hold n^3.
+no other, and rows 0..n hold about n/3 times the bits of row n.
 The closed-form evaluators are kept alongside as independent cross-check
 routes and are never used to fill the tables.
 """
@@ -81,16 +81,20 @@ class Triangle:
             m = len(rows)
             rows[m:m + 1] = [_next_row(rows[m - 1], self._factors)]
 
-    def _unkept(self, n: int) -> tuple[int, ...]:
-        """Row n, for an n past the memo."""
+    def _row(self, n: int) -> tuple[int, ...]:
+        """Row n, from the memo, or by stepping the tail forward from it or
+        from the last memo row, whichever is further."""
+        rows = self._rows
         i, row = self._tail
         if n < max(i, _KEPT):
             self._extend_to(n)
-            return self._rows[n]
+            return rows[n]
         self._extend_to(_KEPT - 1)
-        rows = self._rows
-        if i < len(rows):
-            i, row = len(rows) - 1, rows[-1]
+        m = len(rows) - 1  # another thread may have filled the memo since
+        if n <= m:
+            return rows[n]
+        if i < m:
+            i, row = m, rows[m]
         while i < n:
             i, row = i + 1, _next_row(row, self._factors)
             self._tail = (i, row)
@@ -104,17 +108,14 @@ class Triangle:
             rows = self._rows
             if n < len(rows):
                 return rows[n][k]
-            return self._unkept(n)[k]
+            return self._row(n)[k]
         # Past the diagonal is 0; anything else is a bad index, named by _index.
         _index(n, "triangle index")
         _index(k, "triangle index")
         return 0
 
     def row(self, n: int) -> tuple[int, ...]:
-        rows = self._rows
-        if _index(n, "row index") < len(rows):
-            return rows[n]
-        return self._unkept(n)
+        return self._row(_index(n, "row index"))
 
 
 _LAH = Triangle("lah")

@@ -164,18 +164,6 @@ def test_concurrent_extension_stores_each_row_once():
         sys.setswitchinterval(interval)
 
 
-def _counting_row_steps(monkeypatch):
-    steps = [0]
-    step = triangles._next_row
-
-    def counted(prev, factors):
-        steps[0] += 1
-        return step(prev, factors)
-
-    monkeypatch.setattr(triangles, "_next_row", counted)
-    return steps
-
-
 def test_an_ascending_walk_keeps_only_the_first_rows():
     tri = Triangle("lah")
     expected = iter_rows("lah", 300)
@@ -191,7 +179,14 @@ def test_an_ascending_walk_keeps_only_the_first_rows():
 def test_reads_in_any_order_past_the_kept_rows_build_each_row_at_most_twice(order, monkeypatch):
     nmax = 400
     expected = list(iter_rows("lah", nmax))
-    steps = _counting_row_steps(monkeypatch)
+    steps = []
+    step = triangles._next_row
+
+    def counted(prev, factors):
+        steps.append(len(prev))
+        return step(prev, factors)
+
+    monkeypatch.setattr(triangles, "_next_row", counted)
     tri = Triangle("lah")
     start = time.perf_counter()
     if order == "descending":
@@ -199,7 +194,7 @@ def test_reads_in_any_order_past_the_kept_rows_build_each_row_at_most_twice(orde
     else:
         assert all(tri.value(n, k) == expected[n][k] for k in range(nmax + 1) for n in range(k, nmax + 1))
     assert time.perf_counter() - start < 1
-    assert steps[0] <= 2 * nmax
+    assert len(steps) <= 2 * nmax
     assert len(tri._rows) == nmax
 
 
