@@ -172,11 +172,10 @@ def _head(args: argparse.Namespace) -> dict:
 
 # table, seq, poly and gf write their answers in pieces, each as soon as it
 # is rendered, so no request holds its whole answer as text.  Not all of
-# them make their values as they go: table, seq and the seven solved gf
-# rows hold only the row or the coefficients the next one is made from (seq
-# through the triangle's newest row), but poly builds its whole value before
-# the first piece, and so do bivariate_bell and degenerate_bell, whose
-# composition holds every coefficient's partial sum from its first power on.  A long integer is written by
+# them make their values as they go: table and seq hold only the row the
+# next one is made from (seq through the triangle's newest row), poly builds
+# its whole value before the first piece, and gf streams a row or builds it
+# whole as series._gf_terms says.  A long integer is written by
 # _scalar_text, at any int/str digit limit.  Every piece is made of digits,
 # letters, spaces and "^*+-/" only: no CSV field needs quoting, and a quoted
 # piece is its own JSON string.

@@ -443,33 +443,21 @@ def _fma(out: dict[int, Scalar], c: Scalar, a: PolyLike, b: PolyLike) -> None:
             out[key] = get(key, 0) + ca * cb
 
 
-# Never filled: its get(key, key) is each key itself, so a _finish without a
-# keys table builds no table of its own.
-_KEEP_KEYS: dict = {}
-
-
-def _finish(out: dict[int, Scalar], poly: bool = True, keys: dict | None = None) -> PolyLike:
+def _finish(out: dict[int, Scalar], poly: bool = True) -> PolyLike:
     """The canonical value of an _fma accumulation: zero terms dropped and
     integral Fractions stored as ints.
 
     A MultiPoly, or with poly false the scalar on the constant key (the
     caller knows no polynomial entered the sum).  A key past the degree limit
     raises ValueError: the top field holds the total degree, so a carry out
-    of any field lands there.  An operation that finishes many sums can pass
-    one keys table for all of them, so its results share one key object per
-    distinct monomial; the table lives only as long as the caller keeps it.
-    That is hash-consing (E. Goto, "Monocopy and associative algorithms in an
-    extended Lisp", 1974) scoped to one operation: a global intern table
-    would share more, but grow for as long as a process runs.  Without a
-    table none is built: each key comes back as itself.
+    of any field lands there.
     """
     if not poly:
         return _as_coeff(out.get(0, 0))
     if out and max(out) >= _LIMIT:
         raise ValueError(f"polynomial total degree past {MAX_DEGREE}")
-    share = _KEEP_KEYS.get if keys is None else keys.setdefault
     return _from_canonical({
-        share(key, key): c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
         for key, c in out.items() if c
     })
 

@@ -19,9 +19,7 @@ four multiply-accumulates per coefficient and no dense exp, power, product or
 composition.  These are D-finite functions (Stanley, Eur. J. Combin. 1980;
 Salvy and Zimmermann, GFUN, ACM TOMS 1994).  Every convolution sum
 accumulates in place through the multiply-accumulate kernel of
-:mod:`lahbell.exact`, and all the coefficients one product, composition or
-recurrence finishes share one exponent vector per distinct monomial, through
-a key table that lives only for that operation.  The constructor and
+:mod:`lahbell.exact`.  The constructor and
 :meth:`TruncatedSeries.coefficient` speak ordinary coefficients; the
 conversion happens at that boundary.
 """
@@ -122,7 +120,6 @@ class TruncatedSeries:
         poly = _has_poly(a, b)
         support = [i for i, c in enumerate(a) if c != 0]
         b_nonzero = [c != 0 for c in b]
-        keys: dict = {}
         out = []
         for n in range(len(a)):
             acc: dict = {}
@@ -131,7 +128,7 @@ class TruncatedSeries:
                     break
                 if b_nonzero[n - i]:
                     _fma(acc, comb(n, i), a[i], b[n - i])
-            out.append(_finish(acc, poly, keys))
+            out.append(_finish(acc, poly))
         return _from_egf(out)
 
     def scale(self, c: PolyLike) -> TruncatedSeries:
@@ -188,14 +185,13 @@ class TruncatedSeries:
         f = self._egf
         poly = _has_poly(f, inner._egf)
         acc: list = [f[0], *({} for _ in f[1:])]
-        keys: dict = {}
         for k, power in enumerate(islice(_divided_powers(inner), 1, None), 1):
             if f[k] != 0:
                 for n in range(k, len(f)):
                     p = power._egf[n]
                     if p != 0:
                         _fma(acc[n], 1, f[k], p)
-            acc[k] = _finish(acc[k], poly, keys)
+            acc[k] = _finish(acc[k], poly)
         return _from_egf(acc)
 
     def pow(self, exponent: PolyLike) -> TruncatedSeries:
@@ -238,7 +234,6 @@ def _first_order(
     b_terms = [(i, bi) for i, bi in enumerate(b) if i and bi != 0]
     a_terms = [(i, ai) for i, ai in enumerate(a) if i and ai != 0]
     width = max((i for i, _ in a_terms + b_terms), default=0)
-    keys: dict = {}
     window: list[PolyLike] = [g0][:width]  # g_{m+1-width} .. g_m, newest last
     yield g0
     for m, row in zip(range(order), _binomial_rows(width)):
@@ -253,7 +248,7 @@ def _first_order(
             if i > m:
                 break
             _fma(acc, -row[i], ai, window[-i])
-        g = _finish(acc, poly, keys)
+        g = _finish(acc, poly)
         window.append(g)
         if len(window) > width:
             del window[0]
@@ -268,7 +263,9 @@ def _binomial_rows(width: int) -> Iterator[list[int]]:
     whose a and b have degree at most 2 pays O(1) additions per row, not O(m).
     The series product keeps one math.comb per nonzero term pair: at the
     orders a composition runs, comb works on machine words, and a row per
-    output index cost more than those calls.
+    output index cost more than those calls.  The rows also keep the
+    solver's binomials apart from math.comb, which families.laguerre_poly
+    uses on the other side of eq49, so the two routes share no binomial code.
     """
     row = [1]
     while True:
@@ -418,8 +415,7 @@ _LAGUERRE_B = (0, _ALPHA + 1 - _X, -_ALPHA - 1)
 
 # Each row is the total degree of the order-N coefficient per unit of N (0
 # for the number rows, 2 for the bivariate ones) and the builder of its egf
-# coefficients: a stream for the seven solved rows, the tuple of a built
-# series for the two composed ones.
+# coefficients; _gf_terms says which rows stream.
 _GF_BUILDERS: dict[str, tuple[int, Callable[[int], Iterable[PolyLike]]]] = {
     "lah_bell": _lah_row(1, 0),
     "lah_bell_poly": _lah_row(_X, 0),
@@ -457,14 +453,10 @@ def gf_catalog(name: str, order: int) -> TruncatedSeries:
     """Named exponential generating functions of the number/polynomial families.
 
     Each entry is one row of ``_GF_BUILDERS``, gathered whole from
-    :func:`_gf_terms`.  The Lah-Bell and Laguerre rows, whose exponent is
-    rational in t, and the Bell rows at step 0, exp(point (e^t - 1)), solve
-    their first-order equation a g' = b' g directly; the two stepped Bell
-    rows are the stepped exponential at (point, step) composed with
-    e^t - 1, built whole since a composition holds every coefficient's
-    partial sum from its first divided power on.  Their egf coefficients reproduce the matching closed-form
-    family exactly, which the identity suite checks.  All family parameters
-    stay symbolic.  An order whose coefficient would pass MAX_DEGREE is
-    refused before the first coefficient.
+    :func:`_gf_terms`, which says which rows are solved and which composed.
+    Their egf coefficients reproduce the matching closed-form family
+    exactly, which the identity suite checks.  All family parameters stay
+    symbolic.  An order whose coefficient would pass MAX_DEGREE is refused
+    before the first coefficient.
     """
     return _from_egf(_gf_terms(name, order))

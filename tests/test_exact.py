@@ -121,9 +121,8 @@ def test_fma_accumulates_in_place(a, b, c, start):
 
 
 def test_a_finish_without_a_keys_table_makes_no_second_table():
-    # The canonical dict is the one table a keyless _finish builds: its peak
-    # is that dict and the slack of its own growth (2.51x the dict when a
-    # throwaway keys table was filled beside it, 1.51x without).
+    # The canonical dict is the one table _finish builds: its peak is that
+    # dict and the slack of its own growth (about 1.51x the dict).
     out = {}
     _fma(out, 1, (X + Y + ALPHA + 1) ** 12, 1)
     tracemalloc.start()

@@ -352,6 +352,10 @@ def test_ordinary_coefficients_store_integers_as_int():
     assert [type(c) for c in coefficients] == [int, int, Fraction, Fraction]
 
 
+HALF_DIFFERENCE = (X - Y) * Fraction(1, 2)
+HALF_SUM = (X + Y) * Fraction(1, 2)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -360,18 +364,21 @@ def test_ordinary_coefficients_store_integers_as_int():
         # A polynomial inner series: its products make new exponent vectors.
         lambda: degenerate_exponential(12).compose(exp_t_minus_one(12).scale(X * LAM)),
         lambda: gf_catalog("bivariate_lah_bell", 16),
+        # e^{t(x-y)/2} e^{t(x+y)/2} = e^{tx}: every y term cancels to zero and
+        # every x^n coefficient sums to an integral Fraction.
+        lambda: identity_t(12).scale(HALF_DIFFERENCE).exp() * identity_t(12).scale(HALF_SUM).exp(),
     ],
-    ids=["product", "compose", "first-order"],
+    ids=["product", "compose", "first-order", "half-integers"],
 )
-def test_one_operation_keeps_one_key_per_monomial(build):
-    # Every coefficient an operation finishes shares the packed exponent
-    # vectors of the others: one int object per distinct monomial, not one
-    # per term.
+def test_series_operations_finish_canonical_coefficients(build):
+    # A finished coefficient holds no zero term and stores every integral
+    # Fraction as an int, whichever operation made it.
     s = build()
-    polys = [s.egf_coefficient(n) for n in range(s.order + 1)]
-    keys = [key for p in polys if isinstance(p, MultiPoly) for key in p._terms]
-    assert len(keys) > len(set(keys))
-    assert len({id(exps) for exps in keys}) == len(set(keys))
+    for n in range(s.order + 1):
+        c = s.egf_coefficient(n)
+        stored = c._terms.values() if isinstance(c, MultiPoly) else [c]
+        assert not isinstance(c, MultiPoly) or 0 not in stored, (n, c)
+        assert all(type(v) is int or v.denominator != 1 for v in stored), (n, c)
 
 
 def test_first_order_makes_its_binomials_by_additions(monkeypatch):
