@@ -19,9 +19,8 @@ four multiply-accumulates per coefficient and no dense exp, power, product or
 composition.  These are D-finite functions (Stanley, Eur. J. Combin. 1980;
 Salvy and Zimmermann, GFUN, ACM TOMS 1994).  Every convolution sum
 accumulates in place through the multiply-accumulate kernel of
-:mod:`lahbell.exact`.  The constructor and
-:meth:`TruncatedSeries.coefficient` speak ordinary coefficients; the
-conversion happens at that boundary.
+:mod:`lahbell.exact`.  The constructor and :meth:`TruncatedSeries.coefficient`
+speak ordinary coefficients; the conversion happens at that boundary.
 """
 
 from __future__ import annotations

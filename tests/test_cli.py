@@ -276,7 +276,7 @@ def test_gf_streams_in_bounded_memory():
 def test_gf_composed_row_holds_in_bounded_memory():
     # bivariate_bell is composed, so it is held whole; each coefficient is
     # finished and its partial sum dropped as the composition passes it
-    # (about 58 MB at --order 120, about 64 MB while partial sums were held).
+    # (about 58 MB at --order 120).
     code, peak_kib = reaped(SPAWN_AND_REAP, "gf", "bivariate_bell", "--order", "120")
     assert code == 0
     assert peak_kib < 70 * 1024
