@@ -5,8 +5,9 @@ text (default), json, and csv (triangles and sequences only), chosen by
 --format alone.
 
 The argument parser is the one table of commands: each subcommand's parser
-names the handler that answers it.  A JSON answer's head echoes the parsed
-request, less --format, and each request renders only the format it asks for.
+names the handler that answers it.  Every JSON answer but verify's is an
+object whose head echoes the parsed request, less --format; verify's is the
+array of its records alone.  Each request renders only the format it asks for.
 
 The library states every argument rule: the handlers pass their arguments
 on and check none the library checks, and each refusal comes before the
@@ -51,7 +52,7 @@ from .dobinski import (
     bell_dobinski,
     lah_bell_dobinski,
 )
-from .exact import MultiPoly, _index, _scalar_text, _shown
+from .exact import _index, _scalar_text, _shown
 from .families import FAMILIES, poly_family
 from .identities import oracle_records, run_suite
 from .series import GF_NAMES, _gf_terms
@@ -164,8 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A JSON answer echoes its request: the parsed arguments, the command among
-# them, less the output format and the handler.
+# A JSON answer other than verify's echoes its request: the parsed
+# arguments, the command among them, less the output format and the handler.
 def _head(args: argparse.Namespace) -> dict:
     return {key: value for key, value in vars(args).items() if key not in ("format", "handler")}
 
@@ -250,7 +251,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_gf(args: argparse.Namespace) -> int:
     terms = _gf_terms(args.name, args.order)
-    coefficients = (str(c) if isinstance(c, MultiPoly) else _scalar_text(c) for c in terms)
+    coefficients = map(_scalar_text, terms)
     if args.format == "json":
         _write_json(args, "egf_coefficients", _array(f'"{c}"' for c in coefficients))
     else:

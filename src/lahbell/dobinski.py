@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, count, repeat
-from math import factorial, floor, log10, prod
+from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _EXPORTS
-from .exact import Scalar, _as_coeff, _index, _scalar_text, _shown
+from .exact import Scalar, _as_coeff, _floor_log10, _index, _scalar_text, _shown
 
 __all__ = _EXPORTS["dobinski"]
 
@@ -115,16 +115,6 @@ class CertifiedDecimal(_Certificate):
 
     def __str__(self) -> str:
         return f"{self.decimal()} (+/- {self.error_bound_decimal()})"
-
-
-def _floor_log10(q: Fraction) -> int:
-    """The largest e with 10^e <= q, for q > 0."""
-    # 2^(b-1) < q < 2^(b+1), so e starts one to three below the answer.
-    b = q.numerator.bit_length() - q.denominator.bit_length()
-    e = floor(b * log10(2)) - 2
-    while Fraction(10) ** (e + 1) <= q:
-        e += 1
-    return e
 
 
 def _sci_upper(q: Fraction) -> str:

@@ -127,16 +127,23 @@ def _shown(value: str | Scalar) -> str:
 
 
 def _leading_digits(n: int, width: int) -> str:
-    """The first width >= 1 decimal digits of the int n >= 0.
+    """The first width >= 1 decimal digits of the int n >= 0."""
+    return str(n // 10 ** max(0, _floor_log10(n) + 1 - width)) if n else "0"
 
-    The digit count comes from bit_length: log10(2) rounded up to 14 places
-    overcounts by at most one digit below 10^13 bits, so one power of ten
-    settles it.
-    """
-    digits = n.bit_length() * 30102999566399 // 10**14 + 1
-    if digits > 1 and n < 10 ** (digits - 1):
-        digits -= 1
-    return str(n // 10 ** (digits - width) if digits > width else n)
+
+def _floor_log10(q: Scalar) -> int:
+    """The largest e with 10^e <= q, for an exact scalar q > 0: the one
+    decimal-exponent rule, for _shown's leading digits and for the places
+    and exponents of a certified decimal."""
+    # 2^(b-1) < q < 2^(b+1).  log10(2) rounded up to 14 places is off by
+    # under 0.1 below 10^13 bits, so e starts at most four below the answer
+    # and never above it.
+    b = q.numerator.bit_length() - q.denominator.bit_length()
+    e = b * 30102999566399 // 10**14 - 2
+    power = Fraction(10) ** (e + 1)
+    while power <= q:
+        e, power = e + 1, power * 10
+    return e
 
 
 def _is_exact(value: object) -> bool:
@@ -360,13 +367,14 @@ def _monomial(key: int) -> str:
     return "*".join(f"{v}^{e}" if e > 1 else v for v, s in fields if (e := key >> s & MAX_DEGREE))
 
 
-def _scalar_text(value: Scalar) -> str:
-    """str(value) for an exact scalar, at any int/str digit limit.
+def _scalar_text(value: PolyLike) -> str:
+    """str(value) for an exact scalar or a MultiPoly, at any int/str digit limit.
 
     str(int) refuses past the interpreter's limit (4300 digits by default),
     and lifting the limit would change a setting of the whole process, seen
     by every thread.  So a value past it is written through Decimal, which
-    has no limit, and a shorter one by str() itself.
+    has no limit, and a shorter one by str() itself.  A MultiPoly's str()
+    writes each coefficient here, so it never needs the fallback.
     """
     try:
         return str(value)

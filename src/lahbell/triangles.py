@@ -155,16 +155,18 @@ def lah_bell_number(n: int) -> int:
     return sum(_LAH.row(n))
 
 
+def _inversion_sum(outer: Callable[..., int], inner: Callable[..., int], n: int, k: int) -> int:
+    """sum_{l=k..n} (-1)^(n-l) * outer(n,l) * inner(l,k)."""
+    return sum((-1) ** (n - l) * outer(n, l) * inner(l, k) for l in range(k, n + 1))
+
+
 def lah_via_stirling(n: int, k: int) -> int:
     """Lah number recovered through both Stirling kinds.
 
     Evaluates sum_{l=k..n} (-1)^(n-l) * S1(n,l) * S2(l,k); agrees with
     :func:`lah` on the whole domain.
     """
-    return sum(
-        (-1) ** (n - l) * stirling1_signed(n, l) * stirling2(l, k)
-        for l in range(k, n + 1)
-    )
+    return _inversion_sum(stirling1_signed, stirling2, n, k)
 
 
 def stirling2_via_lah(n: int, k: int) -> int:
@@ -173,10 +175,7 @@ def stirling2_via_lah(n: int, k: int) -> int:
     Evaluates sum_{l=k..n} (-1)^(n-l) * S2(n,l) * L(l,k); agrees with
     :func:`stirling2` on the whole domain.
     """
-    return sum(
-        (-1) ** (n - l) * stirling2(n, l) * lah(l, k)
-        for l in range(k, n + 1)
-    )
+    return _inversion_sum(stirling2, lah, n, k)
 
 
 # -- closed forms, used only as cross-checks against the recurrence tables --

@@ -637,6 +637,32 @@ def test_a_huge_scalar_is_shown_without_being_written_whole():
     assert exact._shown(Fraction(1, 3 * 10**99999 + 1)) == "1/3" + "0" * 37 + "..."
 
 
+@pytest.mark.parametrize("j", [0, 1, 40, 5000])
+def test_floor_log10_brackets_numbers_next_to_powers_of_ten(j):
+    # The bit-length estimate is nearest to wrong next to a power of ten.
+    scale = 10**j
+    for k in (*range(60), 99, 100, 101, 1000, 4299, 4300, 4301, 4999, 5000):
+        for n in filter(None, (10**k - 1, 10**k, 10**k + 1)):
+            for q in (n * scale, Fraction(n, scale), Fraction(scale, n), Fraction(n, 3 * scale)):
+                e = exact._floor_log10(q)
+                assert Fraction(10) ** e <= q < Fraction(10) ** (e + 1), (k, n - 10**k, q)
+
+
+def test_shown_quotes_numbers_next_to_forty_digits():
+    cases = {
+        10**40 - 1: "9" * 40,
+        10**40: "1" + "0" * 39 + "...",
+        10**41 + 7: "1" + "0" * 39 + "...",
+        -(10**40 - 1): "-" + "9" * 39 + "...",
+        Fraction(1, 10**40 - 1): "1/" + "9" * 38 + "...",
+        Fraction(1, 10**40): "1/1" + "0" * 37 + "...",
+        Fraction(7, 10**41 + 7): "7/1" + "0" * 37 + "...",
+        Fraction(10**40 - 1, 10**41 + 7): "9" * 40 + "...",
+    }
+    for value, text in cases.items():
+        assert exact._shown(value) == text, value
+
+
 def test_rendering_is_deterministic():
     assert str(X**2 + 2 * X) == "x^2 + 2*x"
     assert str(MultiPoly.zero()) == "0"

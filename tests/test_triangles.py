@@ -174,7 +174,8 @@ def test_an_ascending_walk_keeps_only_the_first_rows():
 
 # A read behind the tail fills the memo up to its row, so descending and
 # column-order reads build each row at most twice.  One walk from the last
-# kept row per read would take about 20 times as long at n = 400.
+# kept row per read took 1.5 s against 0.04 s descending from row 400, and
+# 5.3 s against 0.06 s by column to row 400.
 @pytest.mark.parametrize("order", ["descending", "by column"])
 def test_reads_in_any_order_past_the_kept_rows_build_each_row_at_most_twice(order, monkeypatch):
     nmax = 400
