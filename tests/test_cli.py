@@ -276,8 +276,8 @@ def test_gf_streams_in_bounded_memory():
 def test_gf_composed_row_holds_in_bounded_memory():
     # bivariate_bell is composed, so it is held whole; each coefficient is
     # finished and its partial sum dropped as the composition passes it
-    # (55 to 59 MB at --order 120 under Python 3.10 to 3.13).  A composition
-    # that held every partial sum to the last power peaked at 63.5 MB.
+    # (about 59 MB at --order 120 under Python 3.11).  A composition that
+    # held every partial sum to the last power peaked at 63.5 MB.
     code, peak_kib = reaped(SPAWN_AND_REAP, "gf", "bivariate_bell", "--order", "120")
     assert code == 0
     assert peak_kib < 62 * 1024
